@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import io
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     ArgumentTooSmall,
@@ -33,14 +33,18 @@ SLAVIK_LOWER_SHIFT = 0.31
 SLAVIK_UPPER_SHIFT = 0.78
 
 
-@lru_cache(maxsize=None)
+_HARMONIC = [Fraction(0)]  # H(0), H(1), ...: extended on demand, never recursively
+_HARMONIC_LOCK = threading.Lock()
+
+
 def harmonic(j: int) -> Fraction:
     """Exact j-th harmonic number sum_{k=1..j} 1/k."""
     if j < 1:
         raise NonPositiveArgument(f"harmonic needs j >= 1, got {j}")
-    if j == 1:
-        return Fraction(1)
-    return harmonic(j - 1) + Fraction(1, j)
+    with _HARMONIC_LOCK:
+        for k in range(len(_HARMONIC), j + 1):
+            _HARMONIC.append(_HARMONIC[-1] + Fraction(1, k))
+        return _HARMONIC[j]
 
 
 def g_from_counts(s, m: int) -> Fraction:

@@ -14,14 +14,15 @@ converted back to Fractions at the boundary.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 
 from .errors import NonPositiveWeight, TooManySets, TooManySetsForExhaustive
-from .greedy import greedy
-from .instance import Cover, Instance, element_masks, validate
+from .greedy import _kernel, _scaled_weights, greedy
+from .instance import Cover, Instance, element_masks, element_sets, validate
 
 EXHAUSTIVE_CAP = 25
 AUTO_EXHAUSTIVE_MAX_N = 18
@@ -65,12 +66,6 @@ class ExactResult:
     nodes: int
     bound_stats: dict = field(default_factory=dict)
     node_samples: tuple[NodeSample, ...] = ()
-
-
-def _scaled_weights(instance: Instance) -> tuple[list[int], int]:
-    """Weights as integers over their common denominator."""
-    denom = math.lcm(*(e.weight.denominator for e in instance.sets))
-    return [int(e.weight * denom) for e in instance.sets], denom
 
 
 def _dp_scan(masks, weights, full, lo_bits):
@@ -131,30 +126,10 @@ def _residual_greedy_bound(masks, weights, covered, full):
     uncovered = full & ~covered
     if uncovered == 0:
         return Fraction(0)
-    total = 0
-    g = Fraction(0)
-    remaining = uncovered.bit_count()
-    residuals = [m & uncovered for m in masks]
-    counts = [r.bit_count() for r in residuals]
-    while remaining:
-        best = None
-        best_ratio = None
-        for i, cnt in enumerate(counts):
-            if cnt == 0:
-                continue
-            ratio = Fraction(weights[i], cnt)
-            if best is None or ratio < best_ratio:
-                best, best_ratio = i, ratio
-        gained = counts[best]
-        total += weights[best]
-        g += Fraction(gained, remaining)
-        remaining -= gained
-        sel = residuals[best]
-        for i in range(len(residuals)):
-            if residuals[i] & sel:
-                residuals[i] &= ~sel
-                counts[i] = residuals[i].bit_count()
-    return Fraction(total) / g
+    chosen, gains = _kernel(masks, weights, uncovered)
+    # G(s_sub) = sum s_k / m_{k-1} over the residual counts m_0 > m_1 > ...
+    g = sum(map(Fraction, gains, accumulate(gains, sub, initial=uncovered.bit_count())))
+    return Fraction(sum(weights[i] for i in chosen)) / g
 
 
 def _subinstance(instance: Instance, covered: int) -> Instance | None:
@@ -185,17 +160,13 @@ def _branch_and_bound(instance, budget, use_lp_bound, sample_nodes):
     masks = element_masks(instance)
     weights, denom = _scaled_weights(instance)
     full = (1 << instance.m) - 1
-    n = instance.n
 
     seed = greedy(instance)
     incumbent_w = sum(weights[i] for i in seed.chosen)
     incumbent = tuple(sorted(seed.chosen))
 
-    by_element = []
-    for e in range(instance.m):
-        holders = [i for i in range(n) if masks[i] >> e & 1]
-        holders.sort(key=lambda i: (weights[i], i))
-        by_element.append(holders)
+    by_element = [sorted(holders, key=lambda i: (weights[i], i))
+                  for holders in element_sets(instance)]
 
     stats = {"greedy_g": 0, "lp": 0}
     samples: list[NodeSample] = []

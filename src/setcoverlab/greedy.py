@@ -1,20 +1,25 @@
 """Charged-weight greedy solver with a full per-iteration trace.
 
-Each iteration charges every still-useful set the ratio weight / (count of
-its not-yet-covered elements) and picks a minimizer.  The trace records the
-chosen indices, the newly-covered counts s_k, the residual counts m_k, the
-charged ratios and the accumulated cover weight: everything the bound
-machinery needs, as exact rationals.
+Each iteration picks a set minimizing the charged ratio weight / (count of
+its not-yet-covered elements).  The trace records the chosen indices, the
+newly-covered counts s_k, the residual counts m_k, the charged ratios and
+the accumulated cover weight: everything the bound machinery needs, as
+exact rationals.
 
-Residual sets are maintained incrementally (the chosen set is subtracted
-from every other set each iteration); the trace stores counts only.
+One private kernel, shared with the branch-and-bound residual bound, picks
+on integers with a lazy priority queue (Minoux 1978, "Accelerated greedy
+algorithms"); Fractions are built only for the chosen sets.
 """
 
 from __future__ import annotations
 
+import heapq
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 
 from .errors import InvalidTrace, NonPositiveWeight
 from .instance import Instance, element_masks, validate
@@ -40,20 +45,39 @@ class GreedyTrace:
     tie: str = TIE_LOWEST_INDEX
 
 
-def _pick(residual_counts, weights, tie):
-    """Index minimizing weight/residual under the given tie policy."""
-    best = None
-    best_ratio = None
-    for i, cnt in enumerate(residual_counts):
-        if cnt == 0:
+def _scaled_weights(instance: Instance) -> tuple[list[int], int]:
+    """Weights as integers over their common denominator."""
+    denom = math.lcm(*(e.weight.denominator for e in instance.sets))
+    return [int(e.weight * denom) for e in instance.sets], denom
+
+
+def _kernel(masks, weights, uncovered, tie=TIE_LOWEST_INDEX):
+    """Greedy picks (indices, new-element counts) until `uncovered` is empty.
+
+    Integer weights; the masks must cover `uncovered`.  The heap key
+    w*K // count, K = uncovered.bit_length()**2, is exact: distinct ratios
+    with counts b, d <= bit_length differ by >= 1/(b*d) >= 1/K.  Counts only
+    fall, so a stored key is a lower bound: a stale top is re-keyed.
+    """
+    scale = uncovered.bit_length() ** 2
+    by_size = tie == TIE_MAX_RESIDUAL
+    counts = [(mask & uncovered).bit_count() for mask in masks]
+    heap = [(weights[i] * scale // c, -c if by_size else 0, i, c)
+            for i, c in enumerate(counts) if c]
+    heapq.heapify(heap)
+    chosen, gains = [], []
+    while uncovered:
+        i, stored = heap[0][2:]
+        c = (masks[i] & uncovered).bit_count()
+        if c and c != stored:  # stale: re-key and look again
+            heapq.heapreplace(heap, (weights[i] * scale // c, -c if by_size else 0, i, c))
             continue
-        ratio = Fraction(weights[i], cnt)
-        if best is None or ratio < best_ratio:
-            best, best_ratio = i, ratio
-        elif ratio == best_ratio and tie == TIE_MAX_RESIDUAL:
-            if cnt > residual_counts[best]:
-                best = i
-    return best, best_ratio
+        heapq.heappop(heap)
+        if c:  # fresh, hence the true minimum
+            chosen.append(i)
+            gains.append(c)
+            uncovered &= ~masks[i]
+    return chosen, gains
 
 
 def greedy(instance: Instance, tie: str = TIE_LOWEST_INDEX) -> GreedyTrace:
@@ -72,37 +96,14 @@ def greedy(instance: Instance, tie: str = TIE_LOWEST_INDEX) -> GreedyTrace:
         if w <= 0:
             raise NonPositiveWeight(f"set {i} has non-positive weight {w}")
 
-    masks = element_masks(instance)
-    counts = [m.bit_count() for m in masks]
-    uncovered = instance.m
-
-    chosen: list[int] = []
-    s: list[int] = []
-    residuals = [instance.m]
-    ratios: list[Fraction] = []
-    total = Fraction(0)
-
-    while uncovered > 0:
-        k, ratio = _pick(counts, weights, tie)
-        gained = counts[k]
-        chosen.append(k)
-        s.append(gained)
-        uncovered -= gained
-        residuals.append(uncovered)
-        ratios.append(ratio)
-        total += weights[k]
-        sel = masks[k]
-        for i in range(len(masks)):
-            if masks[i] & sel:
-                masks[i] &= ~sel
-                counts[i] = masks[i].bit_count()
-
+    chosen, s = _kernel(element_masks(instance), _scaled_weights(instance)[0],
+                        (1 << instance.m) - 1, tie)
     return GreedyTrace(
         chosen=tuple(chosen),
         s=tuple(s),
-        residuals=tuple(residuals),
-        ratios=tuple(ratios),
-        total_weight=total,
+        residuals=tuple(accumulate(s, sub, initial=instance.m)),
+        ratios=tuple(Fraction(weights[k], c) for k, c in zip(chosen, s)),
+        total_weight=sum((weights[k] for k in chosen), Fraction(0)),
         tie=tie,
     )
 

@@ -23,8 +23,12 @@ Two file formats are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import lt
+
+import numpy as np
 
 from .errors import (
     ElementOutOfRange,
@@ -54,7 +58,10 @@ class SetEntry:
 
 @dataclass(frozen=True)
 class Instance:
-    """A validated-on-demand set-cover instance over the universe {1..m}."""
+    """A validated-on-demand set-cover instance over the universe {1..m}.
+
+    Memos (validation, masks, incidence) live in __dict__, not in the fields.
+    """
 
     m: int
     sets: tuple[SetEntry, ...]
@@ -63,6 +70,9 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.sets)
+
+    def __getstate__(self):
+        return {"m": self.m, "sets": self.sets, "name": self.name}
 
 
 @dataclass(frozen=True)
@@ -85,63 +95,96 @@ def validate(instance: Instance) -> None:
     """Raise the first invariant violation, or return None if all hold.
 
     Checked per set, in order: element range, non-emptiness, weight sign;
-    then global coverage of the universe.
+    then global coverage of the universe.  Success is memoized, with masks.
     """
-    if instance.m < 1:
-        raise InvalidInstance(f"universe size must be >= 1, got {instance.m}")
+    if "_masks" in instance.__dict__:
+        return
+    m = instance.m
+    if m < 1:
+        raise InvalidInstance(f"universe size must be >= 1, got {m}")
     if not instance.sets:
         raise InvalidInstance("instance has no sets")
-    covered = 0
-    full = (1 << instance.m) - 1
     for i, entry in enumerate(instance.sets):
-        if not entry.elements:
+        els = entry.elements
+        if not els:
             raise EmptySet(f"set {i} is empty", set_index=i)
-        prev = 0
-        for e in entry.elements:
-            if not 1 <= e <= instance.m:
-                raise ElementOutOfRange(
-                    f"set {i} contains element {e} outside 1..{instance.m}",
-                    set_index=i,
-                )
-            if e <= prev:
-                raise InvalidInstance(
-                    f"set {i} elements not sorted/duplicate-free", set_index=i
-                )
-            prev = e
+        if not (1 <= els[0] and els[-1] <= m and all(map(lt, els, els[1:]))):
+            prev = 0  # find the first violation in reading order
+            for e in els:
+                if not 1 <= e <= m:
+                    raise ElementOutOfRange(f"set {i} contains element {e} outside 1..{m}",
+                                            set_index=i)
+                if e <= prev:
+                    raise InvalidInstance(f"set {i} elements not sorted/duplicate-free",
+                                          set_index=i)
+                prev = e
         if entry.weight < 0:
             raise NegativeWeight(
                 f"set {i} has negative weight {entry.weight}", set_index=i
             )
-        for e in entry.elements:
-            covered |= 1 << (e - 1)
-    if covered != full:
-        missing = next(
-            e for e in range(1, instance.m + 1) if not covered >> (e - 1) & 1
-        )
+    masks = _build_masks(instance)
+    uncovered = (1 << m) - 1
+    for mask in masks:
+        uncovered &= ~mask
+    if uncovered:
+        missing = (uncovered & -uncovered).bit_length()
         raise UnionNotUniverse(
             f"element {missing} is covered by no set", missing_element=missing
         )
+    instance.__dict__["_masks"] = masks
+
+
+def _build_masks(instance: Instance) -> list[int]:
+    """Per-set bitmasks from one vectorized O(size) pass over all elements."""
+    sets = instance.sets
+    if instance.m <= 64:  # one-word masks: plain shifts beat numpy's fixed cost
+        return [sum(1 << (e - 1) for e in entry.elements) for entry in sets]
+    sizes = np.fromiter(map(len, (entry.elements for entry in sets)), np.int64, len(sets))
+    pos = np.fromiter(chain.from_iterable(entry.elements for entry in sets),
+                      np.int32, int(sizes.sum()))  # temporaries: about 10 bytes per element
+    pos -= 1
+    if pos.size and pos.min() < 0:
+        raise ValueError("element ids must be positive")
+    width = int(pos.max()) // 8 + 1 if pos.size else 1  # bytes per mask
+    bit = np.left_shift(np.uint8(1), pos.astype(np.uint8) & 7)
+    pos >>= 3  # now the byte of each element within its set's mask
+    packed = np.zeros((len(sets), width), np.uint8)
+    np.bitwise_or.at(packed, (np.repeat(np.arange(len(sets), dtype=np.int32), sizes), pos), bit)
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
 
 
 def element_masks(instance: Instance) -> list[int]:
-    """Per-set bitmasks with bit (e-1) set for each element e."""
-    masks = []
-    for entry in instance.sets:
-        mask = 0
-        for e in entry.elements:
-            mask |= 1 << (e - 1)
-        masks.append(mask)
-    return masks
+    """Per-set bitmasks with bit (e-1) set for each element e.
+
+    A validated instance hands out the masks validation built; every call
+    returns a fresh list the caller may mutate.
+    """
+    masks = instance.__dict__.get("_masks")
+    return _build_masks(instance) if masks is None else list(masks)
+
+
+def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
+    """Entry e-1 lists the sets holding element e, ascending; built once."""
+    validate(instance)
+    holders = instance.__dict__.get("_holders")
+    if holders is None:
+        lists = [[] for _ in range(instance.m)]
+        for i, entry in enumerate(instance.sets):
+            for e in entry.elements:
+                lists[e - 1].append(i)
+        holders = instance.__dict__["_holders"] = tuple(map(tuple, lists))
+    return holders
 
 
 def is_cover(instance: Instance, set_indices) -> bool:
     """True iff the union of the chosen sets equals {1..m}."""
+    masks = element_masks(instance)
     union = 0
     for i in set_indices:
         if not 0 <= i < instance.n:
             raise IndexOutOfRange(f"set index {i} outside 0..{instance.n - 1}")
-        for e in instance.sets[i].elements:
-            union |= 1 << (e - 1)
+        union |= masks[i]
     return union == (1 << instance.m) - 1
 
 
@@ -178,40 +221,47 @@ def format_weight(w: Fraction) -> str:
 
 
 class _Tokens:
-    """Whitespace token stream with 1-based line/column positions."""
+    """Whitespace token stream; positions are worked out only for errors."""
 
     def __init__(self, text: str):
-        self.items: list[tuple[str, int, int]] = []
-        for ln, line in enumerate(text.splitlines(), start=1):
+        self.text = text
+        self.items = text.split()
+        self.pos = 0
+
+    def error(self, message: str, index: int | None = None) -> ScpSyntaxError:
+        """An error at token `index` (default: the last read), located by a re-scan."""
+        index = self.pos - 1 if index is None else index
+        count = 0
+        for ln, line in enumerate(self.text.splitlines(), start=1):
             col = 1
             for piece in line.split():
                 col = line.index(piece, col - 1) + 1
-                self.items.append((piece, ln, col))
+                if count == index:
+                    return ScpSyntaxError(message, ln, col)
+                count += 1
                 col += len(piece)
-        self.pos = 0
+        return ScpSyntaxError(message, 1, 1)
 
-    def next(self, what: str) -> tuple[str, int, int]:
+    def next(self, what: str) -> str:
         if self.pos >= len(self.items):
-            last = self.items[-1] if self.items else ("", 1, 1)
-            raise ScpSyntaxError(f"unexpected end of input, expected {what}",
-                                 line=last[1], column=last[2])
-        tok = self.items[self.pos]
+            raise self.error(f"unexpected end of input, expected {what}",
+                             len(self.items) - 1)
         self.pos += 1
-        return tok
+        return self.items[self.pos - 1]
 
-    def next_int(self, what: str) -> tuple[int, int, int]:
-        tok, ln, col = self.next(what)
+    def next_value(self, what: str, convert=int):
+        tok = self.next(what)
         try:
-            return int(tok), ln, col
-        except ValueError:
-            raise ScpSyntaxError(f"expected {what}, got {tok!r}", ln, col) from None
-
-    def next_weight(self, what: str) -> tuple[Fraction, int, int]:
-        tok, ln, col = self.next(what)
-        try:
-            return parse_weight(tok), ln, col
+            return convert(tok)
         except (ValueError, ZeroDivisionError):
-            raise ScpSyntaxError(f"expected {what}, got {tok!r}", ln, col) from None
+            raise self.error(f"expected {what}, got {tok!r}") from None
+
+    def peek_ints(self, count: int) -> list[int] | None:
+        """The next `count` tokens (fewer at the end) as ints, unread; None on a non-int."""
+        try:
+            return list(map(int, self.items[self.pos:self.pos + count]))
+        except ValueError:
+            return None
 
     def at_end(self) -> bool:
         return self.pos >= len(self.items)
@@ -224,32 +274,33 @@ class _Tokens:
 def parse_native(text: str, name: str | None = None) -> Instance:
     """Parse the native "scp 1" format; the result is validated."""
     toks = _Tokens(text)
-    magic, ln, col = toks.next("format magic")
+    magic = toks.next("format magic")
     if magic != NATIVE_MAGIC:
-        raise ScpSyntaxError(f"expected {NATIVE_MAGIC!r} header, got {magic!r}", ln, col)
-    version, ln, col = toks.next("format version")
+        raise toks.error(f"expected {NATIVE_MAGIC!r} header, got {magic!r}")
+    version = toks.next("format version")
     if version != NATIVE_VERSION:
-        raise ScpSyntaxError(f"unsupported version {version!r}", ln, col)
-    m, _, _ = toks.next_int("universe size m")
-    n, _, _ = toks.next_int("set count n")
+        raise toks.error(f"unsupported version {version!r}")
+    m = toks.next_value("universe size m")
+    n = toks.next_value("set count n")
     sets = []
     for i in range(n):
-        w, _, _ = toks.next_weight(f"weight of set {i}")
-        k, ln, col = toks.next_int(f"cardinality of set {i}")
+        w = toks.next_value(f"weight of set {i}", parse_weight)
+        k = toks.next_value(f"cardinality of set {i}")
         if k < 0:
-            raise ScpSyntaxError(f"negative cardinality for set {i}", ln, col)
-        elements = []
-        seen = set()
-        for j in range(k):
-            e, ln, col = toks.next_int(f"element {j} of set {i}")
-            if e in seen:
-                raise ScpSyntaxError(f"duplicate element {e} in set {i}", ln, col)
-            seen.add(e)
-            elements.append(e)
+            raise toks.error(f"negative cardinality for set {i}")
+        elements = toks.peek_ints(k)
+        if elements is None or len(set(elements)) < k:
+            seen = set()  # re-read one at a time: raises the first error in order
+            for j in range(k):
+                e = toks.next_value(f"element {j} of set {i}")
+                if e in seen:
+                    raise toks.error(f"duplicate element {e} in set {i}")
+                seen.add(e)
+        toks.pos += k
         sets.append(SetEntry(tuple(sorted(elements)), w))
     if not toks.at_end():
-        tok, ln, col = toks.next("end of input")
-        raise ScpSyntaxError(f"trailing token {tok!r}", ln, col)
+        tok = toks.next("end of input")
+        raise toks.error(f"trailing token {tok!r}")
     instance = Instance(m=m, sets=tuple(sets), name=name)
     validate(instance)
     return instance
@@ -273,40 +324,35 @@ def write_native(instance: Instance) -> str:
 def parse_orlib(text: str, name: str | None = None) -> Instance:
     """Parse the OR-Library set-covering format into a set-major Instance."""
     toks = _Tokens(text)
-    m, _, _ = toks.next_int("row count m")
-    n, _, _ = toks.next_int("column count n")
+    m = toks.next_value("row count m")
+    n = toks.next_value("column count n")
     if m < 1 or n < 1:
         raise ScpSyntaxError("m and n must be positive")
-    costs = []
-    for i in range(n):
-        w, _, _ = toks.next_weight(f"cost of column {i}")
-        costs.append(w)
+    costs = [toks.next_value(f"cost of column {i}", parse_weight) for i in range(n)]
     columns: list[list[int]] = [[] for _ in range(n)]
     for row in range(1, m + 1):
-        c, _, _ = toks.next_int(f"cover count of row {row}")
+        c = toks.next_value(f"cover count of row {row}")
         if c < 1:
             raise UnionNotUniverse(
                 f"element {row} is covered by no column", missing_element=row
             )
-        seen = set()
-        for j in range(c):
-            col_idx, ln, col = toks.next_int(f"column {j} covering row {row}")
-            if not 1 <= col_idx <= n:
-                raise ScpSyntaxError(
-                    f"column index {col_idx} outside 1..{n}", ln, col
-                )
-            if col_idx in seen:
-                raise ScpSyntaxError(
-                    f"row {row} lists column {col_idx} twice", ln, col
-                )
-            seen.add(col_idx)
+        cols = toks.peek_ints(c)
+        if cols is None or len(set(cols)) < c or not 1 <= min(cols) <= max(cols) <= n:
+            seen = set()  # re-read one at a time: raises the first error in order
+            for j in range(c):
+                col_idx = toks.next_value(f"column {j} covering row {row}")
+                if not 1 <= col_idx <= n:
+                    raise toks.error(f"column index {col_idx} outside 1..{n}")
+                if col_idx in seen:
+                    raise toks.error(f"row {row} lists column {col_idx} twice")
+                seen.add(col_idx)
+        toks.pos += c
+        for col_idx in cols:
             columns[col_idx - 1].append(row)
     if not toks.at_end():
-        tok, ln, col = toks.next("end of input")
-        raise ScpSyntaxError(f"trailing token {tok!r}", ln, col)
-    sets = tuple(
-        SetEntry(tuple(sorted(els)), w) for els, w in zip(columns, costs)
-    )
+        tok = toks.next("end of input")
+        raise toks.error(f"trailing token {tok!r}")
+    sets = tuple(SetEntry(tuple(els), w) for els, w in zip(columns, costs))
     instance = Instance(m=m, sets=sets, name=name)
     validate(instance)
     return instance

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonOptimalLp, NonPositiveWeight, NumericalFailure
 from .greedy import GreedyTrace
-from .instance import Instance, validate
+from .instance import Instance, element_sets, validate
 
 DEFAULT_TOL = 1e-9
 BLAND_STREAK = 40
@@ -233,14 +233,14 @@ def _certify_from_basis(instance: Instance, basis):
     multipliers by Gaussian elimination over Fractions.
     """
     m, n = instance.m, instance.n
+    holders = element_sets(instance)
     cols = []
     c_b = []
     for v in basis:
         col = [Fraction(0)] * n
         if v < m:
-            for i, entry in enumerate(instance.sets):
-                if v + 1 in entry.elements:
-                    col[i] = Fraction(1)
+            for i in holders[v]:
+                col[i] = Fraction(1)
             c_b.append(Fraction(1))
         else:
             col[v - m] = Fraction(1)
@@ -331,9 +331,7 @@ def write_lp_format(instance: Instance) -> str:
     )
     lines.append(f" obj: {terms}")
     lines.append("Subject To")
-    for e in range(1, instance.m + 1):
-        holders = [i for i, entry in enumerate(instance.sets)
-                   if e in entry.elements]
+    for e, holders in enumerate(element_sets(instance), start=1):
         lhs = " + ".join(f"x{i}" for i in holders)
         lines.append(f" e{e}: {lhs} >= 1")
     lines.append("Bounds")

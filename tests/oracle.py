@@ -9,7 +9,7 @@ every subset with fresh unions.
 from fractions import Fraction
 from itertools import combinations
 
-from setcoverlab import Instance
+from setcoverlab import TIE_LOWEST_INDEX, TIE_MAX_RESIDUAL, Instance
 
 
 def brute_harmonic(j: int) -> Fraction:
@@ -60,8 +60,12 @@ def brute_optimum(instance: Instance):
     return best_w, best
 
 
-def brute_greedy_sequence(instance: Instance):
-    """Greedy re-simulation with plain sets; returns (chosen, s, weight)."""
+def brute_greedy_sequence(instance: Instance, tie: str = TIE_LOWEST_INDEX):
+    """Greedy re-simulation with plain sets; returns (chosen, s, weight).
+
+    Ratio ties go to the lowest index, or under TIE_MAX_RESIDUAL to the set
+    with the most fresh elements and then the lowest index.
+    """
     remaining = set(range(1, instance.m + 1))
     chosen = []
     s = []
@@ -69,14 +73,18 @@ def brute_greedy_sequence(instance: Instance):
     while remaining:
         best = None
         best_ratio = None
+        best_fresh = 0
         for i, entry in enumerate(instance.sets):
             fresh = remaining.intersection(entry.elements)
             if not fresh:
                 continue
-            ratio = entry.weight / len(fresh)
-            if best_ratio is None or ratio < best_ratio:
+            ratio = Fraction(entry.weight) / len(fresh)
+            if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and tie == TIE_MAX_RESIDUAL
+                    and len(fresh) > best_fresh):
                 best = i
                 best_ratio = ratio
+                best_fresh = len(fresh)
         fresh = remaining.intersection(instance.sets[best].elements)
         chosen.append(best)
         s.append(len(fresh))

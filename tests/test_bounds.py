@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -67,6 +69,20 @@ class TestHarmonic:
     def test_non_positive(self):
         with pytest.raises(NonPositiveArgument):
             harmonic(0)
+
+    def test_large_j_from_a_cold_cache(self):
+        # a fresh interpreter, so no smaller value is cached beforehand
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from setcoverlab.bounds import harmonic; print(harmonic(5000))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert Fraction(proc.stdout.strip()) == brute_harmonic(5000)
+
+    def test_extends_from_the_largest_cached_value(self):
+        assert harmonic(700) == brute_harmonic(700)
+        assert harmonic(650) == brute_harmonic(650)
+        assert harmonic(701) == harmonic(700) + Fraction(1, 701)
 
 
 class TestG:

@@ -20,6 +20,17 @@ def cs_file(tmp_path):
     return str(path)
 
 
+class TestBoundsLargeM:
+    def test_gf2_k9_bounds(self, capsys, tmp_path):
+        # m = 511 needs H(511), beyond any recursion limit
+        path = tmp_path / "g9.scp"
+        assert main(["gen", "gf2", "--k", "9", "-o", str(path)]) == 0
+        proc = subprocess.run([sys.executable, "-m", "setcoverlab.cli", "bounds", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("m=511\n")
+
+
 class TestGen:
     def test_cs_file_content(self, cs_file):
         text = open(cs_file).read()

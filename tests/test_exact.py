@@ -134,6 +134,45 @@ class TestBranchAndBound:
                 sub_opt = exact_opt(sub).weight
                 assert sample.greedy_bound <= sub_opt
 
+    def test_sampled_bounds_equal_eager_recomputation(self):
+        # the lazy integer kernel gives the same residual bound, node by
+        # node, as a plain eager greedy over Fraction ratios; the first three
+        # instances tie ratios, the third at different counts
+        tied = [gen_gf2(4), gen_class_cs(SequenceSpec((3, 2, 2, 1))),
+                make_instance(4, [((1,), 1), ((2, 3), 2), ((1, 2, 3, 4), 4), ((4,), 1)])]
+        for inst in tied + [gen_random(RandomSpec(m=12, n=14, density=0.3,
+                                                  weight_lo=Fraction(1, 2),
+                                                  weight_hi=Fraction(6), seed=seed))
+                            for seed in (1, 4, 7, 13)]:
+            res = exact_opt(inst, SolveBudget(method=METHOD_BNB),
+                            sample_nodes=10**6)
+            assert res.node_samples
+            for sample in res.node_samples:
+                assert sample.greedy_bound == eager_residual_bound(
+                    inst, sample.covered_mask)
+
+    def test_gf2_4_node_count(self):
+        res = exact_opt(gen_gf2(4), SolveBudget(method=METHOD_BNB))
+        assert (res.weight, res.nodes, res.bound_stats) == (4, 585, {"greedy_g": 512, "lp": 0})
+
+
+def eager_residual_bound(inst, covered_mask):
+    """w(Gr_sub)/G(s_sub) by re-rating every set on every step, plain sets."""
+    remaining = {e for e in range(1, inst.m + 1) if not covered_mask >> (e - 1) & 1}
+    total = Fraction(0)
+    g = Fraction(0)
+    while remaining:
+        best = best_ratio = None
+        for i, entry in enumerate(inst.sets):
+            fresh = remaining.intersection(entry.elements)
+            if fresh and (best is None or entry.weight / len(fresh) < best_ratio):
+                best, best_ratio = i, entry.weight / len(fresh)
+        fresh = remaining.intersection(inst.sets[best].elements)
+        g += Fraction(len(fresh), len(remaining))
+        total += inst.sets[best].weight
+        remaining -= fresh
+    return total / g if g else Fraction(0)
+
 
 class TestVerify:
     def test_exact_opt_output_verifies(self):

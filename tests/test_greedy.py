@@ -166,3 +166,51 @@ class TestCsv:
         assert lines[0] == "iter,set_index,s_k,m_k,ratio,cumulative_weight"
         assert lines[1] == "0,0,2,1,1,2"
         assert lines[2] == "1,1,1,0,2,4"
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Small instances whose ratios collide: few weights, few set sizes, repeats."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 10))
+    weights = st.sampled_from((Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
+                               Fraction(3, 2), Fraction(5, 2), Fraction(2, 3)))
+    sets = [(tuple(draw(st.sets(st.integers(1, m), min_size=1, max_size=4))),
+             draw(weights)) for _ in range(n)]
+    if draw(st.booleans()):
+        sets.append(draw(st.sampled_from(sets)))  # an exact duplicate set
+    sets.append((tuple(range(1, m + 1)), draw(weights) * m))
+    return make_instance(m, draw(st.permutations(sets)))
+
+
+class TestKernelEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_instances(), st.sampled_from((TIE_LOWEST_INDEX, TIE_MAX_RESIDUAL)))
+    def test_matches_oracle_under_both_policies(self, inst, tie):
+        chosen, s, total = brute_greedy_sequence(inst, tie=tie)
+        trace = greedy(inst, tie=tie)
+        assert (trace.chosen, trace.s, trace.total_weight) == (chosen, s, total)
+        assert trace.ratios == tuple(
+            inst.sets[k].weight / sk for k, sk in zip(chosen, s))
+
+    def test_policies_differ_on_a_tie(self):
+        inst = make_instance(4, [((1,), 1), ((2, 3), 2), ((1, 2, 3, 4), 40), ((4,), 9)])
+        assert brute_greedy_sequence(inst)[0] == greedy(inst).chosen == (0, 1, 3)
+        assert brute_greedy_sequence(inst, tie=TIE_MAX_RESIDUAL)[0] \
+            == greedy(inst, tie=TIE_MAX_RESIDUAL).chosen == (1, 0, 3)
+
+    def test_close_ratios_are_ordered_exactly(self):
+        # 21/20 < 20/19 differ by 1/380: a key scale of m = 40 would tie them
+        # and hand the pick to the lower index
+        inst = make_instance(40, [(range(21, 40), 20), (range(1, 21), 21),
+                                  ((40,), 1), (range(1, 41), 1000)])
+        assert greedy(inst).chosen == (2, 1, 0)
+
+    def test_large_weights_and_universe(self):
+        # ratios differing by far less than any float resolution
+        m = 300
+        sets = [(tuple(range(1, m + 1)), Fraction(10**12 * m + 1, 7))]
+        sets += [((e,), Fraction(10**12, 7)) for e in range(1, m + 1)]
+        trace = greedy(make_instance(m, sets))
+        assert trace.chosen == tuple(range(1, m + 1))
+        assert trace.total_weight == Fraction(10**12 * m, 7)

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,15 @@ from setcoverlab.errors import (
     ScpSyntaxError,
     UnionNotUniverse,
 )
-from setcoverlab.instance import detect_format, format_weight, parse_weight
+from setcoverlab.generators import RandomSpec, gen_random
+from setcoverlab.greedy import greedy
+from setcoverlab.instance import (
+    detect_format,
+    element_masks,
+    element_sets,
+    format_weight,
+    parse_weight,
+)
 
 
 def single_set_instance():
@@ -73,6 +83,75 @@ class TestValidate:
     def test_no_sets(self):
         with pytest.raises(InvalidInstance):
             validate(Instance(m=1, sets=()))
+
+    def test_first_violation_in_order_wins(self):
+        out_first = Instance(m=3, sets=(SetEntry((5, 1), Fraction(1)),))
+        with pytest.raises(ElementOutOfRange):
+            validate(out_first)
+        order_first = Instance(m=3, sets=(SetEntry((2, 1, 9), Fraction(1)),))
+        with pytest.raises(InvalidInstance) as exc:
+            validate(order_first)
+        assert type(exc.value) is InvalidInstance
+        assert "not sorted" in str(exc.value)
+
+
+class TestMemo:
+    """Validation, masks and incidence are memoized without changing identity."""
+
+    def test_invalid_instance_raises_every_time(self):
+        bad = Instance(m=3, sets=(SetEntry((1, 2), Fraction(1)),))
+        for _ in range(3):
+            with pytest.raises(UnionNotUniverse):
+                validate(bad)
+        with pytest.raises(UnionNotUniverse):
+            element_sets(bad)
+
+    def test_memo_invisible_to_eq_hash_repr_pickle(self):
+        used, fresh = gf2_k2(), gf2_k2()
+        validate(used)
+        element_masks(used)
+        element_sets(used)
+        greedy(used)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        again = pickle.loads(pickle.dumps(used))
+        assert again == used and vars(again) == vars(fresh)
+
+    def test_replace_does_not_carry_the_memo(self):
+        inst = gf2_k2()
+        validate(inst)
+        broken = dataclasses.replace(inst, sets=inst.sets[:1])
+        with pytest.raises(UnionNotUniverse):
+            validate(broken)
+        assert dataclasses.replace(inst) == inst
+
+    def test_mutating_returned_masks_is_harmless(self):
+        inst = gen_random(RandomSpec(m=12, n=9, density=0.3, weight_lo=Fraction(1),
+                                     weight_hi=Fraction(4), seed=5))
+        expected = greedy(make_instance(inst.m, [(e.elements, e.weight) for e in inst.sets]))
+        validate(inst)  # the masks handed out below are those validation kept
+        masks = element_masks(inst)
+        masks[:] = [0] * len(masks)
+        assert greedy(inst) == expected
+        assert element_masks(inst) != masks
+
+    @pytest.mark.parametrize("m", [5, 64, 65, 300])
+    def test_masks_match_plain_shifts(self, m):
+        # both mask paths: plain shifts up to m = 64, the vectorized pass above
+        inst = gen_random(RandomSpec(m=m, n=30, density=0.2, weight_lo=Fraction(1),
+                                     weight_hi=Fraction(4), seed=m))
+        expected = [sum(1 << (e - 1) for e in entry.elements) for entry in inst.sets]
+        assert element_masks(inst) == expected
+        validate(inst)
+        assert element_masks(inst) == expected
+        with pytest.raises(ValueError):
+            element_masks(Instance(m=m, sets=(SetEntry((0, 1), Fraction(1)),)))
+
+    def test_masks_and_incidence(self):
+        inst = gf2_k2()  # {1,3} {2,3} {1,2}
+        assert element_masks(inst) == [0b101, 0b110, 0b011]
+        assert element_sets(inst) == ((0, 2), (1, 2), (0, 1))
 
 
 class TestIsCover:

@@ -20,6 +20,7 @@ from setcoverlab import (
     write_lp_format,
 )
 from setcoverlab.errors import LengthMismatch, NonOptimalLp, NonPositiveWeight
+from setcoverlab import lp as lp_mod
 from setcoverlab.lp import (
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
@@ -74,6 +75,7 @@ class TestSolveExamples:
             assert out.objective <= bound + 1e-9
             # uniform cover is optimal here, so equality within tol
             assert out.objective == pytest.approx(bound, abs=1e-7)
+            assert out.exact_objective == Fraction(2 ** k - 1, 2 ** (k - 1))
 
     @pytest.mark.slow
     def test_gf2_family_objective_up_to_k10(self):
@@ -85,6 +87,8 @@ class TestSolveExamples:
             bound = 2 * inst.m / (inst.m + 1)
             assert out.status == STATUS_OPTIMAL
             assert out.objective <= bound + 1e-9
+            if k <= 9:  # gf2(10) exceeds EXACT_CHECK_LIMIT
+                assert out.exact_objective == Fraction(2 ** k - 1, 2 ** (k - 1))
 
     def test_outcome_cover_passes_check(self):
         for seed in range(25):
@@ -111,6 +115,15 @@ class TestAgainstScipy:
             inst = rnd(seed, m=12, n=20)
             out = solve_lp(inst)
             assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
+
+    def test_basis_certificate_matches_snapped_one(self, monkeypatch):
+        # force the exact basis solve, which reads the element incidence
+        snapped = [solve_lp(gen_gf2(k)).exact_objective for k in (2, 3, 4)]
+        snapped += [solve_lp(rnd(seed, m=12, n=20)).exact_objective for seed in range(6)]
+        monkeypatch.setattr(lp_mod, "_certify", lambda instance, x, y: None)
+        again = [solve_lp(gen_gf2(k)).exact_objective for k in (2, 3, 4)]
+        again += [solve_lp(rnd(seed, m=12, n=20)).exact_objective for seed in range(6)]
+        assert None not in snapped and again == snapped
 
 
 class TestRelaxationProperties:
@@ -208,6 +221,23 @@ class TestSerialization:
         assert " e1: x0 + x2 >= 1" in text
         assert " e3: x1 + x2 >= 1" in text
         assert "3.5 x2" in text
+
+    def test_lp_format_golden_bytes(self):
+        inst = make_instance(4, [((1, 2), Fraction(7, 2)), ((2, 3, 4), 2),
+                                 ((1, 4), Fraction(1, 3)), ((3,), 5),
+                                 ((2,), Fraction(10, 7))])
+        assert write_lp_format(inst) == (
+            "Minimize\n"
+            " obj: 3.5 x0 + 2 x1 + 0.333333333333 x2 + 5 x3 + 1.42857142857 x4\n"
+            "Subject To\n"
+            " e1: x0 + x2 >= 1\n"
+            " e2: x0 + x1 + x4 >= 1\n"
+            " e3: x1 + x3 >= 1\n"
+            " e4: x1 + x2 >= 1\n"
+            "Bounds\n"
+            " 0 <= x0\n 0 <= x1\n 0 <= x2\n 0 <= x3\n 0 <= x4\n"
+            "End\n"
+        )
 
     def test_lp_format_feeds_scipy_equivalent(self):
         # cross-check: the exported program is the one scipy solves
