@@ -17,12 +17,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import sub
 
-from .errors import NonPositiveWeight, TooManySets, TooManySetsForExhaustive
-from .greedy import _kernel, _scaled_weights, greedy
-from .instance import Cover, Instance, element_masks, element_sets, validate
+from . import lp
+from .bounds import g_from_counts
+from .errors import TooManySets, TooManySetsForExhaustive
+from .greedy import _kernel, greedy
+from .instance import (Cover, Instance, _scaled_weights, element_masks, element_sets,
+                       make_instance, require_positive_weights)
 
 EXHAUSTIVE_CAP = 25
 AUTO_EXHAUSTIVE_MAX_N = 18
@@ -127,8 +128,7 @@ def _residual_greedy_bound(masks, weights, covered, full):
     if uncovered == 0:
         return Fraction(0)
     chosen, gains = _kernel(masks, weights, uncovered)
-    # G(s_sub) = sum s_k / m_{k-1} over the residual counts m_0 > m_1 > ...
-    g = sum(map(Fraction, gains, accumulate(gains, sub, initial=uncovered.bit_count())))
+    g = g_from_counts(gains, uncovered.bit_count())
     return Fraction(sum(weights[i] for i in chosen)) / g
 
 
@@ -149,14 +149,10 @@ def _subinstance(instance: Instance, covered: int) -> Instance | None:
             sets.append((els, entry.weight))
     if not sets:
         return None
-    from .instance import make_instance
-
     return make_instance(len(renumber), sets)
 
 
 def _branch_and_bound(instance, budget, use_lp_bound, sample_nodes):
-    from . import lp as lp_mod
-
     masks = element_masks(instance)
     weights, denom = _scaled_weights(instance)
     full = (1 << instance.m) - 1
@@ -202,8 +198,8 @@ def _branch_and_bound(instance, budget, use_lp_bound, sample_nodes):
         if use_lp_bound:
             sub = _subinstance(instance, covered)
             if sub is not None:
-                outcome = lp_mod.solve_lp(sub)
-                if outcome.status == lp_mod.STATUS_OPTIMAL:
+                outcome = lp.solve_lp(sub)
+                if outcome.status == lp.STATUS_OPTIMAL:
                     if outcome.exact_objective is not None:
                         lp_bound = outcome.exact_objective * denom
                     else:
@@ -224,10 +220,7 @@ def _branch_and_bound(instance, budget, use_lp_bound, sample_nodes):
 def exact_opt(instance: Instance, budget: SolveBudget | None = None, *,
               use_lp_bound: bool = False, sample_nodes: int = 0) -> ExactResult:
     """Minimum-weight cover, proven optimal unless the budget runs out."""
-    validate(instance)
-    for i, entry in enumerate(instance.sets):
-        if entry.weight <= 0:
-            raise NonPositiveWeight(f"set {i} has non-positive weight")
+    require_positive_weights(instance)
     budget = budget or SolveBudget()
     method = budget.method
     if method == METHOD_AUTO:

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import heapq
 import io
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
 
-from .errors import InvalidTrace, NonPositiveWeight
-from .instance import Instance, element_masks, validate
+from .errors import InvalidTrace
+from .instance import Instance, _scaled_weights, element_masks, require_positive_weights
 
 TIE_LOWEST_INDEX = "lowest-index"
 TIE_MAX_RESIDUAL = "largest-residual-then-lowest-index"
@@ -43,12 +42,6 @@ class GreedyTrace:
     ratios: tuple[Fraction, ...]
     total_weight: Fraction
     tie: str = TIE_LOWEST_INDEX
-
-
-def _scaled_weights(instance: Instance) -> tuple[list[int], int]:
-    """Weights as integers over their common denominator."""
-    denom = math.lcm(*(e.weight.denominator for e in instance.sets))
-    return [int(e.weight * denom) for e in instance.sets], denom
 
 
 def _kernel(masks, weights, uncovered, tie=TIE_LOWEST_INDEX):
@@ -90,12 +83,8 @@ def greedy(instance: Instance, tie: str = TIE_LOWEST_INDEX) -> GreedyTrace:
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {tie!r}")
-    validate(instance)
+    require_positive_weights(instance)
     weights = [entry.weight for entry in instance.sets]
-    for i, w in enumerate(weights):
-        if w <= 0:
-            raise NonPositiveWeight(f"set {i} has non-positive weight {w}")
-
     chosen, s = _kernel(element_masks(instance), _scaled_weights(instance)[0],
                         (1 << instance.m) - 1, tie)
     return GreedyTrace(

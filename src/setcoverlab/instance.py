@@ -23,6 +23,7 @@ Two file formats are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -36,6 +37,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidInstance,
     NegativeWeight,
+    NonPositiveWeight,
     ScpSyntaxError,
     UnionNotUniverse,
 )
@@ -175,6 +177,20 @@ def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
                 lists[e - 1].append(i)
         holders = instance.__dict__["_holders"] = tuple(map(tuple, lists))
     return holders
+
+
+def require_positive_weights(instance: Instance) -> None:
+    """Validate, then raise NonPositiveWeight for the first weight <= 0."""
+    validate(instance)
+    for i, entry in enumerate(instance.sets):
+        if entry.weight <= 0:
+            raise NonPositiveWeight(f"set {i} has non-positive weight {entry.weight}")
+
+
+def _scaled_weights(instance: Instance) -> tuple[list[int], int]:
+    """Weights as integers over their common denominator."""
+    denom = math.lcm(*(e.weight.denominator for e in instance.sets))
+    return [int(e.weight * denom) for e in instance.sets], denom
 
 
 def is_cover(instance: Instance, set_indices) -> bool:

@@ -11,30 +11,37 @@ solution is the simplex multipliers of that final refactorization.
 
 Because the float tableau can drift, the solver then tries to certify the
 result exactly: the float primal/dual pair is snapped to small rationals
-and checked in exact arithmetic (feasibility of both sides plus equal
-objectives proves optimality by weak duality); for small systems a full
-exact basis solve is attempted as a fallback.  When certification succeeds
-the outcome carries the exact rational objective and solution.
+and checked in integer arithmetic over common denominators (feasibility of
+both sides plus equal objectives proves optimality by weak duality); for
+small systems a full exact basis solve is attempted as a fallback.  When
+certification succeeds the outcome carries the exact rational objective
+and solution.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .errors import LengthMismatch, NonOptimalLp, NonPositiveWeight, NumericalFailure
+from .errors import LengthMismatch, NonOptimalLp, NumericalFailure
 from .greedy import GreedyTrace
-from .instance import Instance, element_sets, validate
+from .instance import Instance, _scaled_weights, element_sets, require_positive_weights
 
 DEFAULT_TOL = 1e-9
 BLAND_STREAK = 40
 REFRESH_INTERVAL = 1000  # pivots between refactorizations (drift control)
-EXACT_CHECK_LIMIT = 1_000_000  # skip certification when m*n exceeds this
 EXACT_SOLVE_MAX_N = 200
-RATIONALIZE_DENOM = 10**12
+# The tableau's values carry float error near 1e-14.  A denominator limit
+# near the inverse square root of that error recovers rationals with
+# denominators up to it; a larger limit fits the noise itself instead.
+# Snapped values are always checked exactly, so the limit only decides how
+# often this cheap path certifies.
+RATIONALIZE_DENOM = 10**7
 
 STATUS_OPTIMAL = "optimal"
 STATUS_ITERATION_LIMIT = "iteration-limit"
@@ -99,10 +106,7 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
     within tol on a freshly refactorized tableau, "iteration-limit" when
     the pivot budget ran out first.
     """
-    validate(instance)
-    for i, entry in enumerate(instance.sets):
-        if entry.weight <= 0:
-            raise NonPositiveWeight(f"set {i} has non-positive weight")
+    require_positive_weights(instance)
     m, n = instance.m, instance.n
     if max_iterations is None:
         max_iterations = 100 * (m + n) + 1000
@@ -172,8 +176,8 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
 
     exact_obj = None
     exact_x = None
-    if status == STATUS_OPTIMAL and m * n <= EXACT_CHECK_LIMIT:
-        exact = _certify(instance, x, y)
+    if status == STATUS_OPTIMAL:
+        exact = _check_pair(instance, _snap(x), _snap(y))
         if exact is None and n <= EXACT_SOLVE_MAX_N:
             exact = _certify_from_basis(instance, basis)
         if exact is not None:
@@ -197,33 +201,25 @@ def _check_pair(instance: Instance, x, y):
     """Exact weak-duality certificate check for a rational primal/dual pair.
 
     Returns (x, objective) when x is primal-feasible, y is dual-feasible
-    and the objectives match exactly; None otherwise.
+    and the objectives match exactly; None otherwise.  Decided in integers:
+    x, y and the weights are scaled by their own common denominators.
     """
-    if any(xi < 0 for xi in x) or any(yj < 0 for yj in y):
+    dx = math.lcm(*(v.denominator for v in x))
+    dy = math.lcm(*(v.denominator for v in y))
+    xs = [v.numerator * (dx // v.denominator) for v in x]
+    ys = [0] + [v.numerator * (dy // v.denominator) for v in y]  # ys[e]: element e
+    if min(xs) < 0 or min(ys) < 0:
         return None
-    loads = [Fraction(0)] * instance.m
-    dual_load = []
-    for entry, xi in zip(instance.sets, x):
-        acc = Fraction(0)
-        for e in entry.elements:
-            loads[e - 1] += xi
-            acc += y[e - 1]
-        dual_load.append(acc)
-    if any(load < 1 for load in loads):
+    weights, dw = _scaled_weights(instance)
+    if any(sum(map(xs.__getitem__, holders)) < dx for holders in element_sets(instance)):
         return None
-    if any(dl > entry.weight for dl, entry in zip(dual_load, instance.sets)):
+    if any(sum(map(ys.__getitem__, entry.elements)) * dw > wi * dy
+           for entry, wi in zip(instance.sets, weights)):
         return None
-    primal = sum((entry.weight * xi for entry, xi in zip(instance.sets, x)),
-                 Fraction(0))
-    dual = sum(y, Fraction(0))
-    if primal != dual:
+    primal = sum(map(mul, weights, xs))
+    if primal * dy != sum(ys) * dw * dx:
         return None
-    return tuple(x), primal
-
-
-def _certify(instance: Instance, x_float, y_float):
-    """Rationalize the float solution pair and verify it exactly."""
-    return _check_pair(instance, _snap(x_float), _snap(y_float))
+    return tuple(x), Fraction(primal, dw * dx)
 
 
 def _certify_from_basis(instance: Instance, basis):
@@ -247,8 +243,8 @@ def _certify_from_basis(instance: Instance, basis):
             c_b.append(Fraction(0))
         cols.append(col)
     w = [entry.weight for entry in instance.sets]
-    u = _solve_exact(cols, w, by_columns=True)
-    pi = _solve_exact(cols, c_b, by_columns=False)
+    u = _solve_exact(list(zip(*cols)), w)  # B u = w
+    pi = _solve_exact(cols, c_b)  # pi B = c_B, i.e. B^T pi = c_B
     if u is None or pi is None:
         return None
     y = [Fraction(0)] * m
@@ -258,13 +254,10 @@ def _certify_from_basis(instance: Instance, basis):
     return _check_pair(instance, pi, y)
 
 
-def _solve_exact(cols, rhs, by_columns: bool):
-    """Solve B z = rhs (by_columns) or z B = rhs (transposed) in rationals."""
-    n = len(cols)
-    if by_columns:
-        a = [[cols[j][i] for j in range(n)] for i in range(n)]
-    else:
-        a = [list(col) for col in cols]
+def _solve_exact(rows, rhs):
+    """Solve A z = rhs in rationals for the square matrix A given by its rows."""
+    n = len(rows)
+    a = list(rows)
     b = list(rhs)
     for c in range(n):
         piv = next((r for r in range(c, n) if a[r][c] != 0), None)
@@ -289,12 +282,7 @@ def check_fractional_cover(instance: Instance, x, tol: float = DEFAULT_TOL) -> b
         raise LengthMismatch(f"expected {instance.n} coefficients, got {len(x)}")
     if any(xi < -tol for xi in x):
         return False
-    loads = [0.0] * instance.m if not isinstance(x[0], Fraction) \
-        else [Fraction(0)] * instance.m
-    for entry, xi in zip(instance.sets, x):
-        for e in entry.elements:
-            loads[e - 1] += xi
-    return all(load >= 1 - tol for load in loads)
+    return all(sum(x[i] for i in holders) >= 1 - tol for holders in element_sets(instance))
 
 
 def r_estimate(trace: GreedyTrace, lp: LpOutcome):

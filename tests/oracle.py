@@ -118,3 +118,35 @@ def brute_bucket_improvements(m: int):
         (total, qual, improvement_sum / qual if qual else Fraction(0), mx)
         for total, qual, improvement_sum, mx in cells
     ]
+
+
+def brute_weak_duality(instance: Instance, x, y):
+    """w.x when (x, y) certifies an optimal covering LP solution, else None.
+
+    x (one entry per set) must be >= 0 and put at least 1 on every element;
+    y (one entry per element) must be >= 0 and put at most its weight on
+    every set; and w.x must equal sum(y).  Plain Fraction sums throughout.
+    """
+    x = [Fraction(v) for v in x]
+    y = [Fraction(v) for v in y]
+    if any(v < 0 for v in x) or any(v < 0 for v in y):
+        return None
+    for e in range(1, instance.m + 1):
+        load = Fraction(0)
+        for i, entry in enumerate(instance.sets):
+            if e in entry.elements:
+                load += x[i]
+        if load < 1:
+            return None
+    for entry in instance.sets:
+        load = Fraction(0)
+        for e in entry.elements:
+            load += y[e - 1]
+        if load > entry.weight:
+            return None
+    primal = Fraction(0)
+    for entry, xi in zip(instance.sets, x):
+        primal += entry.weight * xi
+    if primal != sum(y, Fraction(0)):
+        return None
+    return primal

@@ -1,8 +1,14 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
+
+from oracle import brute_weak_duality
 
 from setcoverlab import (
     RandomSpec,
@@ -87,8 +93,7 @@ class TestSolveExamples:
             bound = 2 * inst.m / (inst.m + 1)
             assert out.status == STATUS_OPTIMAL
             assert out.objective <= bound + 1e-9
-            if k <= 9:  # gf2(10) exceeds EXACT_CHECK_LIMIT
-                assert out.exact_objective == Fraction(2 ** k - 1, 2 ** (k - 1))
+            assert out.exact_objective == Fraction(2 ** k - 1, 2 ** (k - 1))
 
     def test_outcome_cover_passes_check(self):
         for seed in range(25):
@@ -120,10 +125,128 @@ class TestAgainstScipy:
         # force the exact basis solve, which reads the element incidence
         snapped = [solve_lp(gen_gf2(k)).exact_objective for k in (2, 3, 4)]
         snapped += [solve_lp(rnd(seed, m=12, n=20)).exact_objective for seed in range(6)]
-        monkeypatch.setattr(lp_mod, "_certify", lambda instance, x, y: None)
+        monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
         again = [solve_lp(gen_gf2(k)).exact_objective for k in (2, 3, 4)]
         again += [solve_lp(rnd(seed, m=12, n=20)).exact_objective for seed in range(6)]
         assert None not in snapped and again == snapped
+
+
+def solver_pairs(instance):
+    """solve_lp's outcome and every (x, y) pair it handed to _check_pair."""
+    with mock.patch.object(lp_mod, "_check_pair", wraps=lp_mod._check_pair) as spy:
+        out = solve_lp(instance)
+    return out, [(list(call.args[1]), list(call.args[2])) for call in spy.call_args_list]
+
+
+def unit_perturbations(x, y):
+    """Pairs one unit (1/dx or 1/dy, the common denominators) off (x, y).
+
+    Each entry of x and y in turn moves one unit down, one unit up, or to
+    minus one unit: an element covered one unit short, a set loaded one
+    unit beyond its weight, objectives one unit apart, a negative entry.
+    """
+    for vec, other, first in ((x, y, True), (y, x, False)):
+        unit = Fraction(1, math.lcm(*(v.denominator for v in vec)))
+        for i, v in enumerate(vec):
+            for moved in (v - unit, v + unit, -unit):
+                changed = vec[:i] + [moved] + vec[i + 1:]
+                yield (changed, other) if first else (other, changed)
+
+
+def assert_check_agrees(instance, x, y):
+    expected = brute_weak_duality(instance, x, y)
+    assert lp_mod._check_pair(instance, x, y) == (
+        None if expected is None else (tuple(x), expected))
+    return expected
+
+
+@st.composite
+def small_instances(draw):
+    """Covering instances with m, n <= 6 and weights of varied denominators."""
+    m = draw(st.integers(1, 6))
+    sets = [draw(st.frozensets(st.integers(1, m), min_size=1))
+            for _ in range(draw(st.integers(1, 6)))]
+    sets[0] |= set(range(1, m + 1)).difference(*sets)
+    weights = [Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 7))) for _ in sets]
+    return make_instance(m, list(zip(sets, weights)))
+
+
+class TestCertificateCheck:
+    """The integer weak-duality check against the plain-Fraction oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), inst=small_instances())
+    def test_random_pairs(self, data, inst):
+        rationals = st.fractions(min_value=-1, max_value=3, max_denominator=12)
+        x = data.draw(st.lists(rationals, min_size=inst.n, max_size=inst.n))
+        y = data.draw(st.lists(rationals, min_size=inst.m, max_size=inst.m))
+        assert_check_agrees(inst, x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=small_instances())
+    def test_solver_pairs_and_unit_perturbations(self, inst):
+        _, pairs = solver_pairs(inst)
+        assert pairs
+        for x, y in pairs:
+            assert_check_agrees(inst, x, y)
+            for px, py in unit_perturbations(x, y):
+                assert_check_agrees(inst, px, py)
+
+    @pytest.mark.parametrize("inst", [gen_class_cs(SequenceSpec((2, 1))), rnd(5, m=12, n=20)],
+                             ids=["cs21", "rnd5"])
+    def test_pinned_pairs(self, inst):
+        out, pairs = solver_pairs(inst)
+        x, y = pairs[-1]  # the pair that certified
+        assert out.exact_objective is not None
+        assert assert_check_agrees(inst, x, y) == out.exact_objective
+        for px, py in unit_perturbations(x, y):
+            assert_check_agrees(inst, px, py)
+
+    def test_tight_gf2_pair_rejects_every_unit_perturbation(self):
+        # every element's load is exactly 1 and every set's dual load exactly
+        # its weight, so each one-unit move breaks a constraint or equality
+        inst = gen_gf2(3)
+        _, [(x, y)] = solver_pairs(inst)
+        assert assert_check_agrees(inst, x, y) == Fraction(7, 4)
+        for px, py in unit_perturbations(x, y):
+            assert assert_check_agrees(inst, px, py) is None
+
+    @pytest.mark.parametrize("d", [2, 7, 10**9 + 7])
+    def test_pairs_failing_one_condition_by_one_unit(self, d):
+        # x = (1, 1, 0) and y = (1, 1) certify 2; each pair below breaks
+        # exactly one condition, by one unit 1/d, while both objectives stay
+        # at 2 (but for the last, whose objectives are 2u apart)
+        inst = make_instance(2, [((1,), 1), ((2,), 1), ((1, 2), 2)])
+        one = make_instance(2, [((1, 2), 1)])
+        u = Fraction(1, d)
+        assert assert_check_agrees(inst, [1, 1, 0], [1, 1]) == 2
+        for case, x, y in [
+            (inst, [1 - u, 1 + u, 0], [1, 1]),  # element 1 covered one unit short
+            (inst, [1, 1, 0], [1 + u, 1 - u]),  # set {1} loaded one unit beyond 1
+            (inst, [1 + u, 1 + u, -u], [1, 1]),  # a negative x entry
+            (one, [1], [1 + u, -u]),  # a negative y entry
+            (inst, [1, 1, u], [1, 1]),  # feasible, objectives apart
+        ]:
+            x, y = list(map(Fraction, x)), list(map(Fraction, y))
+            assert assert_check_agrees(case, x, y) is None
+
+    def test_snapping_certifies_non_dyadic_optimum(self, monkeypatch):
+        # weights on a 1/1000 grid: a snapping limit of 10**12 fitted the
+        # float noise here and left the certificate to the basis solve
+        inst = gen_random(RandomSpec(m=40, n=29, density=5 / 29, weight_lo=Fraction(1),
+                                     weight_hi=Fraction(10), seed=0))
+        monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
+        by_basis = solve_lp(inst)
+        monkeypatch.undo()
+
+        def no_basis_solve(instance, basis):
+            raise AssertionError("snapping did not certify")
+
+        monkeypatch.setattr(lp_mod, "_certify_from_basis", no_basis_solve)
+        out = solve_lp(inst)
+        assert out.exact_objective == by_basis.exact_objective == Fraction(35411, 1000)
+        assert out.exact_x == by_basis.exact_x
+        assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
 
 
 class TestRelaxationProperties:
