@@ -2,7 +2,8 @@
 
 Subcommands: validate, greedy, bounds, lp, exact, gen (cs|gf2|random),
 table (1|2|3), convert.  Exit codes: 0 success, 1 usage error, 2 parse
-error, 3 invalid/infeasible instance, 4 budget or iteration limit.
+error, 3 invalid/infeasible instance, 4 budget or iteration limit, 5 solver
+numerical failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     KOutOfRange,
     MTooLargeForMode,
     NonPositiveWeight,
+    NumericalFailure,
     ScpError,
     ScpSyntaxError,
     TooManySets,
@@ -49,6 +51,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
+EXIT_SOLVER = 5
 
 TIE_FLAGS = {"index": TIE_LOWEST_INDEX, "max-size": TIE_MAX_RESIDUAL}
 
@@ -289,6 +292,9 @@ def main(argv=None) -> int:
     except (TooManySets, MTooLargeForMode) as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except NumericalFailure as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Exit-code mapping used by the CLI: usage errors -> 1, ScpSyntaxError -> 2,
-instance/feasibility errors -> 3, budget or iteration limits -> 4.
+instance/feasibility errors -> 3, budget or iteration limits -> 4,
+NumericalFailure (a solver fault, not the input's) -> 5.
 """
 
 

@@ -4,8 +4,8 @@ Two engines: literal exhaustion over all 2^n subsets (bitmask DP, hard cap
 n <= 25), and depth-first branch-and-bound that branches on the lowest
 uncovered element, visits the sets containing it cheapest-first, and prunes
 against the incumbent using the greedy trace bound rearranged into a lower
-bound on the residual optimum, w(Gr_sub)/G(s_sub), optionally strengthened
-by an LP relaxation bound.
+bound on the residual optimum, w(Gr_sub)/G(s_sub); optionally first by the
+root LP's dual, made exactly feasible, summed over the uncovered elements.
 
 Weight arithmetic inside both engines runs on integers (all weights scaled
 by the common denominator), so comparisons stay exact and fast; results are
@@ -14,6 +14,7 @@ converted back to Fractions at the boundary.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .bounds import g_from_counts
 from .errors import TooManySets, TooManySetsForExhaustive
 from .greedy import _kernel, greedy
 from .instance import (Cover, Instance, _scaled_weights, element_masks, element_sets,
-                       make_instance, require_positive_weights)
+                       require_positive_weights)
 
 EXHAUSTIVE_CAP = 25
 AUTO_EXHAUSTIVE_MAX_N = 18
@@ -51,22 +52,12 @@ class SolveBudget:
 
 
 @dataclass(frozen=True)
-class NodeSample:
-    """Audit record for one branch-and-bound node (test plumbing)."""
-
-    covered_mask: int
-    weight_so_far: Fraction
-    greedy_bound: Fraction
-
-
-@dataclass(frozen=True)
 class ExactResult:
     cover: Cover
     weight: Fraction
     status: str
     nodes: int
     bound_stats: dict = field(default_factory=dict)
-    node_samples: tuple[NodeSample, ...] = ()
 
 
 def _dp_scan(masks, weights, full, lo_bits):
@@ -132,30 +123,43 @@ def _residual_greedy_bound(masks, weights, covered, full):
     return Fraction(sum(weights[i] for i in chosen)) / g
 
 
-def _subinstance(instance: Instance, covered: int) -> Instance | None:
-    """Residual instance on the uncovered elements (renumbered), or None."""
-    full = (1 << instance.m) - 1
-    uncovered = full & ~covered
-    if uncovered == 0:
-        return None
-    renumber = {}
-    for e in range(1, instance.m + 1):
-        if uncovered >> (e - 1) & 1:
-            renumber[e] = len(renumber) + 1
-    sets = []
-    for entry in instance.sets:
-        els = tuple(renumber[e] for e in entry.elements if e in renumber)
-        if els:
-            sets.append((els, entry.weight))
-    if not sets:
-        return None
-    return make_instance(len(renumber), sets)
+def _feasible_dual(instance: Instance, y):
+    """y clamped at 0, then divided by max(1, its largest set load / weight).
+
+    Exact, so the result is dual feasible, for every residual instance too
+    (loads only shrink); a certified dual passes unchanged.  Returns integer
+    numerators ys (ys[e - 1] for element e) over one denominator dy.
+    """
+    y = [max(Fraction(v), Fraction(0)) for v in y]
+    dy = math.lcm(*(v.denominator for v in y))
+    ys = [v.numerator * (dy // v.denominator) for v in y]
+    weights, dw = _scaled_weights(instance)
+    # the set with the largest load / weight, which is (load * dw) / (weight * dy)
+    load, weight = max(((sum(ys[e - 1] for e in entry.elements), wi)
+                        for entry, wi in zip(instance.sets, weights)),
+                       key=lambda pair: Fraction(*pair))
+    if load * dw > weight * dy:
+        return [v * weight for v in ys], load * dw
+    return ys, dy
 
 
-def _branch_and_bound(instance, budget, use_lp_bound, sample_nodes):
+def _mask_sum(values, mask):
+    """Sum of values[b] over the set bits b of mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += values[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _branch_and_bound(instance, budget, use_lp_bound):
+    deadline = time.monotonic() + budget.time_limit
     masks = element_masks(instance)
     weights, denom = _scaled_weights(instance)
     full = (1 << instance.m) - 1
+    # the root dual: a node prunes when w_so_far + Y(uncovered)/dy >= incumbent
+    ys, dy = _feasible_dual(instance, lp.solve_lp(instance).y) if use_lp_bound else ([], 1)
 
     seed = greedy(instance)
     incumbent_w = sum(weights[i] for i in seed.chosen)
@@ -165,11 +169,10 @@ def _branch_and_bound(instance, budget, use_lp_bound, sample_nodes):
                   for holders in element_sets(instance)]
 
     stats = {"greedy_g": 0, "lp": 0}
-    samples: list[NodeSample] = []
     nodes = 0
     hit_limit = False
-    deadline = time.monotonic() + budget.time_limit
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    # (covered, w_so_far, chosen, dual sum of the uncovered elements)
+    stack: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), sum(ys))]
 
     while stack:
         if nodes >= budget.node_limit:
@@ -178,47 +181,31 @@ def _branch_and_bound(instance, budget, use_lp_bound, sample_nodes):
         if nodes % 256 == 0 and time.monotonic() > deadline:
             hit_limit = True
             break
-        covered, w_so_far, chosen = stack.pop()
+        covered, w_so_far, chosen, y_left = stack.pop()
         nodes += 1
         if covered == full:
             if w_so_far < incumbent_w:
                 incumbent_w = w_so_far
                 incumbent = tuple(sorted(chosen))
             continue
+        if ys and w_so_far * dy + y_left * denom >= incumbent_w * dy:
+            stats["lp"] += 1
+            continue
         g_bound = _residual_greedy_bound(masks, weights, covered, full)
-        if len(samples) < sample_nodes:
-            samples.append(NodeSample(
-                covered_mask=covered,
-                weight_so_far=Fraction(w_so_far, denom),
-                greedy_bound=g_bound / denom,
-            ))
         if w_so_far + g_bound >= incumbent_w:
             stats["greedy_g"] += 1
             continue
-        if use_lp_bound:
-            sub = _subinstance(instance, covered)
-            if sub is not None:
-                outcome = lp.solve_lp(sub)
-                if outcome.status == lp.STATUS_OPTIMAL:
-                    if outcome.exact_objective is not None:
-                        lp_bound = outcome.exact_objective * denom
-                    else:
-                        slack = 10 * outcome.tol * (1 + abs(outcome.objective))
-                        lp_bound = (outcome.objective - slack) * denom
-                    if w_so_far + lp_bound >= incumbent_w:
-                        stats["lp"] += 1
-                        continue
         e = ((full & ~covered) & -(full & ~covered)).bit_length() - 1
         for i in reversed(by_element[e]):
-            stack.append((covered | masks[i], w_so_far + weights[i], chosen + (i,)))
+            stack.append((covered | masks[i], w_so_far + weights[i], chosen + (i,),
+                          y_left - _mask_sum(ys, masks[i] & ~covered) if ys else 0))
 
     status = STATUS_BUDGET if hit_limit else STATUS_OPTIMAL
-    return (Fraction(incumbent_w, denom), incumbent, nodes, status, stats,
-            tuple(samples))
+    return Fraction(incumbent_w, denom), incumbent, nodes, status, stats
 
 
 def exact_opt(instance: Instance, budget: SolveBudget | None = None, *,
-              use_lp_bound: bool = False, sample_nodes: int = 0) -> ExactResult:
+              use_lp_bound: bool = False) -> ExactResult:
     """Minimum-weight cover, proven optimal unless the budget runs out."""
     require_positive_weights(instance)
     budget = budget or SolveBudget()
@@ -232,13 +219,12 @@ def exact_opt(instance: Instance, budget: SolveBudget | None = None, *,
             cover=Cover(set_indices=indices, weight=weight),
             weight=weight, status=STATUS_OPTIMAL, nodes=nodes,
         )
-    weight, indices, nodes, status, stats, samples = _branch_and_bound(
-        instance, budget, use_lp_bound, sample_nodes
+    weight, indices, nodes, status, stats = _branch_and_bound(
+        instance, budget, use_lp_bound
     )
     return ExactResult(
         cover=Cover(set_indices=indices, weight=weight),
-        weight=weight, status=status, nodes=nodes,
-        bound_stats=stats, node_samples=samples,
+        weight=weight, status=status, nodes=nodes, bound_stats=stats,
     )
 
 

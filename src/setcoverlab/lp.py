@@ -14,8 +14,8 @@ result exactly: the float primal/dual pair is snapped to small rationals
 and checked in integer arithmetic over common denominators (feasibility of
 both sides plus equal objectives proves optimality by weak duality); for
 small systems a full exact basis solve is attempted as a fallback.  When
-certification succeeds the outcome carries the exact rational objective
-and solution.
+certification succeeds the outcome carries the exact rational objective,
+solution and dual.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ class LpOutcome:
     tol: float
     exact_objective: Fraction | None = None
     exact_x: tuple[Fraction, ...] | None = None
+    y: tuple = ()  # the dual (per element): exact when certified, like cover.x
 
 
 def _dual_data(instance: Instance):
@@ -177,19 +178,21 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
     exact_obj = None
     exact_x = None
     if status == STATUS_OPTIMAL:
-        exact = _check_pair(instance, _snap(x), _snap(y))
+        pair = (_snap(x), _snap(y))
+        exact = _check_pair(instance, *pair)
         if exact is None and n <= EXACT_SOLVE_MAX_N:
-            exact = _certify_from_basis(instance, basis)
+            pair = _certify_from_basis(instance, basis)
+            exact = pair and _check_pair(instance, *pair)
         if exact is not None:
             exact_x, exact_obj = exact
             objective = float(exact_obj)
-            x = exact_x
+            x, y = exact_x, pair[1]
 
     cover = FractionalCover(x=tuple(x), weight=exact_obj if exact_obj is not None
                             else objective)
     return LpOutcome(cover=cover, objective=objective, status=status,
                      iterations=iterations, tol=tol,
-                     exact_objective=exact_obj, exact_x=exact_x)
+                     exact_objective=exact_obj, exact_x=exact_x, y=tuple(y))
 
 
 def _snap(values) -> list[Fraction]:
@@ -223,10 +226,11 @@ def _check_pair(instance: Instance, x, y):
 
 
 def _certify_from_basis(instance: Instance, basis):
-    """Exact-rational solve of the final basis, then the same certificate.
+    """Exact-rational solve of the final basis: a candidate (x, y) pair.
 
     Solves B u = w for the dual basic values and pi B = c_B for the primal
-    multipliers by Gaussian elimination over Fractions.
+    multipliers by Gaussian elimination over Fractions; returns (pi, y) for
+    _check_pair to decide, or None when B is singular.
     """
     m, n = instance.m, instance.n
     holders = element_sets(instance)
@@ -251,7 +255,7 @@ def _certify_from_basis(instance: Instance, basis):
     for v, uv in zip(basis, u):
         if v < m:
             y[v] = uv
-    return _check_pair(instance, pi, y)
+    return pi, y
 
 
 def _solve_exact(rows, rhs):

@@ -60,6 +60,27 @@ def brute_optimum(instance: Instance):
     return best_w, best
 
 
+def brute_residual_optimum(instance: Instance, covered: int) -> Fraction:
+    """Least weight of sets covering every element whose bit is not in covered.
+
+    Bit e - 1 of covered stands for element e; 0 when nothing is left.  Any
+    cover of the remaining elements holds a set containing the smallest of
+    them, so trying each such set in turn, and recursing on what it leaves,
+    reaches an optimum; results are kept per remaining set of elements.
+    """
+    sets = [(frozenset(entry.elements), entry.weight) for entry in instance.sets]
+    best = {frozenset(): Fraction(0)}
+
+    def solve(left):
+        if left not in best:
+            e = min(left)
+            best[left] = min(w + solve(left - members) for members, w in sets if e in members)
+        return best[left]
+
+    return solve(frozenset(e for e in range(1, instance.m + 1)
+                           if not covered >> (e - 1) & 1))
+
+
 def brute_greedy_sequence(instance: Instance, tie: str = TIE_LOWEST_INDEX):
     """Greedy re-simulation with plain sets; returns (chosen, s, weight).
 

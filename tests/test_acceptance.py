@@ -11,6 +11,7 @@ cells differ from the published row, each by more than 0.1 -- and printed.
 
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -36,15 +37,17 @@ from setcoverlab import (
     table3,
 )
 from setcoverlab.bounds import g_from_counts
-from setcoverlab.exact import METHOD_BNB, METHOD_EXHAUSTIVE, _subinstance
+from setcoverlab import exact as exact_mod
+from setcoverlab.exact import METHOD_BNB, METHOD_EXHAUSTIVE
 from setcoverlab.experiments import (
     MODE_COMPOSITIONS,
     MODE_PARTITIONS,
     PUBLISHED_TABLE2,
     emit_markdown,
 )
+from setcoverlab.instance import _scaled_weights
 
-from oracle import brute_bucket_improvements
+from oracle import brute_bucket_improvements, brute_residual_optimum
 
 EPS = Fraction(1, 2)
 
@@ -296,17 +299,18 @@ def test_c10_exact_solver_agreement():
             weight_lo=Fraction(1, 3), weight_hi=Fraction(7), seed=seed + 5000,
         ))
         exhaustive = exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
-        bnb = exact_opt(inst, SolveBudget(method=METHOD_BNB),
-                        sample_nodes=10)
+        # a spy records the nodes whose residual greedy bound B&B computed
+        with mock.patch.object(exact_mod, "_residual_greedy_bound",
+                               wraps=exact_mod._residual_greedy_bound) as spy:
+            bnb = exact_opt(inst, SolveBudget(method=METHOD_BNB))
         if exhaustive.weight != bnb.weight:
             bad += 1
             continue
-        for sample in bnb.node_samples:
-            sub = _subinstance(inst, sample.covered_mask)
-            if sub is None:
-                continue
+        denom = _scaled_weights(inst)[1]
+        for call in spy.call_args_list:
             audited += 1
-            if sample.greedy_bound > exact_opt(sub).weight:
+            bound = exact_mod._residual_greedy_bound(*call.args) / denom
+            if bound > brute_residual_optimum(inst, call.args[2]):
                 bad += 1
     ok = bad == 0 and audited > 0
     assert report(10, "B&B == exhaustive; node bounds sound", ok,

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from setcoverlab.cli import main
@@ -155,6 +156,15 @@ class TestLpExact:
                                "--node-limit", "1", "--method", "branch-and-bound")
         assert code == 4
         assert "status=budget-exceeded" in out
+
+    def test_solver_fault_exit_code(self, capsys, cs_file, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code, out, err = run_cli(capsys, "lp", cs_file)
+        assert code == 5 and out == ""
+        assert err.startswith("solver error: singular basis during refactorization")
 
 
 class TestTables:

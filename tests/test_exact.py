@@ -1,6 +1,13 @@
+import dataclasses
+import time
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from setcoverlab import (
     Cover,
@@ -15,17 +22,19 @@ from setcoverlab import (
     make_instance,
     verify_cover_optimal,
 )
+from setcoverlab import exact as exact_mod
+from setcoverlab import lp as lp_mod
 from setcoverlab.exact import (
     METHOD_BNB,
     METHOD_EXHAUSTIVE,
     STATUS_BUDGET,
     STATUS_OPTIMAL,
-    _subinstance,
     result_to_kv,
 )
 from setcoverlab.errors import NonPositiveWeight, TooManySets, TooManySetsForExhaustive
+from setcoverlab.instance import _scaled_weights
 
-from oracle import brute_optimum
+from oracle import brute_optimum, brute_residual_optimum
 
 
 def rnd(seed, m=None, n=None):
@@ -33,6 +42,45 @@ def rnd(seed, m=None, n=None):
         m=m or 2 + seed % 10, n=n or 1 + seed % 8, density=0.4,
         weight_lo=Fraction(1, 2), weight_hi=Fraction(6), seed=seed,
     ))
+
+
+def weights_1_to_10(m, n, density, seed):
+    return gen_random(RandomSpec(m=m, n=n, density=density, weight_lo=Fraction(1),
+                                 weight_hi=Fraction(10), seed=seed))
+
+
+def bounded_nodes(inst):
+    """(covered mask, greedy bound) at each node B&B bounded by greedy.
+
+    A spy records every call of the residual greedy bound; each bound is
+    recomputed from the recorded arguments and brought to weight units.
+    """
+    with mock.patch.object(exact_mod, "_residual_greedy_bound",
+                           wraps=exact_mod._residual_greedy_bound) as spy:
+        exact_opt(inst, SolveBudget(method=METHOD_BNB))
+    denom = _scaled_weights(inst)[1]
+    return [(call.args[2], exact_mod._residual_greedy_bound(*call.args) / denom)
+            for call in spy.call_args_list]
+
+
+def dual_values(inst, y):
+    """The scaled root dual of exact._feasible_dual as Fractions per element."""
+    ys, dy = exact_mod._feasible_dual(inst, y)
+    return [Fraction(v, dy) for v in ys]
+
+
+def highs_optimum(inst):
+    """Independent optimum: HiGHS MILP on integer-scaled weights, gap 0."""
+    ints, denom = _scaled_weights(inst)
+    a = np.zeros((inst.m, inst.n))
+    for i, entry in enumerate(inst.sets):
+        for e in entry.elements:
+            a[e - 1, i] = 1.0
+    res = milp(np.array(ints, dtype=float), integrality=np.ones(inst.n),
+               bounds=Bounds(0, 1), constraints=LinearConstraint(a, lb=1),
+               options={"mip_rel_gap": 0.0})
+    assert res.status == 0
+    return Fraction(sum(ints[i] for i in range(inst.n) if res.x[i] > 0.5), denom)
 
 
 class TestExhaustive:
@@ -58,7 +106,7 @@ class TestExhaustive:
             inst = rnd(seed)
             res = exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
             w, _ = brute_optimum(inst)
-            assert res.weight == w
+            assert res.weight == w == brute_residual_optimum(inst, 0)
 
     def test_rejects_huge_n(self):
         inst = make_instance(1, [((1,), 1)] * 26)
@@ -120,19 +168,13 @@ class TestBranchAndBound:
             assert plain.weight == with_lp.weight
 
     def test_node_bound_never_exceeds_residual_optimum(self):
-        # audit: w(Gr_sub)/G(s_sub) <= w(Opt_sub) at sampled nodes
+        # audit: w(Gr_sub)/G(s_sub) <= w(Opt_sub) at every bounded node
         for seed in (1, 4, 7, 13):
             inst = rnd(seed, m=8, n=9)
-            res = exact_opt(inst, SolveBudget(method=METHOD_BNB),
-                            sample_nodes=50)
-            assert res.node_samples
-            for sample in res.node_samples:
-                sub = _subinstance(inst, sample.covered_mask)
-                if sub is None:
-                    assert sample.greedy_bound == 0
-                    continue
-                sub_opt = exact_opt(sub).weight
-                assert sample.greedy_bound <= sub_opt
+            nodes = bounded_nodes(inst)
+            assert nodes
+            for covered, bound in nodes:
+                assert bound <= brute_residual_optimum(inst, covered)
 
     def test_sampled_bounds_equal_eager_recomputation(self):
         # the lazy integer kernel gives the same residual bound, node by
@@ -144,16 +186,94 @@ class TestBranchAndBound:
                                                   weight_lo=Fraction(1, 2),
                                                   weight_hi=Fraction(6), seed=seed))
                             for seed in (1, 4, 7, 13)]:
-            res = exact_opt(inst, SolveBudget(method=METHOD_BNB),
-                            sample_nodes=10**6)
-            assert res.node_samples
-            for sample in res.node_samples:
-                assert sample.greedy_bound == eager_residual_bound(
-                    inst, sample.covered_mask)
+            nodes = bounded_nodes(inst)
+            assert nodes
+            for covered, bound in nodes:
+                assert bound == eager_residual_bound(inst, covered)
 
     def test_gf2_4_node_count(self):
         res = exact_opt(gen_gf2(4), SolveBudget(method=METHOD_BNB))
         assert (res.weight, res.nodes, res.bound_stats) == (4, 585, {"greedy_g": 512, "lp": 0})
+
+
+class TestRootDualBound:
+    """B&B's LP bound: the root LP's dual, scaled down to exact feasibility."""
+
+    @pytest.mark.parametrize("m, n, seed, optimum", [(40, 40, 1, Fraction(52137, 1000)),
+                                                     (60, 60, 3, Fraction(46617, 1000))])
+    def test_closes_mid_sized_random_at_highs_optimum(self, m, n, seed, optimum):
+        inst = weights_1_to_10(m, n, 0.1, seed)
+        res = exact_opt(inst, SolveBudget(method=METHOD_BNB), use_lp_bound=True)
+        assert res.status == STATUS_OPTIMAL
+        assert res.weight == optimum == highs_optimum(inst)
+
+    def test_deadline_covers_the_root_lp(self):
+        inst = weights_1_to_10(80, 240, 0.06, 0)
+        t0 = time.monotonic()
+        res = exact_opt(inst, SolveBudget(method=METHOD_BNB, time_limit=2),
+                        use_lp_bound=True)
+        assert res.status == STATUS_BUDGET
+        assert time.monotonic() - t0 < 2 + 1
+
+    def test_root_lp_past_the_deadline_leaves_no_node(self, monkeypatch):
+        real = lp_mod.solve_lp
+
+        def slow(instance):
+            time.sleep(0.2)
+            return real(instance)
+
+        monkeypatch.setattr(lp_mod, "solve_lp", slow)
+        inst = rnd(9, m=10, n=14)
+        res = exact_opt(inst, SolveBudget(method=METHOD_BNB, time_limit=0.1),
+                        use_lp_bound=True)
+        assert (res.status, res.nodes, res.weight) == (STATUS_BUDGET, 0, greedy(inst).total_weight)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(1, 7), seed=st.integers(0, 10**6))
+    def test_scaled_dual_is_feasible_and_bounds_every_node(self, m, n, seed):
+        inst = rnd(seed, m=m, n=n)
+        with mock.patch.object(exact_mod, "_feasible_dual",
+                               wraps=exact_mod._feasible_dual) as spy:
+            res = exact_opt(inst, SolveBudget(method=METHOD_BNB), use_lp_bound=True)
+        [call] = spy.call_args_list
+        y = dual_values(*call.args)
+        assert min(y) >= 0
+        for entry in inst.sets:
+            assert sum((y[e - 1] for e in entry.elements), Fraction(0)) <= entry.weight
+        # every covered mask, so every node either search can visit
+        for covered in range(1 << inst.m):
+            left = sum((y[e] for e in range(inst.m) if not covered >> e & 1), Fraction(0))
+            assert left <= brute_residual_optimum(inst, covered)
+        assert res.weight == brute_optimum(inst)[0]
+
+    def test_negative_dual_entries_become_zero(self):
+        inst = make_instance(2, [((1, 2), 2)])
+        assert dual_values(inst, [-1.0, 3]) == [0, 2]
+
+    @pytest.mark.parametrize("factor", [Fraction(3, 2), 1.5])
+    def test_infeasible_root_dual_is_scaled_down(self, monkeypatch, factor):
+        # a wrapper hands B&B the dual times 1.5, which overloads some set;
+        # the float factor also turns the certified dual into floats
+        real = lp_mod.solve_lp
+
+        def inflated(instance):
+            out = real(instance)
+            return dataclasses.replace(out, y=tuple(v * factor for v in out.y))
+
+        spy = mock.Mock(side_effect=inflated)
+        monkeypatch.setattr(lp_mod, "solve_lp", spy)
+        for seed in range(20):
+            inst = rnd(seed, m=8, n=9)
+            out = real(inst)
+            y = inflated(inst).y
+            assert any(sum(y[e - 1] for e in entry.elements) > entry.weight
+                       for entry in inst.sets)
+            if out.exact_objective is not None and isinstance(factor, Fraction):
+                # an optimal dual loads some set fully, so scaling undoes 3/2
+                assert dual_values(inst, y) == list(out.y)
+            res = exact_opt(inst, SolveBudget(method=METHOD_BNB), use_lp_bound=True)
+            assert res.weight == exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE)).weight
+        assert spy.call_count == 20  # each search read the inflated dual
 
 
 def eager_residual_bound(inst, covered_mask):

@@ -202,6 +202,17 @@ class TestCertificateCheck:
         for px, py in unit_perturbations(x, y):
             assert_check_agrees(inst, px, py)
 
+    @pytest.mark.parametrize("snapping", [True, False], ids=["snapped", "basis"])
+    def test_outcome_keeps_the_pair_that_certified(self, monkeypatch, snapping):
+        if not snapping:
+            monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
+        inst = rnd(5, m=12, n=20)
+        out, pairs = solver_pairs(inst)
+        x, y = pairs[-1]
+        assert (out.exact_x, out.y) == (tuple(x), tuple(y))
+        assert out.exact_objective is not None
+        assert brute_weak_duality(inst, x, y) == out.exact_objective
+
     def test_tight_gf2_pair_rejects_every_unit_perturbation(self):
         # every element's load is exactly 1 and every set's dual load exactly
         # its weight, so each one-unit move breaks a constraint or equality
