@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "auto", exp_mod.MODE_COMPOSITIONS, exp_mod.MODE_PARTITIONS,
     ), default="auto")
     p.add_argument("--workers", type=int, default=None,
-                   help="experiment workers (default: COVER_THREADS or cores)")
+                   help="accepted for old scripts; has no effect")
     p.add_argument("--k-lo", type=int, default=5)
     p.add_argument("--k-hi", type=int, default=10)
     p.add_argument("-o", "--output", default=None)

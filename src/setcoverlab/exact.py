@@ -5,7 +5,9 @@ n <= 25), and depth-first branch-and-bound that branches on the lowest
 uncovered element, visits the sets containing it cheapest-first, and prunes
 against the incumbent using the greedy trace bound rearranged into a lower
 bound on the residual optimum, w(Gr_sub)/G(s_sub); optionally first by the
-root LP's dual, made exactly feasible, summed over the uncovered elements.
+root LP's dual, made exactly feasible, summed over the uncovered elements,
+tested before a child is pushed and again when it is popped (the incumbent
+may have improved in between).
 
 Weight arithmetic inside both engines runs on integers (all weights scaled
 by the common denominator), so comparisons stay exact and fast; results are
@@ -197,8 +199,13 @@ def _branch_and_bound(instance, budget, use_lp_bound):
             continue
         e = ((full & ~covered) & -(full & ~covered)).bit_length() - 1
         for i in reversed(by_element[e]):
-            stack.append((covered | masks[i], w_so_far + weights[i], chosen + (i,),
-                          y_left - _mask_sum(ys, masks[i] & ~covered) if ys else 0))
+            w = w_so_far + weights[i]
+            child_y = y_left - _mask_sum(ys, masks[i] & ~covered) if ys else 0
+            # the same dual test, before the child is built and pushed
+            if ys and w * dy + child_y * denom >= incumbent_w * dy:
+                stats["lp"] += 1
+                continue
+            stack.append((covered | masks[i], w, chosen + (i,), child_y))
 
     status = STATUS_BUDGET if hit_limit else STATUS_OPTIMAL
     return Fraction(incumbent_w, denom), incumbent, nodes, status, stats

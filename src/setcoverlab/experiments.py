@@ -10,13 +10,20 @@ only).  The default was fixed empirically: compositions reproduce the
 published table-1 rows exactly (e.g. m=10 -> 0/13.5/64.8/100/100), while
 partitions land far away (0/11.8/41.7/100/100), so compositions it is.
 
-The sweep never materializes instances: G and H depend only on the
-sequence, so everything runs on integers scaled by lcm(1..m), keeping all
-qualification tests exact.  Known published rows are carried along so
-emitted reports show any residual gap against those rows instead of
-silently matching either side (the published table-2 means for the two
-low-mu buckets are off by a few tenths from the enumerated values; the
-maxima and all other cells agree).
+The sweep never materializes instances, and never visits the sequences one
+by one: G and H depend only on the sequence, so everything runs on integers
+scaled by lcm(1..m).  A meet-in-the-middle count (Horowitz & Sahni 1974)
+walks the leading parts down to a split remainder T, derived from m and the
+mode, and joins each prefix with sorted tables of the scaled G increments
+of every completion of the remainder, one bisection per table row.  Counts,
+sums and maxima stay Python ints until the final division, so every
+qualification test is exact, the maxima are the per-sequence values, and
+each mean is the correctly rounded exact mean.
+
+Known published rows are carried along so emitted reports show any
+residual gap against those rows instead of silently matching either side
+(the published table-2 means for the two low-mu buckets are off by a few
+tenths from the enumerated values; the maxima and all other cells agree).
 
 Table 3 runs the GF(2) family end to end: greedy weight, the trace bound,
 and the integrality-gap / LP-ratio lower bounds, solving the LP exactly
@@ -27,10 +34,10 @@ from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .bounds import g_of
 from .errors import MTooLargeForMode
@@ -42,7 +49,6 @@ MODE_COMPOSITIONS = "compositions"
 MODE_PARTITIONS = "partitions"
 DEFAULT_MODE = MODE_COMPOSITIONS  # empirical: matches published table 1
 COMPOSITIONS_MAX_M = 28
-PARALLEL_MIN_M = 16
 
 BUCKET_LABELS = ("(0,0.2]", "(0.2,0.4]", "(0.4,0.6]", "(0.6,0.8]", "(0.8,1]")
 
@@ -63,8 +69,10 @@ class BucketStats:
 
     A sequence qualifies when G(s) < H(max(s)), strictly; exact ties do not
     count.  mean_improvement_pct is the mean, over the qualifying s, of
-    100*(H(max(s)) - G(s))/H(max(s)), and max_improvement_pct is the maximum
-    of the same quantity; both are 0.0 when no sequence qualifies.
+    100*(H(max(s)) - G(s))/H(max(s)), correctly rounded from its exact
+    rational value, and max_improvement_pct is the maximum of the same
+    quantity, each value rounded to a float; both are 0.0 when no sequence
+    qualifies.
     """
 
     bucket: str
@@ -171,128 +179,150 @@ def _bucket_of(max_part: int, m: int) -> int:
     raise AssertionError("mu cannot exceed 1")
 
 
-class _Acc:
-    __slots__ = ("total", "qual", "dsum", "dmax")
+def _split(m: int, mode: str) -> int:
+    """The remainder at which the prefix walk hands over to the suffix tables.
 
-    def __init__(self):
-        self.total = [0] * 5
-        self.qual = [0] * 5
-        self.dsum = [0.0] * 5
-        self.dmax = [0.0] * 5
+    The smallest T whose tables hold at least as many completions as the walk
+    then makes joins, both counted exactly.  The walk stops at remainder
+    r <= T after a last part c with r + c > T; lead[n][c] prefixes of total
+    n = m - r - c may precede that part (2^(n-1) compositions, or the
+    partitions of n into parts >= c), and each stop reads one table row per
+    largest part p <= r, for partitions also p <= c.  The tables grow as
+    2^T for compositions but only as p(T) for partitions, and a composition
+    prefix reads about T^2/2 rows, so T comes out near 2m/3 for compositions
+    and near m/2 for partitions.
+    """
+    partitions = mode == MODE_PARTITIONS
+    lead = [[1] * (m + 2)]
+    for n in range(1, m + 1):
+        if partitions:
+            row = [0] * (m + 2)
+            for c in range(n, 0, -1):
+                row[c] = row[c + 1] + lead[n - c][c]
+        else:
+            row = [1 << (n - 1)] * (m + 2)
+        lead.append(row)
 
-    def merge(self, other):
-        for b in range(5):
-            self.total[b] += other.total[b]
-            self.qual[b] += other.qual[b]
-            self.dsum[b] += other.dsum[b]
-            self.dmax[b] = max(self.dmax[b], other.dmax[b])
+    def joins(t):
+        return sum(lead[m - r - c][c] * max(1, min(r, c) if partitions else r)
+                   for r in range(t + 1) for c in range(t - r + 1, m - r + 1))
 
-
-def _leaf(acc, m, mx, g_scaled, h_scaled):
-    b = _bucket_of(mx, m)
-    acc.total[b] += 1
-    h = h_scaled[mx]
-    if g_scaled < h:
-        acc.qual[b] += 1
-        d = (h - g_scaled) / h * 100.0
-        acc.dsum[b] += d
-        if d > acc.dmax[b]:
-            acc.dmax[b] = d
-
-
-def _scan_compositions(acc, m, rem, mx, g_scaled, scale, h_scaled):
-    if rem == 0:
-        _leaf(acc, m, mx, g_scaled, h_scaled)
-        return
-    unit = scale // rem
-    for part in range(1, rem + 1):
-        _scan_compositions(
-            acc, m, rem - part, mx if mx >= part else part,
-            g_scaled + part * unit, scale, h_scaled,
-        )
+    lo, hi = 0, m
+    while lo < hi:
+        t = (lo + hi) // 2
+        if sum(lead[r][1] for r in range(t + 1)) >= joins(t):
+            hi = t
+        else:
+            lo = t + 1
+    return lo
 
 
-def _scan_partitions(acc, m, rem, cap, mx, g_scaled, scale, h_scaled):
-    if rem == 0:
-        _leaf(acc, m, mx, g_scaled, h_scaled)
-        return
-    unit = scale // rem
-    for part in range(1, min(rem, cap) + 1):
-        _scan_partitions(
-            acc, m, rem - part, part, mx if mx >= part else part,
-            g_scaled + part * unit, scale, h_scaled,
-        )
+def _suffix_tables(top, scale, mode):
+    """For r = 0..top: (p, sorted increments, prefix sums) for p = 1..r.
 
-
-def _tables_setup(m):
-    scale = math.lcm(*range(1, m + 1))
-    h_scaled = [0] * (m + 1)
-    for j in range(1, m + 1):
-        h_scaled[j] = h_scaled[j - 1] + scale // j
-    return scale, h_scaled
-
-
-def _first_part_job(args):
-    m, first, mode = args
-    scale, h_scaled = _tables_setup(m)
-    acc = _Acc()
-    g0 = first * (scale // m)
-    if mode == MODE_COMPOSITIONS:
-        _scan_compositions(acc, m, m - first, first, g0, scale, h_scaled)
-    else:
-        _scan_partitions(acc, m, m - first, first, first, g0, scale, h_scaled)
-    return acc.total, acc.qual, acc.dsum, acc.dmax
-
-
-def default_workers() -> int:
-    env = os.environ.get("COVER_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    The increments are the scaled G contributions sum part*(scale//rem) of
+    the completions of r (compositions, or partitions) whose largest part is
+    exactly p; r = 0 has the empty completion only, as p = 0.
+    """
+    raw = [{0: [0]}]
+    for r in range(1, top + 1):
+        unit = scale // r
+        by_top = {}
+        for first in range(1, r + 1):
+            step = first * unit
+            for p, deltas in raw[r - first].items():
+                if mode == MODE_PARTITIONS and p > first:
+                    continue
+                by_top.setdefault(max(p, first), []).extend([step + d for d in deltas])
+        raw.append(by_top)
+    tables = []
+    for by_top in raw:
+        row = []
+        for p in sorted(by_top):
+            deltas = by_top[p]
+            deltas.sort()
+            row.append((p, deltas, list(accumulate(deltas, initial=0))))
+        tables.append(row)
+    return tables
 
 
 def bucket_stats(m: int, mode: str = "auto",
                  workers: int | None = None) -> tuple[BucketStats, ...]:
-    """Sweep the sequence universe once and aggregate per mu-bucket."""
+    """Aggregate every covering sequence of total m per mu-bucket, exactly.
+
+    Meet in the middle (Horowitz & Sahni 1974): a recursive walk fixes the
+    parts while the remainder exceeds _split(m, mode); each prefix then joins,
+    per largest part p of its completions, one sorted table of the scaled
+    completion increments.  With M the sequence's largest part, one bisection
+    on h[M] - g counts the completions with G < H(M) and their summed
+    improvement.  Everything up to the final division is Python-int
+    arithmetic, so the counts and maxima are exact and the mean is the
+    correctly rounded exact mean.  workers is accepted for old callers and
+    has no effect.
+    """
     mode = resolve_mode(mode)
     if mode == MODE_COMPOSITIONS and m > COMPOSITIONS_MAX_M:
         raise MTooLargeForMode(
             f"compositions mode capped at m={COMPOSITIONS_MAX_M}"
         )
-    if workers is None:
-        workers = default_workers()
-    # Work is always split by the first part and merged in first-part
-    # order, so results are bit-identical for every worker count.
-    jobs = [(m, first, mode) for first in range(1, m + 1)]
-    if workers > 1 and m >= PARALLEL_MIN_M:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_first_part_job, jobs))
-    else:
-        partials = [_first_part_job(job) for job in jobs]
-    acc = _Acc()
-    for total, qual, dsum, dmax in partials:
-        part = _Acc()
-        part.total, part.qual, part.dsum, part.dmax = \
-            list(total), list(qual), list(dsum), list(dmax)
-        acc.merge(part)
+    scale = math.lcm(*range(1, m + 1))
+    h = [0] * (m + 1)
+    for j in range(1, m + 1):
+        h[j] = h[j - 1] + scale // j
+    split = _split(m, mode)
+    tables = _suffix_tables(split, scale, mode)
+    partitions = mode == MODE_PARTITIONS
+    total = [0] * (m + 1)
+    qual = [0] * (m + 1)
+    num = [0] * (m + 1)  # sum of h[M] - G over the qualifying s, scaled
+    best = [0] * (m + 1)  # largest h[M] - G over the qualifying s, scaled
+
+    def walk(rem, cap, mx, g):
+        if rem <= split:
+            # row p - 1 holds largest part p; a partition's cap limits p
+            for p, deltas, sums in tables[rem][:cap]:
+                top = mx if mx >= p else p
+                gap = h[top] - g
+                c = bisect_left(deltas, gap)
+                total[top] += len(deltas)
+                if c:
+                    qual[top] += c
+                    num[top] += c * gap - sums[c]
+                    if gap - deltas[0] > best[top]:
+                        best[top] = gap - deltas[0]
+            return
+        unit = scale // rem
+        for part in range(1, min(rem, cap) + 1):
+            walk(rem - part, part if partitions else m,
+                 mx if mx >= part else part, g + part * unit)
+
+    if m >= 1:
+        walk(m, m, 0, 0)
     stats = []
     for b in range(5):
-        total = acc.total[b]
-        qual = acc.qual[b]
+        tops = [t for t in range(1, m + 1) if _bucket_of(t, m) == b]
+        count = sum(total[t] for t in tops)
+        hits = sum(qual[t] for t in tops)
         stats.append(BucketStats(
             bucket=BUCKET_LABELS[b],
-            total=total,
-            qualifying=qual,
-            share_pct=100.0 * qual / total if total else 0.0,
-            mean_improvement_pct=acc.dsum[b] / qual if qual else 0.0,
-            max_improvement_pct=acc.dmax[b],
+            total=count,
+            qualifying=hits,
+            share_pct=100.0 * hits / count if count else 0.0,
+            mean_improvement_pct=float(
+                sum(Fraction(100 * num[t], h[t]) for t in tops) / hits
+            ) if hits else 0.0,
+            max_improvement_pct=max(
+                (best[t] / h[t] * 100.0 for t in tops), default=0.0),
         ))
     return tuple(stats)
 
 
 def table1(m: int, mode: str = "auto",
            workers: int | None = None) -> Table1Result:
-    """Share of sequences per bucket with G(s) < H(largest part)."""
+    """Share of sequences per bucket with G(s) < H(largest part).
+
+    workers is accepted for old callers and has no effect.
+    """
     mode = resolve_mode(mode)
     return Table1Result(m=m, mode=mode, stats=bucket_stats(m, mode, workers))
 
@@ -303,6 +333,7 @@ def table2(m: int, mode: str = "auto",
 
     For each mu-bucket: the mean and the maximum, over the sequences s with
     G(s) < H(max(s)) (strict), of 100*(H(max(s)) - G(s))/H(max(s)).
+    workers is accepted for old callers and has no effect.
     """
     mode = resolve_mode(mode)
     return Table2Result(m=m, mode=mode, stats=bucket_stats(m, mode, workers))

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written as plainly as possible, with no
 reuse of the package's own algorithms: harmonic numbers and G by direct
-Fraction summation, compositions via gap bitmasks, optima by scanning
+Fraction summation, compositions via gap bitmasks, partitions by plain
+recursion, sequence counts by the textbook recurrences, optima by scanning
 every subset with fresh unions.
 """
 
@@ -114,21 +115,35 @@ def brute_greedy_sequence(instance: Instance, tie: str = TIE_LOWEST_INDEX):
     return tuple(chosen), tuple(s), total
 
 
-def brute_bucket_improvements(m: int):
+def partitions_plain(m: int, cap: int | None = None):
+    """All partitions of m into parts <= cap, as non-increasing tuples."""
+    cap = m if cap is None else cap
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, cap), 0, -1):
+        for rest in partitions_plain(m - first, first):
+            yield (first,) + rest
+
+
+def brute_bucket_improvements(m: int, mode: str = "compositions"):
     """Exact table-2 cells for m: per mu-bucket (total, qualifying, mean, max).
 
-    Every composition of m goes to the first left-open fifth containing
-    mu = max part / m.  A sequence qualifies when G(s) < H(max part)
-    (strict); mean and max are over qualifying s of 100*(H - G)/H, and
-    both are 0 for a bucket with no qualifying sequence.
+    Every composition of m (or, with mode="partitions", every partition) goes
+    to the first left-open fifth containing mu = max part / m.  A sequence
+    qualifies when G(s) < H(max part) (strict); mean and max are over
+    qualifying s of 100*(H - G)/H, and both are 0 for a bucket with no
+    qualifying sequence.
     """
+    sequences = compositions_by_gaps(m) if mode == "compositions" else partitions_plain(m)
+    harmonics = {j: brute_harmonic(j) for j in range(1, m + 1)}
     cells = [[0, 0, Fraction(0), Fraction(0)] for _ in range(5)]
-    for s in compositions_by_gaps(m):
+    for s in sequences:
         mx = max(s)
         mu = Fraction(mx, m)
         cell = cells[next(i for i in range(5) if mu <= Fraction(i + 1, 5))]
         cell[0] += 1
-        h = brute_harmonic(mx)
+        h = harmonics[mx]
         g = brute_g(s, m)
         if g < h:
             improvement = 100 * (h - g) / h
@@ -139,6 +154,30 @@ def brute_bucket_improvements(m: int):
         (total, qual, improvement_sum / qual if qual else Fraction(0), mx)
         for total, qual, improvement_sum, mx in cells
     ]
+
+
+def count_by_largest_part(m: int, mode: str = "compositions"):
+    """How many sequences of total m have largest part exactly k, k = 0..m.
+
+    Counted, not enumerated: with at_most[t] the sequences of total t whose
+    parts are all <= k, compositions follow at_most[t] = sum of
+    at_most[t - q] over q = 1..k, and partitions add the parts 1..k one at a
+    time (the coin-change recurrence); the count for k is the difference of
+    the counts for k and k - 1.
+    """
+    def at_most(k):
+        ways = [1] + [0] * m
+        if mode == "compositions":
+            for t in range(1, m + 1):
+                ways[t] = sum(ways[t - q] for q in range(1, min(k, t) + 1))
+        else:
+            for q in range(1, k + 1):
+                for t in range(q, m + 1):
+                    ways[t] += ways[t - q]
+        return ways[m]
+
+    below = [at_most(k) for k in range(m + 1)]
+    return [0] + [below[k] - below[k - 1] for k in range(1, m + 1)]
 
 
 def brute_weak_duality(instance: Instance, x, y):

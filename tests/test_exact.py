@@ -207,6 +207,15 @@ class TestRootDualBound:
         assert res.status == STATUS_OPTIMAL
         assert res.weight == optimum == highs_optimum(inst)
 
+    @pytest.mark.parametrize("m, n, seed, nodes, prunes", [(40, 40, 1, 847, 1384),
+                                                           (60, 60, 3, 1870, 5938)])
+    def test_children_the_dual_rules_out_are_never_pushed(self, m, n, seed, nodes, prunes):
+        # pruning only on pop visited 2,208 and 7,757 nodes here (1,384 and
+        # 5,926 dual prunes); the same test before the push skips most of them
+        inst = weights_1_to_10(m, n, 0.1, seed)
+        res = exact_opt(inst, SolveBudget(method=METHOD_BNB), use_lp_bound=True)
+        assert (res.nodes, res.bound_stats["lp"]) == (nodes, prunes)
+
     def test_deadline_covers_the_root_lp(self):
         inst = weights_1_to_10(80, 240, 0.06, 0)
         t0 = time.monotonic()

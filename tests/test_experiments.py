@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from setcoverlab import (
     table2,
     table3,
 )
+from setcoverlab import experiments as experiments_mod
 from setcoverlab.bounds import g_from_counts, g_of
 from setcoverlab.errors import MTooLargeForMode
 from setcoverlab.experiments import (
@@ -24,7 +27,14 @@ from setcoverlab.experiments import (
     resolve_mode,
 )
 
-from oracle import brute_bucket_improvements, compositions_by_gaps
+from oracle import (
+    brute_bucket_improvements,
+    compositions_by_gaps,
+    count_by_largest_part,
+    partitions_plain,
+)
+
+GOLDEN_TABLES = Path(__file__).with_name("golden_tables.json")
 
 
 class TestEnumerate:
@@ -78,6 +88,99 @@ class TestBuckets:
         serial = bucket_stats(16, MODE_COMPOSITIONS, workers=1)
         parallel = bucket_stats(16, MODE_COMPOSITIONS, workers=2)
         assert serial == parallel
+
+
+class TestExactAgainstEnumeration:
+    """The counted sweep against plain Fraction enumeration of every sequence."""
+
+    @staticmethod
+    def assert_matches_oracle(m, mode):
+        stats = bucket_stats(m, mode)
+        for st, (total, qual, mean, top) in zip(stats, brute_bucket_improvements(m, mode)):
+            assert (st.total, st.qualifying) == (total, qual), (m, mode, st.bucket)
+            # the mean is the correctly rounded exact mean (so within 1e-12)
+            assert st.mean_improvement_pct == float(mean), (m, mode, st.bucket)
+            # the max is (H - G)/H rounded to a float, then times 100.0
+            assert st.max_improvement_pct == float(top / 100) * 100.0, (m, mode, st.bucket)
+
+    @pytest.mark.parametrize("m", range(1, 15))
+    def test_compositions(self, m):
+        self.assert_matches_oracle(m, MODE_COMPOSITIONS)
+
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_partitions(self, m):
+        self.assert_matches_oracle(m, MODE_PARTITIONS)
+
+    @pytest.mark.parametrize("mode,m", [(MODE_COMPOSITIONS, 12), (MODE_PARTITIONS, 20)])
+    def test_split_changes_the_cost_only(self, monkeypatch, mode, m):
+        # T = 0 walks every sequence; T = m reads every sequence from the tables
+        expected = bucket_stats(m, mode)
+        for split in range(m + 1):
+            monkeypatch.setattr(experiments_mod, "_split", lambda m_, mode_: split)
+            assert bucket_stats(m, mode) == expected, split
+
+    def test_partition_oracle_enumerates_each_partition_once(self):
+        for m in range(1, 12):
+            mine = [spec.s for spec in enumerate_sequences(m, MODE_PARTITIONS)]
+            theirs = list(partitions_plain(m))
+            assert sorted(mine) == sorted(theirs)
+            assert len(set(theirs)) == len(theirs)
+
+
+class TestLimits:
+    """The largest inputs each mode is meant for, against counting recurrences."""
+
+    @staticmethod
+    def totals_by_recurrence(m, mode):
+        totals = [0] * 5
+        for k, count in enumerate(count_by_largest_part(m, mode)):
+            if k:
+                totals[next(b for b in range(5) if 5 * k <= (b + 1) * m)] += count
+        return totals
+
+    def test_compositions_of_28(self):
+        stats = bucket_stats(28, MODE_COMPOSITIONS)
+        totals = [st.total for st in stats]
+        assert totals == self.totals_by_recurrence(28, MODE_COMPOSITIONS)
+        assert sum(totals) == 2 ** 27
+        assert all(0 <= st.qualifying <= st.total for st in stats)
+
+    def test_partitions_of_100(self):
+        stats = bucket_stats(100, MODE_PARTITIONS)
+        totals = [st.total for st in stats]
+        assert totals == self.totals_by_recurrence(100, MODE_PARTITIONS)
+        assert sum(totals) == 190_569_292  # p(100)
+        assert all(0 <= st.qualifying <= st.total for st in stats)
+
+    def test_recurrence_matches_enumeration(self):
+        for mode in (MODE_COMPOSITIONS, MODE_PARTITIONS):
+            for m in range(1, 11):
+                counts = [0] * (m + 1)
+                for spec in enumerate_sequences(m, mode):
+                    counts[max(spec.s)] += 1
+                assert count_by_largest_part(m, mode) == counts
+
+    def test_compositions_past_the_cap(self):
+        with pytest.raises(MTooLargeForMode, match="capped at m=28"):
+            bucket_stats(29, MODE_COMPOSITIONS)
+        with pytest.raises(MTooLargeForMode):
+            table2(29, mode=MODE_COMPOSITIONS)
+
+
+class TestGoldenTables:
+    """emit_csv / emit_markdown bytes of tables 1 and 2, pinned from the
+    per-sequence sweep this counted sweep replaced."""
+
+    CASES = [(mode, m) for mode, ms in ((MODE_COMPOSITIONS, (10, 15, 20)),
+                                        (MODE_PARTITIONS, (40, 50))) for m in ms]
+
+    @pytest.mark.parametrize("mode,m", CASES)
+    def test_bytes(self, mode, m):
+        golden = json.loads(GOLDEN_TABLES.read_text(encoding="utf-8"))
+        for which, maker in (("1", table1), ("2", table2)):
+            report = maker(m, mode=mode)
+            assert emit_csv(report) == golden[f"table{which}-{mode}-{m}.csv"]
+            assert emit_markdown(report) == golden[f"table{which}-{mode}-{m}.md"]
 
 
 class TestTable1:
