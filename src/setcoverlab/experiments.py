@@ -261,6 +261,8 @@ def bucket_stats(m: int, mode: str = "auto",
     has no effect.
     """
     mode = resolve_mode(mode)
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if mode == MODE_COMPOSITIONS and m > COMPOSITIONS_MAX_M:
         raise MTooLargeForMode(
             f"compositions mode capped at m={COMPOSITIONS_MAX_M}"
@@ -296,8 +298,7 @@ def bucket_stats(m: int, mode: str = "auto",
             walk(rem - part, part if partitions else m,
                  mx if mx >= part else part, g + part * unit)
 
-    if m >= 1:
-        walk(m, m, 0, 0)
+    walk(m, m, 0, 0)
     stats = []
     for b in range(5):
         tops = [t for t in range(1, m + 1) if _bucket_of(t, m) == b]

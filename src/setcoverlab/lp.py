@@ -12,10 +12,12 @@ solution is the simplex multipliers of that final refactorization.
 Because the float tableau can drift, the solver then tries to certify the
 result exactly: the float primal/dual pair is snapped to small rationals
 and checked in integer arithmetic over common denominators (feasibility of
-both sides plus equal objectives proves optimality by weak duality); for
-small systems a full exact basis solve is attempted as a fallback.  When
-certification succeeds the outcome carries the exact rational objective,
-solution and dual.
+both sides plus equal objectives proves optimality by weak duality).  When
+that fails, the pair is rounded once more onto the denominators Cramer's
+rule allows for the final basis B (|det B|, times the weights' common
+denominator for the dual) and checked the same way.  When certification
+succeeds the outcome carries the exact rational objective, solution and
+dual.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .instance import Instance, _scaled_weights, element_sets, require_positive_
 DEFAULT_TOL = 1e-9
 BLAND_STREAK = 40
 REFRESH_INTERVAL = 1000  # pivots between refactorizations (drift control)
-EXACT_SOLVE_MAX_N = 200
 # The tableau's values carry float error near 1e-14.  A denominator limit
 # near the inverse square root of that error recovers rationals with
 # denominators up to it; a larger limit fits the noise itself instead.
@@ -180,8 +181,8 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
     if status == STATUS_OPTIMAL:
         pair = (_snap(x), _snap(y))
         exact = _check_pair(instance, *pair)
-        if exact is None and n <= EXACT_SOLVE_MAX_N:
-            pair = _certify_from_basis(instance, basis)
+        if exact is None:
+            pair = _snap_to_det(instance, a[:, basis], x, y)
             exact = pair and _check_pair(instance, *pair)
         if exact is not None:
             exact_x, exact_obj = exact
@@ -198,6 +199,27 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
 def _snap(values) -> list[Fraction]:
     return [Fraction(float(v)).limit_denominator(RATIONALIZE_DENOM)
             for v in values]
+
+
+def _snap_to_det(instance: Instance, b_mat, x, y):
+    """Candidate pair on the denominators Cramer's rule gives the basis B.
+
+    With D = |det B|, every multiplier in x = pi has a denominator dividing
+    D, and every dual value in y = B^-1 w one dividing D*dw (dw: the
+    weights' common denominator).  Returns x and y rounded onto those grids
+    for _check_pair to decide, or None when B is singular or D reaches
+    2**53, where floats stop holding every integer.
+    """
+    sign, logdet = np.linalg.slogdet(b_mat)
+    d = round(math.exp(logdet)) if sign and logdet < 53 * math.log(2) else 0
+    if d == 0:
+        return None
+    return _round_onto(x, d), _round_onto(y, d * _scaled_weights(instance)[1])
+
+
+def _round_onto(values, den: int) -> list[Fraction]:
+    """Each value rounded, exactly, to the nearest multiple of 1/den."""
+    return [Fraction(round(Fraction(float(v)) * den), den) for v in values]
 
 
 def _check_pair(instance: Instance, x, y):
@@ -223,61 +245,6 @@ def _check_pair(instance: Instance, x, y):
     if primal * dy != sum(ys) * dw * dx:
         return None
     return tuple(x), Fraction(primal, dw * dx)
-
-
-def _certify_from_basis(instance: Instance, basis):
-    """Exact-rational solve of the final basis: a candidate (x, y) pair.
-
-    Solves B u = w for the dual basic values and pi B = c_B for the primal
-    multipliers by Gaussian elimination over Fractions; returns (pi, y) for
-    _check_pair to decide, or None when B is singular.
-    """
-    m, n = instance.m, instance.n
-    holders = element_sets(instance)
-    cols = []
-    c_b = []
-    for v in basis:
-        col = [Fraction(0)] * n
-        if v < m:
-            for i in holders[v]:
-                col[i] = Fraction(1)
-            c_b.append(Fraction(1))
-        else:
-            col[v - m] = Fraction(1)
-            c_b.append(Fraction(0))
-        cols.append(col)
-    w = [entry.weight for entry in instance.sets]
-    u = _solve_exact(list(zip(*cols)), w)  # B u = w
-    pi = _solve_exact(cols, c_b)  # pi B = c_B, i.e. B^T pi = c_B
-    if u is None or pi is None:
-        return None
-    y = [Fraction(0)] * m
-    for v, uv in zip(basis, u):
-        if v < m:
-            y[v] = uv
-    return pi, y
-
-
-def _solve_exact(rows, rhs):
-    """Solve A z = rhs in rationals for the square matrix A given by its rows."""
-    n = len(rows)
-    a = list(rows)
-    b = list(rhs)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        b[c], b[piv] = b[piv], b[c]
-        inv = 1 / a[c][c]
-        a[c] = [v * inv for v in a[c]]
-        b[c] *= inv
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [vr - f * vc for vr, vc in zip(a[r], a[c])]
-                b[r] -= f * b[c]
-    return b
 
 
 def check_fractional_cover(instance: Instance, x, tol: float = DEFAULT_TOL) -> bool:

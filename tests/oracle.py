@@ -115,6 +115,20 @@ def brute_greedy_sequence(instance: Instance, tie: str = TIE_LOWEST_INDEX):
     return tuple(chosen), tuple(s), total
 
 
+def greedy_lp_slack(instance: Instance, lp_objective, tie: str = TIE_LOWEST_INDEX):
+    """G * OPT_LP - w(Gr) for the greedy re-simulation; never negative.
+
+    Greedy's step k covers s_k of the m_{k-1} elements left at the least
+    ratio w/|S ∩ U|.  Any fractional cover x of the residual U has
+    sum x_i*|S_i ∩ U| >= |U|, so that ratio is at most OPT_LP(U)/m_{k-1},
+    which is at most OPT_LP/m_{k-1}.  Summing w_k <= s_k*OPT_LP/m_{k-1}
+    over the steps gives w(Gr) <= G*OPT_LP: the LP estimate R = w(Gr)/OPT_LP
+    never exceeds the trace bound G.
+    """
+    _, s, weight = brute_greedy_sequence(instance, tie)
+    return brute_g(s, instance.m) * Fraction(lp_objective) - weight
+
+
 def partitions_plain(m: int, cap: int | None = None):
     """All partitions of m into parts <= cap, as non-increasing tuples."""
     cap = m if cap is None else cap

@@ -70,6 +70,24 @@ class TestValidateAndConvert:
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == 3 and "invalid instance" in err
 
+    @pytest.mark.parametrize("m", [10**9, 10**11])
+    def test_huge_universe_fails_in_bounded_memory(self, tmp_path, m):
+        # a 24-byte file: a mask of m bits would need m/8 bytes.  The CLI runs
+        # as a grandchild, so RUSAGE_CHILDREN holds its peak alone.
+        path = tmp_path / "huge.scp"
+        path.write_text(f"scp 1\n{m} 1\n1 1 1\n")
+        probe = ("import resource, subprocess, sys\n"
+                 "p = subprocess.run([sys.executable, '-m', 'setcoverlab.cli', 'validate',"
+                 " sys.argv[1]], capture_output=True, text=True)\n"
+                 "print(p.returncode, p.stdout, p.stderr,"
+                 " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, sep='|')\n")
+        proc = subprocess.run([sys.executable, "-c", probe, str(path)],
+                              capture_output=True, text=True)
+        code, out, err, peak_kb = proc.stdout.rstrip("\n").split("|")
+        assert (code, out) == ("3", "")
+        assert err == "invalid instance: element 2 is covered by no set\n"
+        assert int(peak_kb) < 150 * 1024  # ru_maxrss is in KiB on Linux
+
     def test_missing_file_is_usage(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "/nonexistent/x.scp")
         assert code == 1
@@ -175,6 +193,16 @@ class TestTables:
         assert code == 0
         assert out.splitlines()[0] == "m,b1,b2,b3,b4,b5"
         assert out.splitlines()[1] == "10,0.0,13.5,64.8,100.0,100.0"
+
+    @pytest.mark.parametrize("which", ["1", "2"])
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_m_below_one_is_usage_error(self, capsys, which, m):
+        code, out, err = run_cli(capsys, "table", which, "--m", m, "--format", "csv")
+        assert (code, out, err) == (1, "", "usage error: m must be >= 1\n")
+
+    def test_m_past_the_compositions_cap(self, capsys):
+        code, out, err = run_cli(capsys, "table", "1", "--m", "29", "--mode", "compositions")
+        assert (code, out, err) == (4, "", "limit exceeded: compositions mode capped at m=28\n")
 
     def test_table3_markdown(self, capsys):
         code, out, _ = run_cli(capsys, "table", "3", "--k-lo", "5",

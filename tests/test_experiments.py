@@ -160,6 +160,14 @@ class TestLimits:
                     counts[max(spec.s)] += 1
                 assert count_by_largest_part(m, mode) == counts
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_m_below_one(self, m):
+        for make in (bucket_stats, table1, table2):
+            with pytest.raises(ValueError, match=r"^m must be >= 1$"):
+                make(m)
+        with pytest.raises(ValueError, match=r"^m must be >= 1$"):
+            next(enumerate_sequences(m))
+
     def test_compositions_past_the_cap(self):
         with pytest.raises(MTooLargeForMode, match="capped at m=28"):
             bucket_stats(29, MODE_COMPOSITIONS)

@@ -84,6 +84,18 @@ class TestValidate:
         with pytest.raises(InvalidInstance):
             validate(Instance(m=1, sets=()))
 
+    def test_missing_element_with_fewer_occurrences_than_m(self):
+        # found from the elements alone, with no m-bit mask, and the same gap
+        # as the mask path finds when the occurrences reach m
+        for m, sets, missing in [(10**11, [((1, 3), 1), ((2, 5), 1)], 4),
+                                 (4, [((1, 2), 1), ((1, 2), 1)], 3)]:
+            with pytest.raises(UnionNotUniverse) as exc:
+                validate(make_instance(m, sets))
+            assert exc.value.missing_element == missing
+            assert str(exc.value) == f"element {missing} is covered by no set"
+        with pytest.raises(ElementOutOfRange):  # the per-set checks still come first
+            validate(Instance(m=10**11, sets=(SetEntry((1, 10**12), Fraction(1)),)))
+
     def test_first_violation_in_order_wins(self):
         out_first = Instance(m=3, sets=(SetEntry((5, 1), Fraction(1)),))
         with pytest.raises(ElementOutOfRange):

@@ -4,13 +4,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from oracle import brute_weak_duality
+from oracle import brute_weak_duality, greedy_lp_slack
 
 from setcoverlab import (
+    TIE_LOWEST_INDEX,
+    TIE_MAX_RESIDUAL,
     RandomSpec,
     SequenceSpec,
     check_fractional_cover,
@@ -82,6 +84,7 @@ class TestSolveExamples:
             # uniform cover is optimal here, so equality within tol
             assert out.objective == pytest.approx(bound, abs=1e-7)
             assert out.exact_objective == Fraction(2 ** k - 1, 2 ** (k - 1))
+            assert_r_at_most_g(inst, out.exact_objective)
 
     @pytest.mark.slow
     def test_gf2_family_objective_up_to_k10(self):
@@ -94,6 +97,7 @@ class TestSolveExamples:
             assert out.status == STATUS_OPTIMAL
             assert out.objective <= bound + 1e-9
             assert out.exact_objective == Fraction(2 ** k - 1, 2 ** (k - 1))
+            assert_r_at_most_g(inst, out.exact_objective)
 
     def test_outcome_cover_passes_check(self):
         for seed in range(25):
@@ -122,7 +126,7 @@ class TestAgainstScipy:
             assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
 
     def test_basis_certificate_matches_snapped_one(self, monkeypatch):
-        # force the exact basis solve, which reads the element incidence
+        # force the determinant fallback, which rounds onto det(B)
         snapped = [solve_lp(gen_gf2(k)).exact_objective for k in (2, 3, 4)]
         snapped += [solve_lp(rnd(seed, m=12, n=20)).exact_objective for seed in range(6)]
         monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
@@ -243,24 +247,67 @@ class TestCertificateCheck:
 
     def test_snapping_certifies_non_dyadic_optimum(self, monkeypatch):
         # weights on a 1/1000 grid: a snapping limit of 10**12 fitted the
-        # float noise here and left the certificate to the basis solve
+        # float noise here and left the certificate to the fallback
         inst = gen_random(RandomSpec(m=40, n=29, density=5 / 29, weight_lo=Fraction(1),
                                      weight_hi=Fraction(10), seed=0))
         monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
         by_basis = solve_lp(inst)
         monkeypatch.undo()
 
-        def no_basis_solve(instance, basis):
+        def no_fallback(instance, b_mat, x, y):
             raise AssertionError("snapping did not certify")
 
-        monkeypatch.setattr(lp_mod, "_certify_from_basis", no_basis_solve)
+        monkeypatch.setattr(lp_mod, "_snap_to_det", no_fallback)
         out = solve_lp(inst)
         assert out.exact_objective == by_basis.exact_objective == Fraction(35411, 1000)
         assert out.exact_x == by_basis.exact_x
         assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
 
 
+def random_lp(m, n, density, seed):
+    return gen_random(RandomSpec(m=m, n=n, density=density, weight_lo=Fraction(1),
+                                 weight_hi=Fraction(10), seed=seed))
+
+
+def assert_r_at_most_g(instance, lp_objective):
+    for tie in (TIE_LOWEST_INDEX, TIE_MAX_RESIDUAL):
+        assert greedy_lp_slack(instance, lp_objective, tie) >= 0
+
+
+class TestDeterminantFallback:
+    """The pair rounded onto det(B) certifies where snapping cannot."""
+
+    @pytest.mark.parametrize("shape, objective", [
+        ((150, 300, 0.04, 0), Fraction(1450761971, 17270000)),
+        ((120, 220, 0.05, 0), Fraction(734949853, 11578000)),
+        ((120, 220, 0.05, 1), Fraction(810949999, 13174000)),
+        ((120, 160, 0.05, 7), Fraction(491904469, 5655250)),
+    ], ids=["150x300s0", "120x220s0", "120x220s1", "120x160s7"])
+    def test_certifies_past_the_snapping_limit(self, shape, objective):
+        inst = random_lp(*shape)
+        out, pairs = solver_pairs(inst)
+        assert len(pairs) == 2  # the snapped pair failed, the determinant pair passed
+        assert out.exact_objective == objective
+        assert (out.exact_x, out.y) == tuple(map(tuple, pairs[-1]))
+        assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
+        assert_r_at_most_g(inst, out.exact_objective)
+
+    def test_no_candidate_when_det_is_beyond_float_integers(self, monkeypatch):
+        # gf2(8)'s final basis has |det B| = 2**769
+        monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
+        out, pairs = solver_pairs(gen_gf2(8))
+        assert out.status == STATUS_OPTIMAL and out.exact_objective is None
+        assert len(pairs) == 1
+
+
 class TestRelaxationProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(inst=small_instances())
+    def test_greedy_within_g_of_certified_lp(self, inst):
+        out = solve_lp(inst)
+        assume(out.exact_objective is not None)
+        assert_r_at_most_g(inst, out.exact_objective)
+
     def test_lp_below_integral_optimum(self):
         for seed in range(50):
             inst = rnd(seed)
