@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain
 from operator import lt
 
 import numpy as np
@@ -124,17 +124,13 @@ def validate(instance: Instance) -> None:
             raise NegativeWeight(
                 f"set {i} has negative weight {entry.weight}", set_index=i
             )
-    if sum(entry.size for entry in instance.sets) < m:
-        # too few occurrences to cover: find the gap without an m-bit mask
-        present = set(chain.from_iterable(entry.elements for entry in instance.sets))
-        missing = next(e for e in count(1) if e not in present)
-    else:
-        masks = _build_masks(instance)
-        uncovered = (1 << m) - 1
-        for mask in masks:
-            uncovered &= ~mask
-        missing = (uncovered & -uncovered).bit_length()
-    if missing:
+    masks = _build_masks(instance)
+    union = 0
+    for mask in masks:
+        union |= mask
+    # lowest clear bit of the union; no integer wider than the largest element
+    missing = ((union + 1) & ~union).bit_length()
+    if missing <= m:
         raise UnionNotUniverse(
             f"element {missing} is covered by no set", missing_element=missing
         )

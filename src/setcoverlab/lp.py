@@ -15,9 +15,12 @@ and checked in integer arithmetic over common denominators (feasibility of
 both sides plus equal objectives proves optimality by weak duality).  When
 that fails, the pair is rounded once more onto the denominators Cramer's
 rule allows for the final basis B (|det B|, times the weights' common
-denominator for the dual) and checked the same way.  When certification
-succeeds the outcome carries the exact rational objective, solution and
-dual.
+denominator for the dual) and checked the same way.  That rounding is only
+right while |det B| times the float error (about 1e-14) stays well under
+1/2, so bases with larger determinants, from about 1e13 up, go uncertified
+even below the 2**53 cut-off; an exact basis solve would certify them.
+When certification succeeds the outcome carries the exact rational
+objective, solution and dual.
 """
 
 from __future__ import annotations
@@ -208,7 +211,10 @@ def _snap_to_det(instance: Instance, b_mat, x, y):
     D, and every dual value in y = B^-1 w one dividing D*dw (dw: the
     weights' common denominator).  Returns x and y rounded onto those grids
     for _check_pair to decide, or None when B is singular or D reaches
-    2**53, where floats stop holding every integer.
+    2**53, where floats stop holding every integer.  The rounding lands on
+    the true values only while D times the float error (about 1e-14) is
+    well under 1/2, so from D near 1e13 on the check usually fails and the
+    LP goes uncertified, also below 2**53.
     """
     sign, logdet = np.linalg.slogdet(b_mat)
     d = round(math.exp(logdet)) if sign and logdet < 53 * math.log(2) else 0

@@ -85,8 +85,8 @@ class TestValidate:
             validate(Instance(m=1, sets=()))
 
     def test_missing_element_with_fewer_occurrences_than_m(self):
-        # found from the elements alone, with no m-bit mask, and the same gap
-        # as the mask path finds when the occurrences reach m
+        # the lowest gap in the union of the masks, which are only as wide as
+        # the largest element, so a huge m costs no m-bit integer
         for m, sets, missing in [(10**11, [((1, 3), 1), ((2, 5), 1)], 4),
                                  (4, [((1, 2), 1), ((1, 2), 1)], 3)]:
             with pytest.raises(UnionNotUniverse) as exc:
