@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.set_defaults(fn=_cmd_lp)
 
-    p = sub.add_parser("exact", help="exact optimum (exhaustive or B&B)")
+    p = sub.add_parser("exact", help="exact optimum by depth-first search: exhaustive "
+                       "(incumbent cut only) or branch-and-bound (greedy bound)")
     p.add_argument("file")
     p.add_argument("--node-limit", type=int, default=10_000_000)
     p.add_argument("--time-limit", type=float, default=60.0)

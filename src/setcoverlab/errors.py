@@ -86,10 +86,6 @@ class TooManySets(ScpError):
     pass
 
 
-class TooManySetsForExhaustive(TooManySets):
-    pass
-
-
 class KOutOfRange(ScpError):
     pass
 

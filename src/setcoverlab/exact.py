@@ -1,16 +1,18 @@
 """Exact optimal covers at desk scale.
 
-Two engines: literal exhaustion over all 2^n subsets (bitmask DP, hard cap
-n <= 25), and depth-first branch-and-bound that branches on the lowest
-uncovered element, visits the sets containing it cheapest-first, and prunes
-against the incumbent using the greedy trace bound rearranged into a lower
-bound on the residual optimum, w(Gr_sub)/G(s_sub); optionally first by the
-root LP's dual, made exactly feasible, summed over the uncovered elements,
-tested before a child is pushed and again when it is popped (the incumbent
-may have improved in between).
+One depth-first search: it branches on the lowest uncovered element, visits
+the sets containing it cheapest-first, and cuts a node once its weight
+reaches the incumbent's.  The exhaustive method runs it with no other cut;
+every optimal cover is then a leaf, and ties go to the cover with the
+lowest subset bitmask.  Branch-and-bound also prunes against the incumbent
+using the greedy trace bound rearranged into a lower bound on the residual
+optimum, w(Gr_sub)/G(s_sub); optionally first by the root LP's dual, made
+exactly feasible, summed over the uncovered elements, tested before a child
+is pushed and again when it is popped (the incumbent may have improved in
+between).
 
-Weight arithmetic inside both engines runs on integers (all weights scaled
-by the common denominator), so comparisons stay exact and fast; results are
+Weight arithmetic inside the search runs on integers (all weights scaled by
+the common denominator), so comparisons stay exact and fast; results are
 converted back to Fractions at the boundary.
 """
 
@@ -23,14 +25,13 @@ from fractions import Fraction
 
 from . import lp
 from .bounds import g_from_counts
-from .errors import TooManySets, TooManySetsForExhaustive
+from .errors import TooManySets
 from .greedy import _kernel, greedy
 from .instance import (Cover, Instance, _scaled_weights, element_masks, element_sets,
                        require_positive_weights)
 
 EXHAUSTIVE_CAP = 25
 AUTO_EXHAUSTIVE_MAX_N = 18
-DP_MAX_BITS = 20
 
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_BNB = "branch-and-bound"
@@ -60,55 +61,6 @@ class ExactResult:
     status: str
     nodes: int
     bound_stats: dict = field(default_factory=dict)
-
-
-def _dp_scan(masks, weights, full, lo_bits):
-    """Best (weight, subset) over all subsets, via a lo/hi table product."""
-    n = len(masks)
-    lo_n = min(n, lo_bits)
-    lo_union = [0] * (1 << lo_n)
-    lo_weight = [0] * (1 << lo_n)
-    for s in range(1, 1 << lo_n):
-        low = s & -s
-        rest = s ^ low
-        i = low.bit_length() - 1
-        lo_union[s] = lo_union[rest] | masks[i]
-        lo_weight[s] = lo_weight[rest] + weights[i]
-    hi_n = n - lo_n
-    hi_union = [0] * (1 << hi_n)
-    hi_weight = [0] * (1 << hi_n)
-    for s in range(1, 1 << hi_n):
-        low = s & -s
-        rest = s ^ low
-        i = low.bit_length() - 1 + lo_n
-        hi_union[s] = hi_union[rest] | masks[i]
-        hi_weight[s] = hi_weight[rest] + weights[i]
-    best_w = None
-    best_subset = 0
-    for hi in range(1 << hi_n):
-        hu = hi_union[hi]
-        hw = hi_weight[hi]
-        for lo in range(1 << lo_n):
-            if hu | lo_union[lo] == full:
-                w = hw + lo_weight[lo]
-                if best_w is None or w < best_w:
-                    best_w = w
-                    best_subset = hi << lo_n | lo
-    return best_w, best_subset
-
-
-def _exhaustive(instance: Instance) -> tuple[Fraction, tuple[int, ...], int]:
-    n = instance.n
-    if n > EXHAUSTIVE_CAP:
-        raise TooManySetsForExhaustive(
-            f"exhaustive method enumerates 2^n subsets; n={n} > {EXHAUSTIVE_CAP}"
-        )
-    masks = element_masks(instance)
-    weights, denom = _scaled_weights(instance)
-    full = (1 << instance.m) - 1
-    best_w, best_subset = _dp_scan(masks, weights, full, DP_MAX_BITS)
-    indices = tuple(i for i in range(n) if best_subset >> i & 1)
-    return Fraction(best_w, denom), indices, 1 << n
 
 
 def _residual_greedy_bound(masks, weights, covered, full):
@@ -155,13 +107,20 @@ def _mask_sum(values, mask):
     return total
 
 
-def _branch_and_bound(instance, budget, use_lp_bound):
+def _search(instance, budget, use_lp_bound, bounded):
+    """Depth-first search; bounded adds branch-and-bound's residual bounds.
+
+    Unbounded, a node is cut only once its weight reaches the incumbent's,
+    so every optimal cover is a leaf, and among equal weights the lowest
+    subset bitmask wins.  Bounded, the first cover found at a weight stays.
+    """
     deadline = time.monotonic() + budget.time_limit
     masks = element_masks(instance)
     weights, denom = _scaled_weights(instance)
     full = (1 << instance.m) - 1
     # the root dual: a node prunes when w_so_far + Y(uncovered)/dy >= incumbent
-    ys, dy = _feasible_dual(instance, lp.solve_lp(instance).y) if use_lp_bound else ([], 1)
+    ys, dy = (_feasible_dual(instance, lp.solve_lp(instance).y)
+              if bounded and use_lp_bound else ([], 1))
 
     seed = greedy(instance)
     incumbent_w = sum(weights[i] for i in seed.chosen)
@@ -186,14 +145,16 @@ def _branch_and_bound(instance, budget, use_lp_bound):
         covered, w_so_far, chosen, y_left = stack.pop()
         nodes += 1
         if covered == full:
-            if w_so_far < incumbent_w:
+            if w_so_far < incumbent_w or (
+                    not bounded and w_so_far == incumbent_w
+                    and sum(1 << i for i in chosen) < sum(1 << i for i in incumbent)):
                 incumbent_w = w_so_far
                 incumbent = tuple(sorted(chosen))
             continue
         if ys and w_so_far * dy + y_left * denom >= incumbent_w * dy:
             stats["lp"] += 1
             continue
-        g_bound = _residual_greedy_bound(masks, weights, covered, full)
+        g_bound = _residual_greedy_bound(masks, weights, covered, full) if bounded else 0
         if w_so_far + g_bound >= incumbent_w:
             stats["greedy_g"] += 1
             continue
@@ -208,26 +169,24 @@ def _branch_and_bound(instance, budget, use_lp_bound):
             stack.append((covered | masks[i], w, chosen + (i,), child_y))
 
     status = STATUS_BUDGET if hit_limit else STATUS_OPTIMAL
-    return Fraction(incumbent_w, denom), incumbent, nodes, status, stats
+    return (Fraction(incumbent_w, denom), incumbent, nodes, status,
+            stats if bounded else {})
 
 
 def exact_opt(instance: Instance, budget: SolveBudget | None = None, *,
               use_lp_bound: bool = False) -> ExactResult:
-    """Minimum-weight cover, proven optimal unless the budget runs out."""
+    """Minimum-weight cover, proven optimal unless the budget runs out.
+
+    use_lp_bound applies to branch-and-bound only.
+    """
     require_positive_weights(instance)
     budget = budget or SolveBudget()
     method = budget.method
     if method == METHOD_AUTO:
         method = (METHOD_EXHAUSTIVE if instance.n <= AUTO_EXHAUSTIVE_MAX_N
                   else METHOD_BNB)
-    if method == METHOD_EXHAUSTIVE:
-        weight, indices, nodes = _exhaustive(instance)
-        return ExactResult(
-            cover=Cover(set_indices=indices, weight=weight),
-            weight=weight, status=STATUS_OPTIMAL, nodes=nodes,
-        )
-    weight, indices, nodes, status, stats = _branch_and_bound(
-        instance, budget, use_lp_bound
+    weight, indices, nodes, status, stats = _search(
+        instance, budget, use_lp_bound, bounded=method == METHOD_BNB
     )
     return ExactResult(
         cover=Cover(set_indices=indices, weight=weight),

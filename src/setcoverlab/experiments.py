@@ -26,8 +26,8 @@ residual gap against those rows instead of silently matching either side
 tenths from the enumerated values; the maxima and all other cells agree).
 
 Table 3 runs the GF(2) family end to end: greedy weight, the trace bound,
-and the integrality-gap / LP-ratio lower bounds, solving the LP exactly
-when the instance is small enough.
+and the integrality-gap / LP-ratio lower bounds, with the LP optimum
+certified exactly from the family's closed-form optimal pair.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ class Table3Row:
     r_lower: float
     g_trace: Fraction
     g_published: float | None
-    lp_objective: float | None
-    r_lp: float | None
+    lp_objective: float
+    r_lp: float
 
     @property
     def g_matches_published(self) -> bool | None:
@@ -340,12 +340,13 @@ def table2(m: int, mode: str = "auto",
     return Table2Result(m=m, mode=mode, stats=bucket_stats(m, mode, workers))
 
 
-LP_PRODUCT_LIMIT = 70_000  # solve the table-3 LP while m*n stays below this
+def table3(k_lo: int = 5, k_hi: int = 10) -> Table3Result:
+    """GF(2) family report: greedy weight, bound columns, certified LP.
 
-
-def table3(k_lo: int = 5, k_hi: int = 10,
-           lp_product_limit: int = LP_PRODUCT_LIMIT) -> Table3Result:
-    """GF(2) family report: greedy weight, bound columns, LP when feasible."""
+    Every element of gf2(k) lies in 2^(k-1) sets and every set has 2^(k-1)
+    elements, so x_i = y_e = 2^(1-k) is an optimal primal/dual pair; the LP
+    cells come from its exact check, with no simplex.
+    """
     if not 2 <= k_lo <= k_hi <= 12:
         raise ValueError("need 2 <= k_lo <= k_hi <= 12")
     rows = []
@@ -353,23 +354,16 @@ def table3(k_lo: int = 5, k_hi: int = 10,
         inst = gen_gf2(k)
         trace = greedy(inst)
         m = inst.m
-        g = g_of(trace)
-        r_lower = float(trace.total_weight * Fraction(m + 1, 2 * m))
-        lp_objective = None
-        r_lp = None
-        if m * inst.n <= lp_product_limit:
-            outcome = lp_mod.solve_lp(inst)
-            if outcome.status == lp_mod.STATUS_OPTIMAL:
-                lp_objective = outcome.objective
-                r_lp = float(lp_mod.r_estimate(trace, outcome))
+        half = Fraction(1, 1 << (k - 1))
+        _, lp_objective = lp_mod._check_pair(inst, [half] * inst.n, [half] * m)
         rows.append(Table3Row(
             k=k, m=m, w_gr=trace.total_weight,
             ig_lower=0.5 * math.log2(m),
-            r_lower=r_lower,
-            g_trace=g,
+            r_lower=float(trace.total_weight * Fraction(m + 1, 2 * m)),
+            g_trace=g_of(trace),
             g_published=PUBLISHED_TABLE3_G.get(k),
-            lp_objective=lp_objective,
-            r_lp=r_lp,
+            lp_objective=float(lp_objective),
+            r_lp=float(trace.total_weight / lp_objective),
         ))
     return Table3Result(rows=tuple(rows))
 
@@ -412,13 +406,11 @@ def emit_csv(report) -> str:
         out.write("k,m,w_gr,ig_lower,r_lower,lp_objective,r_lp,"
                   "g_trace,g_published,g_matches_published\n")
         for r in report.rows:
-            lp_cell = f"{r.lp_objective:.6f}" if r.lp_objective is not None else ""
-            rlp_cell = f"{r.r_lp:.4f}" if r.r_lp is not None else ""
             gp = f"{r.g_published:.2f}" if r.g_published is not None else ""
             match = "" if r.g_matches_published is None else str(r.g_matches_published).lower()
             out.write(
                 f"{r.k},{r.m},{r.w_gr},{r.ig_lower:.2f},{r.r_lower:.2f},"
-                f"{lp_cell},{rlp_cell},{float(r.g_trace):.4f},{gp},{match}\n"
+                f"{r.lp_objective:.6f},{r.r_lp:.4f},{float(r.g_trace):.4f},{gp},{match}\n"
             )
     else:
         raise TypeError(f"cannot emit {type(report).__name__}")
@@ -460,22 +452,21 @@ def emit_markdown(report) -> str:
         out.write("|---|---|---|---|---|---|---|---|---|\n")
         mismatch = False
         for r in report.rows:
-            lp_cell = f"{r.lp_objective:.6f}" if r.lp_objective is not None else "-"
-            rlp = f"{r.r_lp:.4f}" if r.r_lp is not None else "-"
             gp = f"{r.g_published:.2f}" if r.g_published is not None else "-"
             if r.g_matches_published is False:
                 mismatch = True
                 gp += " (!)"
             out.write(
                 f"| {r.k} | {r.m} | {_frac_cell(r.w_gr)} | {r.ig_lower:.2f} | "
-                f"{r.r_lower:.2f} | {lp_cell} | {rlp} | "
+                f"{r.r_lower:.2f} | {r.lp_objective:.6f} | {r.r_lp:.4f} | "
                 f"{_frac_cell(r.g_trace)} | {gp} |\n"
             )
         if mismatch:
             out.write(
                 "\nNOTE: the G column is computed from the simulated greedy "
                 "trace (forced halving sequence); it does not reproduce the "
-                "published 1.29-1.30 row.\n"
+                "published 1.29-1.30 row. Since w(Gr) <= G·OPT_LP, R <= G, "
+                "so a published G below R cannot be the trace bound.\n"
             )
     else:
         raise TypeError(f"cannot emit {type(report).__name__}")

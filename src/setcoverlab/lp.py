@@ -87,7 +87,7 @@ def _dual_data(instance: Instance):
 
 
 def _refactorize(a, w, c, basis):
-    """Rebuild the tableau and multipliers from scratch for the basis.
+    """Rebuild the tableau from scratch for the basis.
 
     Pivoting drifts the dense tableau; recomputing B^-1 [A | w] and the
     reduced-cost row from the original data bounds the error by a single
@@ -100,7 +100,7 @@ def _refactorize(a, w, c, basis):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular basis during refactorization: {exc}")
     obj = np.append(c - pi @ a, -(pi @ w))
-    return np.vstack([body, obj]), pi
+    return np.vstack([body, obj])
 
 
 def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
@@ -118,7 +118,8 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
 
     a, w, c = _dual_data(instance)
     basis = list(range(m, m + n))
-    t, pi = _refactorize(a, w, c, basis)
+    # the slack basis is the identity: the start tableau is [a | w] over [c | -0]
+    t = np.vstack([np.column_stack([a, w]), np.append(c, -0.0)])
     iterations = 0
     since_refresh = 0
     streak = 0
@@ -136,7 +137,7 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
             if since_refresh == 0:
                 status = STATUS_OPTIMAL
                 break
-            t, pi = _refactorize(a, w, c, basis)
+            t = _refactorize(a, w, c, basis)
             since_refresh = 0
             continue
         if iterations >= max_iterations:
@@ -159,7 +160,7 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
         iterations += 1
         since_refresh += 1
         if since_refresh >= REFRESH_INTERVAL:
-            t, pi = _refactorize(a, w, c, basis)
+            t = _refactorize(a, w, c, basis)
             since_refresh = 0
         if best <= tol:
             streak += 1
@@ -169,10 +170,10 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
             streak = 0
             bland = False
 
-    # optimality is only ever declared right after a refactorization, so pi
-    # and the tableau are fresh here
-    x = np.maximum(pi, 0.0) if status == STATUS_OPTIMAL \
-        else np.maximum(-t[n, m : m + n], 0.0)
+    # the slack columns' reduced costs are -pi, the primal multipliers;
+    # optimality is only ever declared right after a refactorization, so
+    # they are fresh then
+    x = np.maximum(-t[n, m : m + n], 0.0)
     objective = float(sum(float(e.weight) * xi for e, xi in zip(instance.sets, x)))
     y = np.zeros(m)
     for r, v in enumerate(basis):

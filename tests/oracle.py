@@ -9,6 +9,7 @@ every subset with fresh unions.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from setcoverlab import TIE_LOWEST_INDEX, TIE_MAX_RESIDUAL, Instance
 
@@ -42,9 +43,16 @@ def compositions_by_gaps(m: int):
         yield tuple(parts)
 
 
+def integer_weights(instance: Instance):
+    """Each weight times the weights' common denominator, and that denominator."""
+    den = lcm(*(Fraction(entry.weight).denominator for entry in instance.sets))
+    return [int(entry.weight * den) for entry in instance.sets], den
+
+
 def brute_optimum(instance: Instance):
     """(weight, indices) of a minimum-weight cover by scanning all subsets."""
     universe = set(range(1, instance.m + 1))
+    weights, den = integer_weights(instance)
     best_w = None
     best = None
     n = instance.n
@@ -54,11 +62,34 @@ def brute_optimum(instance: Instance):
             for i in combo:
                 covered.update(instance.sets[i].elements)
             if covered == universe:
-                w = sum((instance.sets[i].weight for i in combo), Fraction(0))
+                w = sum(weights[i] for i in combo)
                 if best_w is None or w < best_w:
                     best_w = w
                     best = combo
-    return best_w, best
+    return Fraction(best_w, den), best
+
+
+def brute_lowest_mask_optimum(instance: Instance):
+    """(weight, indices) of the minimum-weight cover with the lowest sum(1 << i).
+
+    Subsets are scanned in increasing bitmask order and only a strictly
+    lighter cover replaces the best so far.
+    """
+    universe = set(range(1, instance.m + 1))
+    weights, den = integer_weights(instance)
+    best_w = None
+    best = None
+    for bits in range(1, 1 << instance.n):
+        combo = tuple(i for i in range(instance.n) if bits >> i & 1)
+        covered = set()
+        for i in combo:
+            covered.update(instance.sets[i].elements)
+        if covered == universe:
+            w = sum(weights[i] for i in combo)
+            if best_w is None or w < best_w:
+                best_w = w
+                best = combo
+    return Fraction(best_w, den), best
 
 
 def brute_residual_optimum(instance: Instance, covered: int) -> Fraction:

@@ -16,6 +16,8 @@ from unittest import mock
 import pytest
 
 from setcoverlab import (
+    TIE_LOWEST_INDEX,
+    TIE_MAX_RESIDUAL,
     RandomSpec,
     SequenceSpec,
     SolveBudget,
@@ -47,7 +49,7 @@ from setcoverlab.experiments import (
 )
 from setcoverlab.instance import _scaled_weights
 
-from oracle import brute_bucket_improvements, brute_residual_optimum
+from oracle import brute_bucket_improvements, brute_residual_optimum, greedy_lp_slack
 
 EPS = Fraction(1, 2)
 
@@ -211,7 +213,7 @@ TABLE3_R = (2.58, 3.05, 3.53, 4.02, 4.51, 5.01)
 
 def test_c06_table3_derived_rows():
     t0 = time.perf_counter()
-    rows = table3(5, 10, lp_product_limit=0).rows
+    rows = table3(5, 10).rows
     elapsed = time.perf_counter() - t0
     ok = all(
         abs(row.ig_lower - ig) <= 0.01 and abs(row.r_lower - r) <= 0.01
@@ -223,7 +225,7 @@ def test_c06_table3_derived_rows():
 
 
 def test_c07_table3_g_row():
-    result = table3(5, 10, lp_product_limit=0)
+    result = table3(5, 10)
     ok = True
     for row in result.rows:
         inst = gen_gf2(row.k)
@@ -245,6 +247,18 @@ def test_c07_table3_g_row():
 def test_c08_lp_suite(corpus):
     t0 = time.perf_counter()
     bad = []
+    certified = 0
+
+    def check_r_at_most_g(inst, out):
+        # w(Gr) <= G*OPT_LP under either tie policy, for every certified LP
+        nonlocal certified
+        if out.exact_objective is None:
+            return
+        certified += 1
+        for tie in (TIE_LOWEST_INDEX, TIE_MAX_RESIDUAL):
+            if greedy_lp_slack(inst, out.exact_objective, tie) < 0:
+                bad.append(f"{inst.name}: R > G under {tie}")
+
     for k in range(2, 9):
         inst = gen_gf2(k)
         out = solve_lp(inst)
@@ -254,14 +268,17 @@ def test_c08_lp_suite(corpus):
         uniform = [Fraction(2, inst.m + 1)] * inst.n
         if not check_fractional_cover(inst, uniform):
             bad.append(f"gf2({k}) uniform cover rejected")
+        check_r_at_most_g(inst, out)
     for inst, _, opt in corpus[:200]:
         out = solve_lp(inst)
         if out.status != "optimal" or out.objective > float(opt.weight) + 1e-9:
             bad.append(f"{inst.name}: lp {out.objective} > opt {opt.weight}")
+        check_r_at_most_g(inst, out)
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 120
-    assert report(8, "LP suite (gf2 objectives, uniform covers, 200 random)",
-                  ok, "; ".join(bad) or f"{elapsed:.1f}s")
+    assert report(8, "LP suite (gf2 objectives, uniform covers, 200 random, R <= G)",
+                  ok, "; ".join(bad) or f"{certified} certified LPs with R <= G, "
+                                         f"{elapsed:.1f}s")
 
 
 def test_c09_generator_round_trip():

@@ -19,6 +19,7 @@ from setcoverlab import (
     gen_gf2,
     gen_random,
     greedy,
+    is_cover,
     make_instance,
     verify_cover_optimal,
 )
@@ -31,10 +32,10 @@ from setcoverlab.exact import (
     STATUS_OPTIMAL,
     result_to_kv,
 )
-from setcoverlab.errors import NonPositiveWeight, TooManySets, TooManySetsForExhaustive
+from setcoverlab.errors import NonPositiveWeight, TooManySets
 from setcoverlab.instance import _scaled_weights
 
-from oracle import brute_optimum, brute_residual_optimum
+from oracle import brute_lowest_mask_optimum, brute_optimum, brute_residual_optimum
 
 
 def rnd(seed, m=None, n=None):
@@ -108,23 +109,48 @@ class TestExhaustive:
             w, _ = brute_optimum(inst)
             assert res.weight == w == brute_residual_optimum(inst, 0)
 
-    def test_rejects_huge_n(self):
+    def test_has_no_n_cap(self):
         inst = make_instance(1, [((1,), 1)] * 26)
-        with pytest.raises(TooManySetsForExhaustive):
-            exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
+        res = exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
+        assert (res.weight, res.status) == (1, STATUS_OPTIMAL)
 
-    def test_dp_split_path(self):
-        # n above the one-table DP width exercises the hi/lo product scan
-        from setcoverlab.exact import _dp_scan
-        from setcoverlab.instance import element_masks
+    @pytest.mark.parametrize("n", [21, 22])
+    def test_optimum_workload_sizes_match_highs(self, n):
+        for seed in range(3):
+            inst = weights_1_to_10(30, n, 0.2, seed)
+            res = exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
+            assert res.status == STATUS_OPTIMAL
+            assert res.weight == highs_optimum(inst)
 
-        inst = rnd(5, m=6, n=8)
-        masks = element_masks(inst)
-        weights = [1] * 8
-        full = (1 << 6) - 1
-        wide = _dp_scan(masks, weights, full, lo_bits=20)
-        narrow = _dp_scan(masks, weights, full, lo_bits=3)
-        assert wide[0] == narrow[0]
+    def test_ties_go_to_the_lowest_bitmask(self):
+        # among equal-weight optimal covers, the one with the least sum(1 << i)
+        unit = [gen_random(RandomSpec(m=2 + seed % 9, n=2 + seed % 11, density=0.4,
+                                      weight_lo=Fraction(1), weight_hi=Fraction(1),
+                                      seed=seed))
+                for seed in range(60)]
+        for inst in unit + [gen_gf2(3), gen_gf2(4)]:
+            res = exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
+            assert (res.weight, res.cover.set_indices) == brute_lowest_mask_optimum(inst)
+
+    def test_node_counts(self):
+        # a node is cut once its weight reaches the incumbent's, not later;
+        # the unit-weight instance has uncovered nodes at that weight
+        unit = gen_random(RandomSpec(m=12, n=14, density=0.3, weight_lo=Fraction(1),
+                                     weight_hi=Fraction(1), seed=1))
+        for inst, expected in ((gen_gf2(4), (4, 4681, (0, 1, 3, 7))),
+                               (unit, (3, 130, (0, 2, 4)))):
+            res = exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
+            assert (res.weight, res.nodes, res.cover.set_indices) == expected
+            assert res.bound_stats == {}
+
+    def test_node_budget_exhausts(self):
+        inst = rnd(9, m=10, n=14)
+        res = exact_opt(inst, SolveBudget(node_limit=2, method=METHOD_EXHAUSTIVE))
+        assert (res.status, res.nodes) == (STATUS_BUDGET, 2)
+        assert is_cover(inst, res.cover.set_indices)
+        assert res.weight == sum((inst.sets[i].weight for i in res.cover.set_indices),
+                                 Fraction(0))
+        assert res.weight >= brute_optimum(inst)[0]
 
 
 class TestBranchAndBound:
@@ -133,12 +159,10 @@ class TestBranchAndBound:
             inst = rnd(seed, m=2 + seed % 9, n=1 + seed % 15)
             a = exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
             b = exact_opt(inst, SolveBudget(method=METHOD_BNB))
-            assert a.weight == b.weight
+            assert a.weight == b.weight == brute_optimum(inst)[0]
             assert b.status == STATUS_OPTIMAL
 
     def test_cover_is_a_cover(self):
-        from setcoverlab import is_cover
-
         for seed in range(30):
             inst = rnd(seed * 3 + 1)
             res = exact_opt(inst, SolveBudget(method=METHOD_BNB))
@@ -327,9 +351,14 @@ class TestVerify:
 
 class TestPlumbing:
     def test_auto_picks_exhaustive_for_small_n(self):
+        # the exhaustive search reports no prunes and never runs the greedy bound
         inst = rnd(3, m=5, n=5)
-        res = exact_opt(inst)  # auto
-        assert res.nodes == 1 << 5
+        with mock.patch.object(exact_mod, "_residual_greedy_bound",
+                               wraps=exact_mod._residual_greedy_bound) as spy:
+            res = exact_opt(inst)  # auto
+            assert (res.bound_stats, spy.call_count) == ({}, 0)
+            exact_opt(inst, SolveBudget(method=METHOD_BNB))
+            assert spy.call_count > 0
 
     def test_positive_weights_required(self):
         inst = make_instance(2, [((1, 2), 0)])

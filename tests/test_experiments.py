@@ -23,6 +23,7 @@ from setcoverlab.errors import MTooLargeForMode
 from setcoverlab.experiments import (
     MODE_COMPOSITIONS,
     MODE_PARTITIONS,
+    PUBLISHED_TABLE3_G,
     bucket_stats,
     resolve_mode,
 )
@@ -274,13 +275,13 @@ class TestTable3:
             assert row.w_gr == row.k
 
     def test_ig_lower_bounds(self):
-        rep = table3(5, 10, lp_product_limit=0)
+        rep = table3(5, 10)
         expected = [2.48, 2.99, 3.49, 4.00, 4.50, 5.00]
         for row, want in zip(rep.rows, expected):
             assert row.ig_lower == pytest.approx(want, abs=0.01)
 
     def test_r_lower_bounds(self):
-        rep = table3(5, 10, lp_product_limit=0)
+        rep = table3(5, 10)
         expected = [2.58, 3.05, 3.53, 4.02, 4.51, 5.01]
         for row, want in zip(rep.rows, expected):
             assert row.r_lower == pytest.approx(want, abs=0.01)
@@ -293,7 +294,7 @@ class TestTable3:
         assert row.g_trace == Fraction(3567, 1085)
 
     def test_g_differs_from_published_and_is_flagged(self):
-        rep = table3(5, 6, lp_product_limit=0)
+        rep = table3(5, 6)
         for row in rep.rows:
             assert row.g_matches_published is False
         md = emit_markdown(rep)
@@ -306,6 +307,19 @@ class TestTable3:
             want = 2 * row.m / (row.m + 1)
             assert row.lp_objective == pytest.approx(want, abs=1e-7)
             assert row.r_lp >= row.r_lower - 1e-9
+
+    def test_lp_cells_are_certified_exactly_up_to_k10(self):
+        # the LP optimum of gf2(k) is (2^k - 1)/2^(k-1), which makes R from
+        # the LP equal the R lower bound w(Gr)*(m+1)/(2m)
+        for row in table3(2, 10).rows:
+            assert Fraction(row.lp_objective) == Fraction((1 << row.k) - 1, 1 << (row.k - 1))
+            assert row.r_lp == row.r_lower
+
+    def test_published_g_is_below_r_and_r_is_at_most_g(self):
+        # w(Gr) <= G*OPT_LP gives R <= G, so no trace bound lies below R
+        for row in table3(5, 10).rows:
+            r = row.w_gr / Fraction(row.lp_objective)
+            assert PUBLISHED_TABLE3_G[row.k] < r <= row.g_trace
 
     def test_trace_replays(self):
         from setcoverlab import gen_gf2
@@ -334,7 +348,7 @@ class TestEmit:
         assert emit_markdown(rep) == emit_markdown(rep)
 
     def test_table3_markdown_row_count(self):
-        md = emit_markdown(table3(5, 9, lp_product_limit=0))
+        md = emit_markdown(table3(5, 9))
         body = [ln for ln in md.splitlines() if ln.startswith("| ") and "| k |" not in ln]
         assert len(body) == 9 - 5 + 1  # one data row per k
 
