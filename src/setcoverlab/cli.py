@@ -2,8 +2,8 @@
 
 Subcommands: validate, greedy, bounds, lp, exact, gen (cs|gf2|random),
 table (1|2|3), convert.  Exit codes: 0 success, 1 usage error, 2 parse
-error, 3 invalid/infeasible instance, 4 budget or iteration limit, 5 solver
-numerical failure.
+error, 3 invalid/infeasible instance, 4 budget or iteration limit or out of
+memory, 5 solver numerical failure.
 """
 
 from __future__ import annotations
@@ -219,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.set_defaults(fn=_cmd_lp)
 
-    p = sub.add_parser("exact", help="exact optimum by depth-first search: exhaustive "
-                       "(incumbent cut only) or branch-and-bound (greedy bound)")
+    p = sub.add_parser("exact", help="exact optimum by depth-first search with the "
+                       "incumbent cut: exhaustive (ties to the lowest bitmask) or "
+                       "branch-and-bound (first cover found)")
     p.add_argument("file")
     p.add_argument("--node-limit", type=int, default=10_000_000)
     p.add_argument("--time-limit", type=float, default=60.0)
@@ -292,6 +293,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (TooManySets, MTooLargeForMode) as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("limit exceeded: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except NumericalFailure as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -2,14 +2,13 @@
 
 One depth-first search: it branches on the lowest uncovered element, visits
 the sets containing it cheapest-first, and cuts a node once its weight
-reaches the incumbent's.  The exhaustive method runs it with no other cut;
-every optimal cover is then a leaf, and ties go to the cover with the
-lowest subset bitmask.  Branch-and-bound also prunes against the incumbent
-using the greedy trace bound rearranged into a lower bound on the residual
-optimum, w(Gr_sub)/G(s_sub); optionally first by the root LP's dual, made
-exactly feasible, summed over the uncovered elements, tested before a child
-is pushed and again when it is popped (the incumbent may have improved in
-between).
+reaches the incumbent's.  Every optimal cover is then a leaf.  The two
+methods differ in the tie rule: the exhaustive method keeps, among covers
+of equal weight, the one with the lowest subset bitmask; branch-and-bound
+keeps the first found.  Branch-and-bound can also prune by the root LP's
+dual, made exactly feasible, summed over the uncovered elements, tested
+before a child is pushed and again when it is popped (the incumbent may
+have improved in between).
 
 Weight arithmetic inside the search runs on integers (all weights scaled by
 the common denominator), so comparisons stay exact and fast; results are
@@ -24,9 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
-from .bounds import g_from_counts
 from .errors import TooManySets
-from .greedy import _kernel, greedy
+from .greedy import greedy
 from .instance import (Cover, Instance, _scaled_weights, element_masks, element_sets,
                        require_positive_weights)
 
@@ -63,20 +61,6 @@ class ExactResult:
     bound_stats: dict = field(default_factory=dict)
 
 
-def _residual_greedy_bound(masks, weights, covered, full):
-    """Exact lower bound w(Gr_sub)/G(s_sub) on the residual optimum (scaled).
-
-    Runs the charged greedy on the residual sets; returns a Fraction in the
-    scaled-weight unit, or 0 when nothing remains.
-    """
-    uncovered = full & ~covered
-    if uncovered == 0:
-        return Fraction(0)
-    chosen, gains = _kernel(masks, weights, uncovered)
-    g = g_from_counts(gains, uncovered.bit_count())
-    return Fraction(sum(weights[i] for i in chosen)) / g
-
-
 def _feasible_dual(instance: Instance, y):
     """y clamped at 0, then divided by max(1, its largest set load / weight).
 
@@ -108,11 +92,12 @@ def _mask_sum(values, mask):
 
 
 def _search(instance, budget, use_lp_bound, bounded):
-    """Depth-first search; bounded adds branch-and-bound's residual bounds.
+    """Depth-first search; bounded selects branch-and-bound's behaviour.
 
-    Unbounded, a node is cut only once its weight reaches the incumbent's,
-    so every optimal cover is a leaf, and among equal weights the lowest
-    subset bitmask wins.  Bounded, the first cover found at a weight stays.
+    A node is cut once its weight reaches the incumbent's, so every optimal
+    cover is a leaf.  Unbounded, among equal weights the lowest subset
+    bitmask wins.  Bounded, the first cover found at a weight stays, the
+    root dual prunes when use_lp_bound is set, and the prunes are counted.
     """
     deadline = time.monotonic() + budget.time_limit
     masks = element_masks(instance)
@@ -129,7 +114,7 @@ def _search(instance, budget, use_lp_bound, bounded):
     by_element = [sorted(holders, key=lambda i: (weights[i], i))
                   for holders in element_sets(instance)]
 
-    stats = {"greedy_g": 0, "lp": 0}
+    stats = {"lp": 0}
     nodes = 0
     hit_limit = False
     # (covered, w_so_far, chosen, dual sum of the uncovered elements)
@@ -154,9 +139,7 @@ def _search(instance, budget, use_lp_bound, bounded):
         if ys and w_so_far * dy + y_left * denom >= incumbent_w * dy:
             stats["lp"] += 1
             continue
-        g_bound = _residual_greedy_bound(masks, weights, covered, full) if bounded else 0
-        if w_so_far + g_bound >= incumbent_w:
-            stats["greedy_g"] += 1
+        if w_so_far >= incumbent_w:
             continue
         e = ((full & ~covered) & -(full & ~covered)).bit_length() - 1
         for i in reversed(by_element[e]):

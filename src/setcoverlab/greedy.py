@@ -6,9 +6,9 @@ newly-covered counts s_k, the residual counts m_k, the charged ratios and
 the accumulated cover weight: everything the bound machinery needs, as
 exact rationals.
 
-One private kernel, shared with the branch-and-bound residual bound, picks
-on integers with a lazy priority queue (Minoux 1978, "Accelerated greedy
-algorithms"); Fractions are built only for the chosen sets.
+One private kernel picks on integers with a lazy priority queue (Minoux
+1978, "Accelerated greedy algorithms"); Fractions are built only for the
+chosen sets.
 """
 
 from __future__ import annotations

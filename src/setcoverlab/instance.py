@@ -124,12 +124,17 @@ def validate(instance: Instance) -> None:
             raise NegativeWeight(
                 f"set {i} has negative weight {entry.weight}", set_index=i
             )
-    masks = _build_masks(instance)
-    union = 0
-    for mask in masks:
-        union |= mask
-    # lowest clear bit of the union; no integer wider than the largest element
-    missing = ((union + 1) & ~union).bit_length()
+    entries = sum(entry.size for entry in instance.sets)
+    if entries < m:  # some element is missing: find the lowest without masks
+        present = {e for entry in instance.sets for e in entry.elements if e <= entries + 1}
+        missing = min(set(range(1, entries + 2)) - present)
+    else:
+        masks = _build_masks(instance)
+        union = 0
+        for mask in masks:
+            union |= mask
+        # lowest clear bit of the union; no integer wider than the largest element
+        missing = ((union + 1) & ~union).bit_length()
     if missing <= m:
         raise UnionNotUniverse(
             f"element {missing} is covered by no set", missing_element=missing

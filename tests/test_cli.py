@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from setcoverlab import cli
 from setcoverlab.cli import main
 
 
@@ -70,12 +71,16 @@ class TestValidateAndConvert:
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == 3 and "invalid instance" in err
 
-    @pytest.mark.parametrize("m", [10**9, 10**11])
-    def test_huge_universe_fails_in_bounded_memory(self, tmp_path, m):
-        # a 24-byte file: a mask of m bits would need m/8 bytes.  The CLI runs
-        # as a grandchild, so RUSAGE_CHILDREN holds its peak alone.
+    @pytest.mark.parametrize("text, missing", [
+        *(pytest.param(f"scp 1\n{m} 1\n1 1 1\n", 2, id=str(m)) for m in (10**9, 10**11)),
+        pytest.param("scp 1\n1000000000 1\n1 1 1000000000\n", 1, id="far-element"),
+    ])
+    def test_huge_universe_fails_in_bounded_memory(self, tmp_path, text, missing):
+        # files of a few dozen bytes: a mask of m bits, or one as wide as the
+        # far element, would need about 125 MB.  The CLI runs as a grandchild,
+        # so RUSAGE_CHILDREN holds its peak alone.
         path = tmp_path / "huge.scp"
-        path.write_text(f"scp 1\n{m} 1\n1 1 1\n")
+        path.write_text(text)
         probe = ("import resource, subprocess, sys\n"
                  "p = subprocess.run([sys.executable, '-m', 'setcoverlab.cli', 'validate',"
                  " sys.argv[1]], capture_output=True, text=True)\n"
@@ -85,8 +90,16 @@ class TestValidateAndConvert:
                               capture_output=True, text=True)
         code, out, err, peak_kb = proc.stdout.rstrip("\n").split("|")
         assert (code, out) == ("3", "")
-        assert err == "invalid instance: element 2 is covered by no set\n"
+        assert err == f"invalid instance: element {missing} is covered by no set\n"
         assert int(peak_kb) < 150 * 1024  # ru_maxrss is in KiB on Linux
+
+    def test_out_of_memory_is_a_limit(self, capsys, cs_file, monkeypatch):
+        def exhausted(path, source):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_load", exhausted)
+        code, out, err = run_cli(capsys, "validate", cs_file)
+        assert (code, out, err) == (4, "", "limit exceeded: out of memory\n")
 
     def test_missing_file_is_usage(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "/nonexistent/x.scp")
@@ -174,6 +187,8 @@ class TestLpExact:
                                "--node-limit", "1", "--method", "branch-and-bound")
         assert code == 4
         assert "status=budget-exceeded" in out
+        assert [line.split("=")[0] for line in out.splitlines()] == [
+            "weight", "status", "nodes", "cover", "prunes_lp"]
 
     def test_solver_fault_exit_code(self, capsys, cs_file, monkeypatch):
         def singular(*args):

@@ -50,20 +50,6 @@ def weights_1_to_10(m, n, density, seed):
                                  weight_hi=Fraction(10), seed=seed))
 
 
-def bounded_nodes(inst):
-    """(covered mask, greedy bound) at each node B&B bounded by greedy.
-
-    A spy records every call of the residual greedy bound; each bound is
-    recomputed from the recorded arguments and brought to weight units.
-    """
-    with mock.patch.object(exact_mod, "_residual_greedy_bound",
-                           wraps=exact_mod._residual_greedy_bound) as spy:
-        exact_opt(inst, SolveBudget(method=METHOD_BNB))
-    denom = _scaled_weights(inst)[1]
-    return [(call.args[2], exact_mod._residual_greedy_bound(*call.args) / denom)
-            for call in spy.call_args_list]
-
-
 def dual_values(inst, y):
     """The scaled root dual of exact._feasible_dual as Fractions per element."""
     ys, dy = exact_mod._feasible_dual(inst, y)
@@ -178,10 +164,13 @@ class TestBranchAndBound:
         assert res.weight >= exact_opt(inst).weight
 
     def test_prune_stats_recorded(self):
+        # the root dual is the only bound, and it counts only when it is used
         inst = gen_class_cs(SequenceSpec((2, 2, 2, 2)))
-        res = exact_opt(inst, SolveBudget(method=METHOD_BNB))
-        assert res.status == STATUS_OPTIMAL
-        assert "greedy_g" in res.bound_stats
+        plain = exact_opt(inst, SolveBudget(method=METHOD_BNB))
+        with_lp = exact_opt(inst, SolveBudget(method=METHOD_BNB), use_lp_bound=True)
+        assert plain.status == with_lp.status == STATUS_OPTIMAL
+        assert plain.bound_stats == {"lp": 0}
+        assert list(with_lp.bound_stats) == ["lp"] and with_lp.bound_stats["lp"] > 0
 
     def test_lp_bound_variant_agrees(self):
         for seed in (2, 11, 23):
@@ -191,33 +180,9 @@ class TestBranchAndBound:
                                 use_lp_bound=True)
             assert plain.weight == with_lp.weight
 
-    def test_node_bound_never_exceeds_residual_optimum(self):
-        # audit: w(Gr_sub)/G(s_sub) <= w(Opt_sub) at every bounded node
-        for seed in (1, 4, 7, 13):
-            inst = rnd(seed, m=8, n=9)
-            nodes = bounded_nodes(inst)
-            assert nodes
-            for covered, bound in nodes:
-                assert bound <= brute_residual_optimum(inst, covered)
-
-    def test_sampled_bounds_equal_eager_recomputation(self):
-        # the lazy integer kernel gives the same residual bound, node by
-        # node, as a plain eager greedy over Fraction ratios; the first three
-        # instances tie ratios, the third at different counts
-        tied = [gen_gf2(4), gen_class_cs(SequenceSpec((3, 2, 2, 1))),
-                make_instance(4, [((1,), 1), ((2, 3), 2), ((1, 2, 3, 4), 4), ((4,), 1)])]
-        for inst in tied + [gen_random(RandomSpec(m=12, n=14, density=0.3,
-                                                  weight_lo=Fraction(1, 2),
-                                                  weight_hi=Fraction(6), seed=seed))
-                            for seed in (1, 4, 7, 13)]:
-            nodes = bounded_nodes(inst)
-            assert nodes
-            for covered, bound in nodes:
-                assert bound == eager_residual_bound(inst, covered)
-
     def test_gf2_4_node_count(self):
         res = exact_opt(gen_gf2(4), SolveBudget(method=METHOD_BNB))
-        assert (res.weight, res.nodes, res.bound_stats) == (4, 585, {"greedy_g": 512, "lp": 0})
+        assert (res.weight, res.nodes, res.bound_stats) == (4, 4681, {"lp": 0})
 
 
 class TestRootDualBound:
@@ -231,17 +196,18 @@ class TestRootDualBound:
         assert res.status == STATUS_OPTIMAL
         assert res.weight == optimum == highs_optimum(inst)
 
-    @pytest.mark.parametrize("m, n, seed, nodes, prunes", [(40, 40, 1, 847, 1384),
-                                                           (60, 60, 3, 1870, 5938)])
+    @pytest.mark.parametrize("m, n, seed, nodes, prunes", [(40, 40, 1, 847, 1514),
+                                                           (60, 60, 3, 1898, 6365)])
     def test_children_the_dual_rules_out_are_never_pushed(self, m, n, seed, nodes, prunes):
-        # pruning only on pop visited 2,208 and 7,757 nodes here (1,384 and
-        # 5,926 dual prunes); the same test before the push skips most of them
+        # a child the dual rules out is counted as a prune, not pushed and
+        # visited as a node
         inst = weights_1_to_10(m, n, 0.1, seed)
         res = exact_opt(inst, SolveBudget(method=METHOD_BNB), use_lp_bound=True)
         assert (res.nodes, res.bound_stats["lp"]) == (nodes, prunes)
 
     def test_deadline_covers_the_root_lp(self):
-        inst = weights_1_to_10(80, 240, 0.06, 0)
+        # an instance the search cannot close in 20 s
+        inst = weights_1_to_10(100, 300, 0.05, 0)
         t0 = time.monotonic()
         res = exact_opt(inst, SolveBudget(method=METHOD_BNB, time_limit=2),
                         use_lp_bound=True)
@@ -309,24 +275,6 @@ class TestRootDualBound:
         assert spy.call_count == 20  # each search read the inflated dual
 
 
-def eager_residual_bound(inst, covered_mask):
-    """w(Gr_sub)/G(s_sub) by re-rating every set on every step, plain sets."""
-    remaining = {e for e in range(1, inst.m + 1) if not covered_mask >> (e - 1) & 1}
-    total = Fraction(0)
-    g = Fraction(0)
-    while remaining:
-        best = best_ratio = None
-        for i, entry in enumerate(inst.sets):
-            fresh = remaining.intersection(entry.elements)
-            if fresh and (best is None or entry.weight / len(fresh) < best_ratio):
-                best, best_ratio = i, entry.weight / len(fresh)
-        fresh = remaining.intersection(inst.sets[best].elements)
-        g += Fraction(len(fresh), len(remaining))
-        total += inst.sets[best].weight
-        remaining -= fresh
-    return total / g if g else Fraction(0)
-
-
 class TestVerify:
     def test_exact_opt_output_verifies(self):
         for seed in range(40):
@@ -351,14 +299,10 @@ class TestVerify:
 
 class TestPlumbing:
     def test_auto_picks_exhaustive_for_small_n(self):
-        # the exhaustive search reports no prunes and never runs the greedy bound
+        # the exhaustive search reports no prune counters; branch-and-bound does
         inst = rnd(3, m=5, n=5)
-        with mock.patch.object(exact_mod, "_residual_greedy_bound",
-                               wraps=exact_mod._residual_greedy_bound) as spy:
-            res = exact_opt(inst)  # auto
-            assert (res.bound_stats, spy.call_count) == ({}, 0)
-            exact_opt(inst, SolveBudget(method=METHOD_BNB))
-            assert spy.call_count > 0
+        assert exact_opt(inst).bound_stats == {}  # auto
+        assert exact_opt(inst, SolveBudget(method=METHOD_BNB)).bound_stats == {"lp": 0}
 
     def test_positive_weights_required(self):
         inst = make_instance(2, [((1, 2), 0)])

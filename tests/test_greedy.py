@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setcoverlab import (
@@ -184,8 +184,13 @@ def tie_heavy_instances(draw):
 
 
 class TestKernelEquivalence:
+    # gf2(4) and cs(3,2,2,1) tie ratios, which each policy must break its own way
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_instances(), st.sampled_from((TIE_LOWEST_INDEX, TIE_MAX_RESIDUAL)))
+    @example(gen_gf2(4), TIE_LOWEST_INDEX)
+    @example(gen_gf2(4), TIE_MAX_RESIDUAL)
+    @example(gen_class_cs(SequenceSpec((3, 2, 2, 1))), TIE_LOWEST_INDEX)
+    @example(gen_class_cs(SequenceSpec((3, 2, 2, 1))), TIE_MAX_RESIDUAL)
     def test_matches_oracle_under_both_policies(self, inst, tie):
         chosen, s, total = brute_greedy_sequence(inst, tie=tie)
         trace = greedy(inst, tie=tie)

@@ -85,10 +85,11 @@ class TestValidate:
             validate(Instance(m=1, sets=()))
 
     def test_missing_element_with_fewer_occurrences_than_m(self):
-        # the lowest gap in the union of the masks, which are only as wide as
-        # the largest element, so a huge m costs no m-bit integer
+        # the lowest gap among the listed elements, with no mask built, so
+        # neither a huge m nor a far element costs a wide integer
         for m, sets, missing in [(10**11, [((1, 3), 1), ((2, 5), 1)], 4),
-                                 (4, [((1, 2), 1), ((1, 2), 1)], 3)]:
+                                 (4, [((1, 2), 1), ((1, 2), 1)], 3),
+                                 (10**9, [((10**9,), 1)], 1)]:
             with pytest.raises(UnionNotUniverse) as exc:
                 validate(make_instance(m, sets))
             assert exc.value.missing_element == missing
