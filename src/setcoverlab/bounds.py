@@ -9,7 +9,7 @@ an instance-wise upper bound on w(Gr)/w(Opt) that refines the classical
 harmonic guarantee H(m); the gap Delta = H(m) - G is nonnegative and
 vanishes exactly when every iteration covers a single element.  Rearranged,
 G also yields the lower bound w(Gr)/G on the optimal cover weight, which
-the exact solver uses for pruning.
+bound_report states as opt_lower; the exact solver does not prune with it.
 """
 
 from __future__ import annotations

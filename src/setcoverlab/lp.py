@@ -3,11 +3,18 @@
 The primal is  min w.x  s.t.  each element's sets sum to >= 1,  x >= 0.
 We run a tableau simplex on the dual packing program (max 1.y subject to
 per-set loads <= w, y >= 0), whose slack basis is immediately feasible, so
-no two-phase start is needed.  Dantzig pricing is used until a degeneracy
-streak, then Bland's rule until the objective moves again.  The tableau is
-refactorized from the original data every so many pivots and again before
-optimality is declared, so drift never decides termination; the primal
-solution is the simplex multipliers of that final refactorization.
+no two-phase start is needed.  The tableau is condensed (Tucker's form):
+its n rows are the basic variables and its m columns the nonbasic ones,
+plus the rhs column and the reduced-cost row, so the n x n identity block
+of the basic columns is never stored or updated.  Two label arrays map
+rows and column slots to variables (y_e is label e-1, set i's slack label
+m+i); at a pivot the leaving variable takes the entering one's slot.
+Dantzig pricing is used until a degeneracy streak, then Bland's rule until
+the objective moves again; both rules, and the ratio test, break ties by
+the lowest variable label, never by slot.  The tableau is refactorized
+from the original data every so many pivots and again before optimality
+is declared, so drift never decides termination; the primal solution is
+the simplex multipliers of that final refactorization.
 
 Because the float tableau can drift, the solver then tries to certify the
 result exactly: the float primal/dual pair is snapped to small rationals
@@ -29,6 +36,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 import numpy as np
@@ -72,35 +80,47 @@ class LpOutcome:
 
 
 def _dual_data(instance: Instance):
-    """Constraint matrix [D | I], rhs w and objective c of the dual LP."""
-    m, n = instance.m, instance.n
-    a = np.zeros((n, m + n))
-    w = np.zeros(n)
-    for i, entry in enumerate(instance.sets):
-        for e in entry.elements:
-            a[i, e - 1] = 1.0
-        a[i, m + i] = 1.0
-        w[i] = float(entry.weight)
-    c = np.zeros(m + n)
-    c[:m] = 1.0
-    return a, w, c
+    """The dual's constraint matrix D (n x m): D[i, e-1] = 1 when set i holds e."""
+    holders = element_sets(instance)
+    sizes = list(map(len, holders))
+    d = np.zeros((instance.n, instance.m))
+    d[np.fromiter(chain.from_iterable(holders), np.intp, sum(sizes)),
+      np.repeat(np.arange(instance.m), sizes)] = 1.0
+    return d
 
 
-def _refactorize(a, w, c, basis):
-    """Rebuild the tableau from scratch for the basis.
+def _columns(d, labels):
+    """The columns of [D | I] with the given variable labels.
 
-    Pivoting drifts the dense tableau; recomputing B^-1 [A | w] and the
-    reduced-cost row from the original data bounds the error by a single
-    solve, exactly like reinversion in a revised simplex.
+    Label v < m is D[:, v]; label v >= m is the slack column e_(v-m).
     """
-    b_mat = a[:, basis]
+    n, m = d.shape
+    out = np.zeros((n, labels.size))
+    structural = labels < m
+    out[:, structural] = d[:, labels[structural]]
+    slots = np.flatnonzero(~structural)
+    out[labels[slots] - m, slots] = 1.0
+    return out
+
+
+def _refactorize(d, w, basis, nonbasic):
+    """Rebuild the condensed tableau from scratch for the basis.
+
+    Pivoting drifts the dense tableau; recomputing B^-1 [N | w] and the
+    reduced-cost row from the original data bounds the error by a single
+    solve, exactly like reinversion in a revised simplex.  Returns the
+    tableau and the simplex multipliers pi.
+    """
+    m = d.shape[1]
+    b_mat = _columns(d, basis)
+    n_mat = _columns(d, nonbasic)
     try:
-        body = np.linalg.solve(b_mat, np.column_stack([a, w]))
-        pi = np.linalg.solve(b_mat.T, c[basis])
+        body = np.linalg.solve(b_mat, np.column_stack([n_mat, w]))
+        pi = np.linalg.solve(b_mat.T, (basis < m).astype(float))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular basis during refactorization: {exc}")
-    obj = np.append(c - pi @ a, -(pi @ w))
-    return np.vstack([body, obj])
+    obj = np.append((nonbasic < m).astype(float) - pi @ n_mat, -(pi @ w))
+    return np.vstack([body, obj]), pi
 
 
 def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
@@ -116,51 +136,70 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
     if max_iterations is None:
         max_iterations = 100 * (m + n) + 1000
 
-    a, w, c = _dual_data(instance)
-    basis = list(range(m, m + n))
-    # the slack basis is the identity: the start tableau is [a | w] over [c | -0]
-    t = np.vstack([np.column_stack([a, w]), np.append(c, -0.0)])
+    d = _dual_data(instance)
+    w = np.array([float(entry.weight) for entry in instance.sets])
+    basis = np.arange(m, m + n)  # row -> variable label
+    nonbasic = np.arange(m)  # slot -> variable label
+    # the slack basis is the identity: the start tableau is [D | w] over [1 | -0]
+    t = np.empty((n + 1, m + 1))
+    t[:n, :m] = d
+    t[:n, m] = w
+    t[n, :m] = 1.0
+    t[n, m] = -0.0
+    pi = np.zeros(n)
     iterations = 0
     since_refresh = 0
     streak = 0
     bland = False
     while True:
-        obj_row = t[n, : m + n]
+        obj_row = t[n, :m]
         if bland:
-            candidates = np.nonzero(obj_row > tol)[0]
-            enter = int(candidates[0]) if candidates.size else -1
+            candidates = (obj_row > tol).nonzero()[0]
+            enter = int(candidates[nonbasic[candidates].argmin()]) if candidates.size else -1
         else:
-            enter = int(np.argmax(obj_row))
+            enter = int(obj_row.argmax())
             if obj_row[enter] <= tol:
                 enter = -1
+            else:  # ties go to the lowest variable label, not the lowest slot
+                tied = (obj_row == obj_row[enter]).nonzero()[0]
+                if tied.size > 1:
+                    enter = int(tied[nonbasic[tied].argmin()])
         if enter < 0:
             if since_refresh == 0:
                 status = STATUS_OPTIMAL
                 break
-            t = _refactorize(a, w, c, basis)
+            t, pi = _refactorize(d, w, basis, nonbasic)
             since_refresh = 0
             continue
         if iterations >= max_iterations:
             status = STATUS_ITERATION_LIMIT
             break
         col = t[:n, enter]
-        rows = np.nonzero(col > tol)[0]
+        rows = (col > tol).nonzero()[0]
         if rows.size == 0:
             raise NumericalFailure("dual LP appears unbounded; corrupt tableau")
-        ratios = t[rows, -1] / col[rows]
+        ratios = t[rows, m] / col[rows]
         best = ratios.min()
         tied = rows[ratios <= best + tol]
-        leave = int(min(tied, key=lambda r: basis[r]))
+        leave = int(tied[basis[tied].argmin()]) if tied.size > 1 else int(tied[0])
         pivot = t[leave, enter]
+        inverse = 1.0 / pivot
         t[leave] /= pivot
         factors = t[:, enter].copy()
         factors[leave] = 0.0
-        t -= np.outer(factors, t[leave])
-        basis[leave] = enter
+        t -= np.multiply.outer(factors, t[leave])
+        # the leaving variable takes the entering one's slot, holding what
+        # the full tableau makes of its unit column: 1/pivot in the pivot
+        # row, 0 - factors/pivot elsewhere
+        leaving = t[:, enter]
+        np.multiply(factors, inverse, out=leaving)
+        np.subtract(0.0, leaving, out=leaving)
+        leaving[leave] = inverse
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
         iterations += 1
         since_refresh += 1
         if since_refresh >= REFRESH_INTERVAL:
-            t = _refactorize(a, w, c, basis)
+            t, pi = _refactorize(d, w, basis, nonbasic)
             since_refresh = 0
         if best <= tol:
             streak += 1
@@ -170,15 +209,18 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
             streak = 0
             bland = False
 
-    # the slack columns' reduced costs are -pi, the primal multipliers;
+    if status == STATUS_ITERATION_LIMIT:
+        # the nonbasic slacks' reduced costs are -pi; the basic ones' are 0
+        slacks = np.flatnonzero(nonbasic >= m)
+        pi = np.zeros(n)
+        pi[nonbasic[slacks] - m] = -t[n, slacks]
     # optimality is only ever declared right after a refactorization, so
-    # they are fresh then
-    x = np.maximum(-t[n, m : m + n], 0.0)
+    # its multipliers are fresh then
+    x = np.maximum(pi, 0.0)
     objective = float(sum(float(e.weight) * xi for e, xi in zip(instance.sets, x)))
     y = np.zeros(m)
-    for r, v in enumerate(basis):
-        if v < m:
-            y[v] = t[r, -1]
+    structural = np.flatnonzero(basis < m)
+    y[basis[structural]] = t[structural, m]
 
     exact_obj = None
     exact_x = None
@@ -186,7 +228,7 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
         pair = (_snap(x), _snap(y))
         exact = _check_pair(instance, *pair)
         if exact is None:
-            pair = _snap_to_det(instance, a[:, basis], x, y)
+            pair = _snap_to_det(instance, _columns(d, basis), x, y)
             exact = pair and _check_pair(instance, *pair)
         if exact is not None:
             exact_x, exact_obj = exact
@@ -201,8 +243,10 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
 
 
 def _snap(values) -> list[Fraction]:
-    return [Fraction(float(v)).limit_denominator(RATIONALIZE_DENOM)
-            for v in values]
+    """Each value's nearest small rational, computed once per distinct value."""
+    floats = [float(v) for v in values]
+    snapped = {v: Fraction(v).limit_denominator(RATIONALIZE_DENOM) for v in set(floats)}
+    return [snapped[v] for v in floats]
 
 
 def _snap_to_det(instance: Instance, b_mat, x, y):

@@ -264,9 +264,9 @@ class TestCertificateCheck:
         assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
 
 
-def random_lp(m, n, density, seed):
+def random_lp(m, n, density, seed, weight_hi=10):
     return gen_random(RandomSpec(m=m, n=n, density=density, weight_lo=Fraction(1),
-                                 weight_hi=Fraction(10), seed=seed))
+                                 weight_hi=Fraction(weight_hi), seed=seed))
 
 
 def assert_r_at_most_g(instance, lp_objective):
@@ -298,6 +298,43 @@ class TestDeterminantFallback:
         out, pairs = solver_pairs(gen_gf2(8))
         assert out.status == STATUS_OPTIMAL and out.exact_objective is None
         assert len(pairs) == 1
+
+
+class TestPivotRules:
+    """Outcomes that the pivoting rules decide, pinned where a rule matters."""
+
+    # unit-weight LPs with alternative optimal vertices: breaking Dantzig's
+    # ties by tableau position instead of by variable label ends elsewhere
+    @pytest.mark.parametrize("shape, objective, x, y", [
+        ((8, 10, 0.3, 13), 3, {4: 1, 5: 1, 6: 1}, {2: 1, 3: 1, 7: 1}),
+        ((10, 12, 0.3, 2), Fraction(13, 4),
+         {2: "3/4", 4: "1/2", 5: "1/4", 8: "1/2", 9: 1, 11: "1/4"},
+         {0: "1/2", 2: "1/4", 3: 1, 5: "1/2", 7: "1/4", 8: "3/4"}),
+        ((12, 20, 0.2, 40), 3, {6: 1, 12: 1, 13: 1}, {5: 1, 7: 1, 9: 1}),
+    ], ids=["8x10s13", "10x12s2", "12x20s40"])
+    def test_dantzig_ties_go_to_the_lowest_label(self, shape, objective, x, y):
+        inst = random_lp(*shape, weight_hi=1)
+        out = solve_lp(inst)
+        assert out.exact_objective == objective
+        assert out.exact_x == tuple(Fraction(x.get(i, 0)) for i in range(inst.n))
+        assert out.y == tuple(Fraction(y.get(e, 0)) for e in range(inst.m))
+
+    # x is read off the nonbasic slacks' reduced costs, 0 for basic slacks
+    @pytest.mark.parametrize("inst, limit, objective, x", [
+        (gen_gf2(4), 1, 1.0, {0: 1}),
+        (gen_gf2(4), 3, 1.5, {0: 0.5, 1: 0.5, 2: 0.5}),
+        (gen_gf2(4), 10, 2.25, {0: 0.25, 3: 0.25, 4: 0.25, 5: 0.25, 6: 0.25, 9: 0.5, 10: 0.5}),
+        (random_lp(20, 20, 0.2, 5), 1, 1.879, {11: 1}),
+        (random_lp(20, 20, 0.2, 5), 3, 4.244, {6: 1, 8: 1}),
+        (random_lp(20, 20, 0.2, 5), 10, 38.358999999999995,
+         {0: 1, 5: 2, 8: 1, 11: 1, 15: 4, 16: 1}),
+    ], ids=["gf2-4-1", "gf2-4-3", "gf2-4-10", "rnd20-1", "rnd20-3", "rnd20-10"])
+    def test_iteration_limit_outcome(self, inst, limit, objective, x):
+        out = solve_lp(inst, max_iterations=limit)
+        assert (out.status, out.iterations) == (STATUS_ITERATION_LIMIT, limit)
+        assert out.objective == objective
+        assert list(out.cover.x) == [float(x.get(i, 0)) for i in range(inst.n)]
+        assert out.exact_objective is None
 
 
 class TestRelaxationProperties:
