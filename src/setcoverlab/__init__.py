@@ -12,10 +12,9 @@ from .bounds import (
     g_from_counts,
     g_of,
     harmonic,
-    opt_lower_bound,
     slavik_bounds,
 )
-from .exact import ExactResult, SolveBudget, exact_opt, verify_cover_optimal
+from .exact import ExactResult, SolveBudget, exact_opt
 from .experiments import (
     BucketStats,
     Table1Result,
@@ -57,7 +56,6 @@ from .instance import (
     write_native,
 )
 from .lp import (
-    FractionalCover,
     LpOutcome,
     check_fractional_cover,
     integrality_gap,

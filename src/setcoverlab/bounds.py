@@ -90,11 +90,6 @@ def slavik_bounds(m: int) -> tuple[float, float]:
     return base - SLAVIK_LOWER_SHIFT, base + SLAVIK_UPPER_SHIFT
 
 
-def opt_lower_bound(trace: GreedyTrace) -> Fraction:
-    """Lower bound w(Gr)/G on the optimal cover weight."""
-    return trace.total_weight / g_of(trace)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Every accuracy estimate for one instance, side by side.

@@ -25,7 +25,6 @@ from .errors import (
     NumericalFailure,
     ScpError,
     ScpSyntaxError,
-    TooManySets,
 )
 from .generators import (
     DEFAULT_EPSILON,
@@ -42,7 +41,6 @@ from .instance import (
     format_weight,
     parse_native,
     parse_orlib,
-    validate,
     write_native,
 )
 
@@ -118,7 +116,7 @@ def _cmd_lp(args) -> int:
     if args.export_lp:
         with open(args.export_lp, "w") as fh:
             fh.write(lp_mod.write_lp_format(instance))
-    outcome = lp_mod.solve_lp(instance, tol=args.tol)
+    outcome = lp_mod.solve_lp(instance)
     if args.format == "csv":
         _write_out(lp_mod.solution_to_csv(outcome), args.output)
     else:
@@ -168,7 +166,7 @@ def _cmd_table(args) -> int:
         report = exp_mod.table3(args.k_lo, args.k_hi)
     else:
         maker = exp_mod.table1 if args.which == "1" else exp_mod.table2
-        report = maker(args.m, mode=args.mode, workers=args.workers)
+        report = maker(args.m, mode=args.mode)
     text = exp_mod.emit_csv(report) if args.format == "csv" \
         else exp_mod.emit_markdown(report)
     _write_out(text, args.output)
@@ -176,9 +174,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    instance = _load(args.file, args.source)
-    validate(instance)
-    _write_out(write_native(instance), args.output)
+    _write_out(write_native(_load(args.file, args.source)), args.output)
     return EXIT_OK
 
 
@@ -213,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lp", help="solve the covering LP relaxation")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=lp_mod.DEFAULT_TOL)
     p.add_argument("--export-lp", default=None,
                    help="also write the LP-format text here")
     _add_io_flags(p)
@@ -258,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(
         "auto", exp_mod.MODE_COMPOSITIONS, exp_mod.MODE_PARTITIONS,
     ), default="auto")
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for old scripts; has no effect")
     p.add_argument("--k-lo", type=int, default=5)
     p.add_argument("--k-hi", type=int, default=10)
     p.add_argument("-o", "--output", default=None)
@@ -291,7 +284,7 @@ def main(argv=None) -> int:
     except (InvalidInstance, NonPositiveWeight) as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (TooManySets, MTooLargeForMode) as exc:
+    except MTooLargeForMode as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except MemoryError:

@@ -82,10 +82,6 @@ class NumericalFailure(ScpError):
     pass
 
 
-class TooManySets(ScpError):
-    pass
-
-
 class KOutOfRange(ScpError):
     pass
 

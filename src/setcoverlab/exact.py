@@ -23,12 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
-from .errors import TooManySets
 from .greedy import greedy
 from .instance import (Cover, Instance, _scaled_weights, element_masks, element_sets,
                        require_positive_weights)
 
-EXHAUSTIVE_CAP = 25
 AUTO_EXHAUSTIVE_MAX_N = 18
 
 METHOD_EXHAUSTIVE = "exhaustive"
@@ -175,28 +173,6 @@ def exact_opt(instance: Instance, budget: SolveBudget | None = None, *,
         cover=Cover(set_indices=indices, weight=weight),
         weight=weight, status=status, nodes=nodes, bound_stats=stats,
     )
-
-
-def verify_cover_optimal(instance: Instance, cover: Cover) -> bool:
-    """Exhaustively confirm no strictly cheaper cover exists.
-
-    Deliberately naive and independent of exact_opt: every subset is
-    re-unioned and re-weighed from scratch.
-    """
-    if instance.n > EXHAUSTIVE_CAP:
-        raise TooManySets(f"verification needs n <= {EXHAUSTIVE_CAP}")
-    masks = element_masks(instance)
-    full = (1 << instance.m) - 1
-    for subset in range(1, 1 << instance.n):
-        union = 0
-        w = Fraction(0)
-        for i in range(instance.n):
-            if subset >> i & 1:
-                union |= masks[i]
-                w += instance.sets[i].weight
-        if union == full and w < cover.weight:
-            return False
-    return True
 
 
 def result_to_kv(result: ExactResult) -> str:

@@ -41,7 +41,7 @@ from itertools import accumulate
 
 from .bounds import g_of
 from .errors import MTooLargeForMode
-from .generators import SequenceSpec, gen_gf2
+from .generators import GF2_MAX_K, SequenceSpec, gen_gf2
 from .greedy import greedy
 from . import lp as lp_mod
 
@@ -139,16 +139,19 @@ def resolve_mode(mode: str) -> str:
     return mode
 
 
-def enumerate_sequences(m: int, mode: str = DEFAULT_MODE):
-    """Yield every covering sequence of total m once, in lexicographic order."""
+def _sweep_mode(m: int, mode: str) -> str:
+    """The resolved mode, once m is a total the sweep accepts in it."""
     mode = resolve_mode(mode)
     if m < 1:
         raise ValueError("m must be >= 1")
     if mode == MODE_COMPOSITIONS and m > COMPOSITIONS_MAX_M:
-        raise MTooLargeForMode(
-            f"compositions mode enumerates 2^(m-1) sequences; m={m} > "
-            f"{COMPOSITIONS_MAX_M}; use partitions mode"
-        )
+        raise MTooLargeForMode(f"compositions mode capped at m={COMPOSITIONS_MAX_M}")
+    return mode
+
+
+def enumerate_sequences(m: int, mode: str = DEFAULT_MODE):
+    """Yield every covering sequence of total m once, in lexicographic order."""
+    mode = _sweep_mode(m, mode)
 
     def comps(rem):
         if rem == 0:
@@ -246,8 +249,7 @@ def _suffix_tables(top, scale, mode):
     return tables
 
 
-def bucket_stats(m: int, mode: str = "auto",
-                 workers: int | None = None) -> tuple[BucketStats, ...]:
+def bucket_stats(m: int, mode: str = "auto") -> tuple[BucketStats, ...]:
     """Aggregate every covering sequence of total m per mu-bucket, exactly.
 
     Meet in the middle (Horowitz & Sahni 1974): a recursive walk fixes the
@@ -257,16 +259,9 @@ def bucket_stats(m: int, mode: str = "auto",
     on h[M] - g counts the completions with G < H(M) and their summed
     improvement.  Everything up to the final division is Python-int
     arithmetic, so the counts and maxima are exact and the mean is the
-    correctly rounded exact mean.  workers is accepted for old callers and
-    has no effect.
+    correctly rounded exact mean.
     """
-    mode = resolve_mode(mode)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if mode == MODE_COMPOSITIONS and m > COMPOSITIONS_MAX_M:
-        raise MTooLargeForMode(
-            f"compositions mode capped at m={COMPOSITIONS_MAX_M}"
-        )
+    mode = _sweep_mode(m, mode)
     scale = math.lcm(*range(1, m + 1))
     h = [0] * (m + 1)
     for j in range(1, m + 1):
@@ -322,10 +317,10 @@ def table1(m: int, mode: str = "auto",
            workers: int | None = None) -> Table1Result:
     """Share of sequences per bucket with G(s) < H(largest part).
 
-    workers is accepted for old callers and has no effect.
+    workers has no effect; it stays only because bench/ passes it.
     """
     mode = resolve_mode(mode)
-    return Table1Result(m=m, mode=mode, stats=bucket_stats(m, mode, workers))
+    return Table1Result(m=m, mode=mode, stats=bucket_stats(m, mode))
 
 
 def table2(m: int, mode: str = "auto",
@@ -334,10 +329,10 @@ def table2(m: int, mode: str = "auto",
 
     For each mu-bucket: the mean and the maximum, over the sequences s with
     G(s) < H(max(s)) (strict), of 100*(H(max(s)) - G(s))/H(max(s)).
-    workers is accepted for old callers and has no effect.
+    workers has no effect; it stays only because bench/ passes it.
     """
     mode = resolve_mode(mode)
-    return Table2Result(m=m, mode=mode, stats=bucket_stats(m, mode, workers))
+    return Table2Result(m=m, mode=mode, stats=bucket_stats(m, mode))
 
 
 def table3(k_lo: int = 5, k_hi: int = 10) -> Table3Result:
@@ -347,8 +342,8 @@ def table3(k_lo: int = 5, k_hi: int = 10) -> Table3Result:
     elements, so x_i = y_e = 2^(1-k) is an optimal primal/dual pair; the LP
     cells come from its exact check, with no simplex.
     """
-    if not 2 <= k_lo <= k_hi <= 12:
-        raise ValueError("need 2 <= k_lo <= k_hi <= 12")
+    if not 2 <= k_lo <= k_hi <= GF2_MAX_K:
+        raise ValueError(f"need 2 <= k_lo <= k_hi <= {GF2_MAX_K}")
     rows = []
     for k in range(k_lo, k_hi + 1):
         inst = gen_gf2(k)

@@ -25,6 +25,7 @@ from .instance import Instance, SetEntry
 
 DEFAULT_EPSILON = Fraction(1, 2)
 WEIGHT_GRID = 1000  # random weights live on a 1/WEIGHT_GRID grid
+GF2_MAX_K = 12  # gf2(12) peaks at 334 MB; each step in k quadruples its entries
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ def gen_class_cs(spec: SequenceSpec,
 
 def gen_gf2(k: int) -> Instance:
     """GF(2) inner-product family on m = 2^k - 1 elements, unit weights."""
-    if not 2 <= k <= 20:
-        raise KOutOfRange(f"k must be in 2..20, got {k}")
+    if not 2 <= k <= GF2_MAX_K:
+        raise KOutOfRange(f"k must be in 2..{GF2_MAX_K}, got {k}")
     m = (1 << k) - 1
     sets = []
     for i in range(1, m + 1):

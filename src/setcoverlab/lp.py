@@ -60,23 +60,14 @@ STATUS_ITERATION_LIMIT = "iteration-limit"
 
 
 @dataclass(frozen=True)
-class FractionalCover:
-    """Per-set coefficients satisfying every coverage constraint."""
-
-    x: tuple
-    weight: object
-
-
-@dataclass(frozen=True)
 class LpOutcome:
-    cover: FractionalCover
+    x: tuple  # the primal (per set): exact when certified, else floats
     objective: float
     status: str
     iterations: int
-    tol: float
     exact_objective: Fraction | None = None
     exact_x: tuple[Fraction, ...] | None = None
-    y: tuple = ()  # the dual (per element): exact when certified, like cover.x
+    y: tuple = ()  # the dual (per element): exact when certified, like x
 
 
 def _dual_data(instance: Instance):
@@ -123,13 +114,12 @@ def _refactorize(d, w, basis, nonbasic):
     return np.vstack([body, obj]), pi
 
 
-def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
-             max_iterations: int | None = None) -> LpOutcome:
+def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutcome:
     """Minimize the covering LP; returns the best vertex found.
 
     status is "optimal" when the simplex reached reduced-cost optimality
-    within tol on a freshly refactorized tableau, "iteration-limit" when
-    the pivot budget ran out first.
+    within DEFAULT_TOL on a freshly refactorized tableau, "iteration-limit"
+    when the pivot budget ran out first.
     """
     require_positive_weights(instance)
     m, n = instance.m, instance.n
@@ -154,11 +144,11 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
     while True:
         obj_row = t[n, :m]
         if bland:
-            candidates = (obj_row > tol).nonzero()[0]
+            candidates = (obj_row > DEFAULT_TOL).nonzero()[0]
             enter = int(candidates[nonbasic[candidates].argmin()]) if candidates.size else -1
         else:
             enter = int(obj_row.argmax())
-            if obj_row[enter] <= tol:
+            if obj_row[enter] <= DEFAULT_TOL:
                 enter = -1
             else:  # ties go to the lowest variable label, not the lowest slot
                 tied = (obj_row == obj_row[enter]).nonzero()[0]
@@ -175,12 +165,12 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
             status = STATUS_ITERATION_LIMIT
             break
         col = t[:n, enter]
-        rows = (col > tol).nonzero()[0]
+        rows = (col > DEFAULT_TOL).nonzero()[0]
         if rows.size == 0:
             raise NumericalFailure("dual LP appears unbounded; corrupt tableau")
         ratios = t[rows, m] / col[rows]
         best = ratios.min()
-        tied = rows[ratios <= best + tol]
+        tied = rows[ratios <= best + DEFAULT_TOL]
         leave = int(tied[basis[tied].argmin()]) if tied.size > 1 else int(tied[0])
         pivot = t[leave, enter]
         inverse = 1.0 / pivot
@@ -201,7 +191,7 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
         if since_refresh >= REFRESH_INTERVAL:
             t, pi = _refactorize(d, w, basis, nonbasic)
             since_refresh = 0
-        if best <= tol:
+        if best <= DEFAULT_TOL:
             streak += 1
             if streak >= BLAND_STREAK:
                 bland = True
@@ -235,11 +225,9 @@ def solve_lp(instance: Instance, tol: float = DEFAULT_TOL,
             objective = float(exact_obj)
             x, y = exact_x, pair[1]
 
-    cover = FractionalCover(x=tuple(x), weight=exact_obj if exact_obj is not None
-                            else objective)
-    return LpOutcome(cover=cover, objective=objective, status=status,
-                     iterations=iterations, tol=tol,
-                     exact_objective=exact_obj, exact_x=exact_x, y=tuple(y))
+    return LpOutcome(x=tuple(x), objective=objective, status=status,
+                     iterations=iterations, exact_objective=exact_obj,
+                     exact_x=exact_x, y=tuple(y))
 
 
 def _snap(values) -> list[Fraction]:
@@ -328,7 +316,7 @@ def integrality_gap(opt_weight: Fraction, lp: LpOutcome):
 def solution_to_csv(lp: LpOutcome) -> str:
     out = io.StringIO()
     out.write("set_index,x\n")
-    for i, xi in enumerate(lp.cover.x):
+    for i, xi in enumerate(lp.x):
         out.write(f"{i},{xi}\n")
     return out.getvalue()
 

@@ -130,7 +130,7 @@ def test_c04_table1_reproduction():
         verdicts[mode] = all(
             abs(share - want) <= 0.05
             for m, row in TABLE1_EXPECTED.items()
-            for share, want in zip(table1(m, mode=mode, workers=1).shares, row)
+            for share, want in zip(table1(m, mode=mode).shares, row)
         )
     elapsed = time.perf_counter() - t0
     default_matches = verdicts[MODE_COMPOSITIONS]
@@ -140,7 +140,7 @@ def test_c04_table1_reproduction():
         for mode in verdicts:
             for m in TABLE1_EXPECTED:
                 print(f"  {mode} m={m}: "
-                      f"{[round(s, 1) for s in table1(m, mode=mode, workers=1).shares]}"
+                      f"{[round(s, 1) for s in table1(m, mode=mode).shares]}"
                       f" vs {TABLE1_EXPECTED[m]}")
         pytest.fail("table 1 matches in no mode; see discrepancy report above")
     ok = default_matches and elapsed < 10
@@ -158,7 +158,7 @@ TABLE2_DEVIATING_CELLS = {(2, "mean"), (3, "mean")}
 
 def test_c05_table2_reproduction():
     t0 = time.perf_counter()
-    result = table2(10, workers=1)
+    result = table2(10)
     elapsed = time.perf_counter() - t0
     exact = brute_bucket_improvements(10)
     failures = []

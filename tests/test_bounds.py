@@ -20,7 +20,6 @@ from setcoverlab import (
     greedy,
     harmonic,
     make_instance,
-    opt_lower_bound,
     slavik_bounds,
 )
 from setcoverlab.bounds import g_from_counts, report_to_csv, report_to_kv
@@ -147,16 +146,16 @@ class TestOptLower:
     def test_cs21(self):
         inst = gen_class_cs(SequenceSpec((2, 1)))
         trace = greedy(inst)
-        assert opt_lower_bound(trace) == Fraction(12, 5)
+        assert bound_report(inst, trace).opt_lower == Fraction(12, 5)
         assert Fraction(12, 5) <= exact_opt(inst).weight  # 7/2
 
     def test_single_set_is_tight(self):
         inst = make_instance(3, [((1, 2, 3), 5)])
-        assert opt_lower_bound(greedy(inst)) == 5
+        assert bound_report(inst, greedy(inst)).opt_lower == 5
 
     def test_gf2_k2(self):
         inst = gen_gf2(2)
-        assert opt_lower_bound(greedy(inst)) == Fraction(6, 5)
+        assert bound_report(inst, greedy(inst)).opt_lower == Fraction(6, 5)
         assert exact_opt(inst).weight == 2
 
 

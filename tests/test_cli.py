@@ -53,6 +53,10 @@ class TestGen:
                              "--seed", "9")
         assert out1 == out2
 
+    def test_gf2_k_past_the_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "gf2", "--k", "13")
+        assert (code, out, err) == (1, "", "usage error: k must be in 2..12, got 13\n")
+
 
 class TestValidateAndConvert:
     def test_validate_ok(self, capsys, cs_file):
@@ -199,12 +203,15 @@ class TestLpExact:
         assert code == 5 and out == ""
         assert err.startswith("solver error: singular basis during refactorization")
 
+    def test_tol_flag_is_gone(self, capsys, cs_file):
+        code, out, _ = run_cli(capsys, "lp", cs_file, "--tol", "1e-9")
+        assert (code, out) == (1, "")
+
 
 class TestTables:
     def test_table1_csv(self, capsys):
         code, out, _ = run_cli(capsys, "table", "1", "--m", "10",
-                               "--mode", "auto", "--format", "csv",
-                               "--workers", "1")
+                               "--mode", "auto", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "m,b1,b2,b3,b4,b5"
         assert out.splitlines()[1] == "10,0.0,13.5,64.8,100.0,100.0"
@@ -219,6 +226,10 @@ class TestTables:
         code, out, err = run_cli(capsys, "table", "1", "--m", "29", "--mode", "compositions")
         assert (code, out, err) == (4, "", "limit exceeded: compositions mode capped at m=28\n")
 
+    def test_workers_flag_is_gone(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "1", "--m", "10", "--workers", "1")
+        assert (code, out) == (1, "")
+
     def test_table3_markdown(self, capsys):
         code, out, _ = run_cli(capsys, "table", "3", "--k-lo", "5",
                                "--k-hi", "6")
@@ -226,17 +237,15 @@ class TestTables:
         assert "| 5 | 31 |" in out
 
     def test_deterministic(self, capsys):
-        _, a, _ = run_cli(capsys, "table", "2", "--m", "9", "--format", "csv",
-                          "--workers", "1")
-        _, b, _ = run_cli(capsys, "table", "2", "--m", "9", "--format", "csv",
-                          "--workers", "1")
+        _, a, _ = run_cli(capsys, "table", "2", "--m", "9", "--format", "csv")
+        _, b, _ = run_cli(capsys, "table", "2", "--m", "9", "--format", "csv")
         assert a == b
 
 
 def test_console_script_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "setcoverlab.cli", "table", "1", "--m", "6",
-         "--format", "csv", "--workers", "1"],
+         "--format", "csv"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0

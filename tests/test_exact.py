@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from setcoverlab import (
-    Cover,
     RandomSpec,
     SequenceSpec,
     SolveBudget,
@@ -21,7 +20,6 @@ from setcoverlab import (
     greedy,
     is_cover,
     make_instance,
-    verify_cover_optimal,
 )
 from setcoverlab import exact as exact_mod
 from setcoverlab import lp as lp_mod
@@ -32,7 +30,7 @@ from setcoverlab.exact import (
     STATUS_OPTIMAL,
     result_to_kv,
 )
-from setcoverlab.errors import NonPositiveWeight, TooManySets
+from setcoverlab.errors import NonPositiveWeight
 from setcoverlab.instance import _scaled_weights
 
 from oracle import brute_lowest_mask_optimum, brute_optimum, brute_residual_optimum
@@ -273,28 +271,6 @@ class TestRootDualBound:
             res = exact_opt(inst, SolveBudget(method=METHOD_BNB), use_lp_bound=True)
             assert res.weight == exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE)).weight
         assert spy.call_count == 20  # each search read the inflated dual
-
-
-class TestVerify:
-    def test_exact_opt_output_verifies(self):
-        for seed in range(40):
-            inst = rnd(seed)
-            res = exact_opt(inst)
-            assert verify_cover_optimal(inst, res.cover)
-
-    def test_expensive_cover_fails(self):
-        inst = gen_class_cs(SequenceSpec((2, 1)))
-        blocks = Cover(set_indices=(0, 1), weight=Fraction(4))  # m+1 cover
-        assert not verify_cover_optimal(inst, blocks)
-
-    def test_single_set_cover_verifies(self):
-        inst = make_instance(3, [((1, 2, 3), 5)])
-        assert verify_cover_optimal(inst, Cover((0,), Fraction(5)))
-
-    def test_rejects_huge_n(self):
-        inst = make_instance(1, [((1,), 1)] * 26)
-        with pytest.raises(TooManySets):
-            verify_cover_optimal(inst, Cover((0,), Fraction(1)))
 
 
 class TestPlumbing:

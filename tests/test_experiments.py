@@ -72,23 +72,18 @@ class TestEnumerate:
 class TestBuckets:
     def test_counts_against_brute_force(self):
         # qualification and bucketing recomputed with plain Fractions
-        stats = bucket_stats(9, MODE_COMPOSITIONS, workers=1)
+        stats = bucket_stats(9, MODE_COMPOSITIONS)
         brute = brute_bucket_improvements(9)
         assert [(st.total, st.qualifying) for st in stats] == \
             [(total, qual) for total, qual, _, _ in brute]
 
     def test_boundary_membership_is_exact(self):
         # mu = 1/5 must land in the first bucket (left-open intervals)
-        stats = bucket_stats(10, MODE_COMPOSITIONS, workers=1)
+        stats = bucket_stats(10, MODE_COMPOSITIONS)
         # sequences with max part exactly 2 (mu = 0.2) counted in bucket 1:
         count_b1 = stats[0].total
         brute = sum(1 for s in compositions_by_gaps(10) if max(s) <= 2)
         assert count_b1 == brute
-
-    def test_worker_invariance(self):
-        serial = bucket_stats(16, MODE_COMPOSITIONS, workers=1)
-        parallel = bucket_stats(16, MODE_COMPOSITIONS, workers=2)
-        assert serial == parallel
 
 
 class TestExactAgainstEnumeration:
@@ -194,19 +189,19 @@ class TestGoldenTables:
 
 class TestTable1:
     def test_row10_matches_published_row(self):
-        shares = table1(10, workers=1).shares
+        shares = table1(10).shares
         assert [round(s, 1) for s in shares] == [0.0, 13.5, 64.8, 100.0, 100.0]
 
     def test_row15_matches_published_row(self):
-        shares = table1(15, workers=1).shares
+        shares = table1(15).shares
         assert [round(s, 1) for s in shares] == [0.0, 14.5, 69.6, 99.0, 100.0]
 
     def test_row12_matches_published_row(self):
-        shares = table1(12, workers=1).shares
+        shares = table1(12).shares
         assert [round(s, 1) for s in shares] == [0.0, 9.9, 52.9, 97.5, 100.0]
 
     def test_partitions_mode_disagrees(self):
-        shares = table1(10, mode=MODE_PARTITIONS, workers=1).shares
+        shares = table1(10, mode=MODE_PARTITIONS).shares
         assert [round(s, 1) for s in shares] != [0.0, 13.5, 64.8, 100.0, 100.0]
 
     def test_bucket5_members_all_qualify(self):
@@ -214,12 +209,12 @@ class TestTable1:
         assert g_from_counts((10,), 10) == 1 < harmonic(10)
         assert g_from_counts((9, 1), 10) < harmonic(9)
         assert g_from_counts((1, 9), 10) < harmonic(9)
-        assert table1(10, workers=1).shares[4] == 100.0
+        assert table1(10).shares[4] == 100.0
 
 
 class TestTable2:
     def test_row10_maxima_match_published_row(self):
-        pairs = table2(10, workers=1).pairs
+        pairs = table2(10).pairs
         exact = [float(mx) for _, _, _, mx in brute_bucket_improvements(10)]
         assert [mx for _, mx in pairs] == pytest.approx(exact, abs=1e-9)
         assert [round(mx, 1) for mx in exact] == [0.0, 18.4, 42.9, 55.8, 65.9]
@@ -228,16 +223,16 @@ class TestTable2:
         # buckets 1, 4, 5 agree with the published row; the exact means for
         # buckets 2-3 are 5246/441 and 75052900/3564603 (11.9/21.1) vs the
         # published 12.3/21.3 (documented deviation surfaced by emit_markdown)
-        pairs = table2(10, workers=1).pairs
+        pairs = table2(10).pairs
         exact = [float(mean) for _, _, mean, _ in brute_bucket_improvements(10)]
         assert [mean for mean, _ in pairs] == pytest.approx(exact, abs=1e-9)
 
     def test_empty_bucket_reports_zero_pair(self):
-        pairs = table2(10, workers=1).pairs
+        pairs = table2(10).pairs
         assert pairs[0] == (0.0, 0.0)
 
     def test_discrepancy_appears_in_report(self):
-        md = emit_markdown(table2(10, workers=1))
+        md = emit_markdown(table2(10))
         assert "published row" in md
         assert "NOTE: computed row differs" in md
 
@@ -336,7 +331,7 @@ class TestTable3:
 
 class TestEmit:
     def test_table1_csv_layout(self):
-        text = emit_csv(table1(10, workers=1))
+        text = emit_csv(table1(10))
         lines = text.strip().splitlines()
         assert lines[0] == "m,b1,b2,b3,b4,b5"
         assert lines[1] == "10,0.0,13.5,64.8,100.0,100.0"

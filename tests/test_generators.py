@@ -108,7 +108,7 @@ class TestGf2:
         validate(gen_gf2(6))
 
     def test_k_out_of_range(self):
-        for k in (1, 21):
+        for k in (1, 13, 21):
             with pytest.raises(KOutOfRange):
                 gen_gf2(k)
 

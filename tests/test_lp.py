@@ -30,6 +30,7 @@ from setcoverlab import (
 from setcoverlab.errors import LengthMismatch, NonOptimalLp, NonPositiveWeight
 from setcoverlab import lp as lp_mod
 from setcoverlab.lp import (
+    DEFAULT_TOL,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     solution_to_csv,
@@ -103,7 +104,7 @@ class TestSolveExamples:
         for seed in range(25):
             inst = rnd(seed)
             out = solve_lp(inst)
-            assert check_fractional_cover(inst, out.cover.x, tol=out.tol)
+            assert check_fractional_cover(inst, out.x, tol=DEFAULT_TOL)
 
     def test_positive_weights_required(self):
         inst = make_instance(2, [((1, 2), 0)])
@@ -333,7 +334,7 @@ class TestPivotRules:
         out = solve_lp(inst, max_iterations=limit)
         assert (out.status, out.iterations) == (STATUS_ITERATION_LIMIT, limit)
         assert out.objective == objective
-        assert list(out.cover.x) == [float(x.get(i, 0)) for i in range(inst.n)]
+        assert list(out.x) == [float(x.get(i, 0)) for i in range(inst.n)]
         assert out.exact_objective is None
 
 
