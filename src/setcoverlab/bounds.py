@@ -27,7 +27,7 @@ from .errors import (
     TraceMismatch,
 )
 from .greedy import GreedyTrace, check_trace_shape
-from .instance import Cover, Instance
+from .instance import Cover, Instance, cover_weight
 
 SLAVIK_LOWER_SHIFT = 0.31
 SLAVIK_UPPER_SHIFT = 0.78
@@ -128,11 +128,10 @@ def bound_report(instance: Instance, trace: GreedyTrace,
         )
     if any(not 0 <= i < instance.n for i in trace.chosen):
         raise TraceMismatch("trace chose a set index outside the instance")
-    if sum((instance.sets[i].weight for i in trace.chosen), Fraction(0)) \
-            != trace.total_weight:
+    if cover_weight(instance, trace.chosen) != trace.total_weight:
         raise TraceMismatch("trace weight disagrees with the instance weights")
 
-    g = g_of(trace)
+    g = g_from_counts(trace.s, instance.m)
     h_m = harmonic(instance.m)
     m_bar = max(entry.size for entry in instance.sets)
     m_tilde = None

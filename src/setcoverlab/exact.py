@@ -10,21 +10,20 @@ dual, made exactly feasible, summed over the uncovered elements, tested
 before a child is pushed and again when it is popped (the incumbent may
 have improved in between).
 
-Weight arithmetic inside the search runs on integers (all weights scaled by
-the common denominator), so comparisons stay exact and fast; results are
-converted back to Fractions at the boundary.
+Weight arithmetic inside the search runs on the integer weights validation
+memoized (over their common denominator), so comparisons stay exact and
+fast; results are converted back to Fractions at the boundary.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
 from .greedy import greedy
-from .instance import (Cover, Instance, _scaled_weights, element_masks, element_sets,
+from .instance import (Cover, Instance, _over_lcm, element_masks, element_sets,
                        require_positive_weights)
 
 AUTO_EXHAUSTIVE_MAX_N = 18
@@ -59,17 +58,14 @@ class ExactResult:
     bound_stats: dict = field(default_factory=dict)
 
 
-def _feasible_dual(instance: Instance, y):
+def _feasible_dual(instance: Instance, y, weights, dw):
     """y clamped at 0, then divided by max(1, its largest set load / weight).
 
     Exact, so the result is dual feasible, for every residual instance too
-    (loads only shrink); a certified dual passes unchanged.  Returns integer
-    numerators ys (ys[e - 1] for element e) over one denominator dy.
+    (loads only shrink); a certified dual passes unchanged.  Takes integer
+    weights over dw; returns numerators ys (ys[e - 1] for element e) over dy.
     """
-    y = [max(Fraction(v), Fraction(0)) for v in y]
-    dy = math.lcm(*(v.denominator for v in y))
-    ys = [v.numerator * (dy // v.denominator) for v in y]
-    weights, dw = _scaled_weights(instance)
+    ys, dy = _over_lcm([max(Fraction(v), Fraction(0)) for v in y])
     # the set with the largest load / weight, which is (load * dw) / (weight * dy)
     load, weight = max(((sum(ys[e - 1] for e in entry.elements), wi)
                         for entry, wi in zip(instance.sets, weights)),
@@ -89,8 +85,8 @@ def _mask_sum(values, mask):
     return total
 
 
-def _search(instance, budget, use_lp_bound, bounded):
-    """Depth-first search; bounded selects branch-and-bound's behaviour.
+def _search(instance, weights, denom, budget, use_lp_bound, bounded):
+    """Depth-first search on weights over denom; bounded selects B&B's behaviour.
 
     A node is cut once its weight reaches the incumbent's, so every optimal
     cover is a leaf.  Unbounded, among equal weights the lowest subset
@@ -99,10 +95,9 @@ def _search(instance, budget, use_lp_bound, bounded):
     """
     deadline = time.monotonic() + budget.time_limit
     masks = element_masks(instance)
-    weights, denom = _scaled_weights(instance)
     full = (1 << instance.m) - 1
     # the root dual: a node prunes when w_so_far + Y(uncovered)/dy >= incumbent
-    ys, dy = (_feasible_dual(instance, lp.solve_lp(instance).y)
+    ys, dy = (_feasible_dual(instance, lp.solve_lp(instance).y, weights, denom)
               if bounded and use_lp_bound else ([], 1))
 
     seed = greedy(instance)
@@ -160,14 +155,14 @@ def exact_opt(instance: Instance, budget: SolveBudget | None = None, *,
 
     use_lp_bound applies to branch-and-bound only.
     """
-    require_positive_weights(instance)
+    weights, denom = require_positive_weights(instance)
     budget = budget or SolveBudget()
     method = budget.method
     if method == METHOD_AUTO:
         method = (METHOD_EXHAUSTIVE if instance.n <= AUTO_EXHAUSTIVE_MAX_N
                   else METHOD_BNB)
     weight, indices, nodes, status, stats = _search(
-        instance, budget, use_lp_bound, bounded=method == METHOD_BNB
+        instance, weights, denom, budget, use_lp_bound, bounded=method == METHOD_BNB
     )
     return ExactResult(
         cover=Cover(set_indices=indices, weight=weight),

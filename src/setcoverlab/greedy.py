@@ -7,8 +7,8 @@ the accumulated cover weight: everything the bound machinery needs, as
 exact rationals.
 
 One private kernel picks on integers with a lazy priority queue (Minoux
-1978, "Accelerated greedy algorithms"); Fractions are built only for the
-chosen sets.
+1978, "Accelerated greedy algorithms"), over the integer weights that
+validation memoized; Fractions are built only for the chosen sets.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import sub
 
 from .errors import InvalidTrace
-from .instance import Instance, _scaled_weights, element_masks, require_positive_weights
+from .instance import Instance, element_masks, require_positive_weights
 
 TIE_LOWEST_INDEX = "lowest-index"
 TIE_MAX_RESIDUAL = "largest-residual-then-lowest-index"
@@ -83,16 +83,14 @@ def greedy(instance: Instance, tie: str = TIE_LOWEST_INDEX) -> GreedyTrace:
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"unknown tie policy {tie!r}")
-    require_positive_weights(instance)
-    weights = [entry.weight for entry in instance.sets]
-    chosen, s = _kernel(element_masks(instance), _scaled_weights(instance)[0],
-                        (1 << instance.m) - 1, tie)
+    weights, denom = require_positive_weights(instance)
+    chosen, s = _kernel(element_masks(instance), weights, (1 << instance.m) - 1, tie)
     return GreedyTrace(
         chosen=tuple(chosen),
         s=tuple(s),
         residuals=tuple(accumulate(s, sub, initial=instance.m)),
-        ratios=tuple(Fraction(weights[k], c) for k, c in zip(chosen, s)),
-        total_weight=sum((weights[k] for k in chosen), Fraction(0)),
+        ratios=tuple(Fraction(weights[k], c * denom) for k, c in zip(chosen, s)),
+        total_weight=Fraction(sum(weights[k] for k in chosen), denom),
         tie=tie,
     )
 

@@ -62,7 +62,8 @@ class SetEntry:
 class Instance:
     """A validated-on-demand set-cover instance over the universe {1..m}.
 
-    Memos (validation, masks, incidence) live in __dict__, not in the fields.
+    Memos (validation with masks and integer weights, incidence) live in
+    __dict__, not in the fields.
     """
 
     m: int
@@ -97,9 +98,10 @@ def validate(instance: Instance) -> None:
     """Raise the first invariant violation, or return None if all hold.
 
     Checked per set, in order: element range, non-emptiness, weight sign;
-    then global coverage of the universe.  Success is memoized, with masks.
+    then global coverage of the universe.  Success is memoized, with masks
+    and the weights as integers over their common denominator.
     """
-    if "_masks" in instance.__dict__:
+    if "_view" in instance.__dict__:
         return
     m = instance.m
     if m < 1:
@@ -139,7 +141,8 @@ def validate(instance: Instance) -> None:
         raise UnionNotUniverse(
             f"element {missing} is covered by no set", missing_element=missing
         )
-    instance.__dict__["_masks"] = masks
+    weights, denom = _over_lcm([entry.weight for entry in instance.sets])
+    instance.__dict__["_view"] = (masks, tuple(weights), denom)
 
 
 def _build_masks(instance: Instance) -> list[int]:
@@ -168,8 +171,8 @@ def element_masks(instance: Instance) -> list[int]:
     A validated instance hands out the masks validation built; every call
     returns a fresh list the caller may mutate.
     """
-    masks = instance.__dict__.get("_masks")
-    return _build_masks(instance) if masks is None else list(masks)
+    view = instance.__dict__.get("_view")
+    return _build_masks(instance) if view is None else list(view[0])
 
 
 def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
@@ -185,18 +188,23 @@ def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
     return holders
 
 
-def require_positive_weights(instance: Instance) -> None:
-    """Validate, then raise NonPositiveWeight for the first weight <= 0."""
+def require_positive_weights(instance: Instance) -> tuple[tuple[int, ...], int]:
+    """The validated weights as integers over their common denominator.
+
+    Raises NonPositiveWeight for the first weight <= 0.
+    """
     validate(instance)
-    for i, entry in enumerate(instance.sets):
-        if entry.weight <= 0:
-            raise NonPositiveWeight(f"set {i} has non-positive weight {entry.weight}")
+    _, weights, denom = instance.__dict__["_view"]
+    if 0 in weights:  # validation rejected negative weights
+        i = weights.index(0)
+        raise NonPositiveWeight(f"set {i} has non-positive weight {instance.sets[i].weight}")
+    return weights, denom
 
 
-def _scaled_weights(instance: Instance) -> tuple[list[int], int]:
-    """Weights as integers over their common denominator."""
-    denom = math.lcm(*(e.weight.denominator for e in instance.sets))
-    return [int(e.weight * denom) for e in instance.sets], denom
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def is_cover(instance: Instance, set_indices) -> bool:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonOptimalLp, NumericalFailure
 from .greedy import GreedyTrace
-from .instance import Instance, _scaled_weights, element_sets, require_positive_weights
+from .instance import Instance, _over_lcm, element_sets, require_positive_weights
 
 DEFAULT_TOL = 1e-9
 BLAND_STREAK = 40
@@ -121,7 +121,7 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
     within DEFAULT_TOL on a freshly refactorized tableau, "iteration-limit"
     when the pivot budget ran out first.
     """
-    require_positive_weights(instance)
+    dw = require_positive_weights(instance)[1]
     m, n = instance.m, instance.n
     if max_iterations is None:
         max_iterations = 100 * (m + n) + 1000
@@ -218,7 +218,7 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
         pair = (_snap(x), _snap(y))
         exact = _check_pair(instance, *pair)
         if exact is None:
-            pair = _snap_to_det(instance, _columns(d, basis), x, y)
+            pair = _snap_to_det(_columns(d, basis), x, y, dw)
             exact = pair and _check_pair(instance, *pair)
         if exact is not None:
             exact_x, exact_obj = exact
@@ -237,7 +237,7 @@ def _snap(values) -> list[Fraction]:
     return [snapped[v] for v in floats]
 
 
-def _snap_to_det(instance: Instance, b_mat, x, y):
+def _snap_to_det(b_mat, x, y, dw):
     """Candidate pair on the denominators Cramer's rule gives the basis B.
 
     With D = |det B|, every multiplier in x = pi has a denominator dividing
@@ -253,7 +253,7 @@ def _snap_to_det(instance: Instance, b_mat, x, y):
     d = round(math.exp(logdet)) if sign and logdet < 53 * math.log(2) else 0
     if d == 0:
         return None
-    return _round_onto(x, d), _round_onto(y, d * _scaled_weights(instance)[1])
+    return _round_onto(x, d), _round_onto(y, d * dw)
 
 
 def _round_onto(values, den: int) -> list[Fraction]:
@@ -266,15 +266,13 @@ def _check_pair(instance: Instance, x, y):
 
     Returns (x, objective) when x is primal-feasible, y is dual-feasible
     and the objectives match exactly; None otherwise.  Decided in integers:
-    x, y and the weights are scaled by their own common denominators.
+    x and y over their own common denominators, the weights as validated.
     """
-    dx = math.lcm(*(v.denominator for v in x))
-    dy = math.lcm(*(v.denominator for v in y))
-    xs = [v.numerator * (dx // v.denominator) for v in x]
-    ys = [0] + [v.numerator * (dy // v.denominator) for v in y]  # ys[e]: element e
+    xs, dx = _over_lcm(x)
+    ys, dy = _over_lcm([0, *y])  # ys[e]: element e
     if min(xs) < 0 or min(ys) < 0:
         return None
-    weights, dw = _scaled_weights(instance)
+    weights, dw = require_positive_weights(instance)
     if any(sum(map(xs.__getitem__, holders)) < dx for holders in element_sets(instance)):
         return None
     if any(sum(map(ys.__getitem__, entry.elements)) * dw > wi * dy
@@ -295,22 +293,23 @@ def check_fractional_cover(instance: Instance, x, tol: float = DEFAULT_TOL) -> b
     return all(sum(x[i] for i in holders) >= 1 - tol for holders in element_sets(instance))
 
 
-def r_estimate(trace: GreedyTrace, lp: LpOutcome):
-    """Instance-wise upper bound w(Gr)/w(Opt_LP) on the greedy ratio."""
+def _over_lp_objective(weight, lp: LpOutcome):
+    """weight/w(Opt_LP): exact when the LP was certified, else a float."""
     if lp.status != STATUS_OPTIMAL:
         raise NonOptimalLp(f"LP status is {lp.status}")
     if lp.exact_objective is not None:
-        return trace.total_weight / lp.exact_objective
-    return float(trace.total_weight) / lp.objective
+        return Fraction(weight) / lp.exact_objective
+    return float(weight) / lp.objective
+
+
+def r_estimate(trace: GreedyTrace, lp: LpOutcome):
+    """Instance-wise upper bound w(Gr)/w(Opt_LP) on the greedy ratio."""
+    return _over_lp_objective(trace.total_weight, lp)
 
 
 def integrality_gap(opt_weight: Fraction, lp: LpOutcome):
     """w(Opt)/w(Opt_LP): how loose the relaxation is on this instance."""
-    if lp.status != STATUS_OPTIMAL:
-        raise NonOptimalLp(f"LP status is {lp.status}")
-    if lp.exact_objective is not None:
-        return Fraction(opt_weight) / lp.exact_objective
-    return float(opt_weight) / lp.objective
+    return _over_lp_objective(opt_weight, lp)
 
 
 def solution_to_csv(lp: LpOutcome) -> str:

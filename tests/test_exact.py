@@ -31,7 +31,7 @@ from setcoverlab.exact import (
     result_to_kv,
 )
 from setcoverlab.errors import NonPositiveWeight
-from setcoverlab.instance import _scaled_weights
+from setcoverlab.instance import require_positive_weights
 
 from oracle import brute_lowest_mask_optimum, brute_optimum, brute_residual_optimum
 
@@ -50,13 +50,13 @@ def weights_1_to_10(m, n, density, seed):
 
 def dual_values(inst, y):
     """The scaled root dual of exact._feasible_dual as Fractions per element."""
-    ys, dy = exact_mod._feasible_dual(inst, y)
+    ys, dy = exact_mod._feasible_dual(inst, y, *require_positive_weights(inst))
     return [Fraction(v, dy) for v in ys]
 
 
 def highs_optimum(inst):
     """Independent optimum: HiGHS MILP on integer-scaled weights, gap 0."""
-    ints, denom = _scaled_weights(inst)
+    ints, denom = require_positive_weights(inst)
     a = np.zeros((inst.m, inst.n))
     for i, entry in enumerate(inst.sets):
         for e in entry.elements:
@@ -233,7 +233,7 @@ class TestRootDualBound:
                                wraps=exact_mod._feasible_dual) as spy:
             res = exact_opt(inst, SolveBudget(method=METHOD_BNB), use_lp_bound=True)
         [call] = spy.call_args_list
-        y = dual_values(*call.args)
+        y = dual_values(*call.args[:2])
         assert min(y) >= 0
         for entry in inst.sets:
             assert sum((y[e - 1] for e in entry.elements), Fraction(0)) <= entry.weight
@@ -281,8 +281,8 @@ class TestPlumbing:
         assert exact_opt(inst, SolveBudget(method=METHOD_BNB)).bound_stats == {"lp": 0}
 
     def test_positive_weights_required(self):
-        inst = make_instance(2, [((1, 2), 0)])
-        with pytest.raises(NonPositiveWeight):
+        inst = make_instance(2, [((1,), 2), ((1, 2), 0), ((2,), 0)])
+        with pytest.raises(NonPositiveWeight, match="^set 1 has non-positive weight 0$"):
             exact_opt(inst)
 
     def test_kv_serialization(self):

@@ -58,8 +58,8 @@ class TestGreedyExamples:
             assert trace.s == tuple(1 << (k - 1 - i) for i in range(k))
 
     def test_non_positive_weight_rejected(self):
-        inst = make_instance(2, [((1, 2), 0)])
-        with pytest.raises(NonPositiveWeight):
+        inst = make_instance(2, [((1,), 2), ((1, 2), 0), ((2,), 0)])
+        with pytest.raises(NonPositiveWeight, match="^set 1 has non-positive weight 0$"):
             greedy(inst)
 
 

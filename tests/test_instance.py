@@ -25,6 +25,7 @@ from setcoverlab.errors import (
     ScpSyntaxError,
     UnionNotUniverse,
 )
+from setcoverlab.exact import exact_opt
 from setcoverlab.generators import RandomSpec, gen_random
 from setcoverlab.greedy import greedy
 from setcoverlab.instance import (
@@ -33,7 +34,9 @@ from setcoverlab.instance import (
     element_sets,
     format_weight,
     parse_weight,
+    require_positive_weights,
 )
+from setcoverlab.lp import solve_lp
 
 
 def single_set_instance():
@@ -109,7 +112,7 @@ class TestValidate:
 
 
 class TestMemo:
-    """Validation, masks and incidence are memoized without changing identity."""
+    """Validation, masks, integer weights and incidence are memoized, identity unchanged."""
 
     def test_invalid_instance_raises_every_time(self):
         bad = Instance(m=3, sets=(SetEntry((1, 2), Fraction(1)),))
@@ -125,6 +128,8 @@ class TestMemo:
         element_masks(used)
         element_sets(used)
         greedy(used)
+        solve_lp(used)
+        exact_opt(used)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         assert pickle.dumps(used) == pickle.dumps(fresh)
@@ -148,6 +153,20 @@ class TestMemo:
         masks[:] = [0] * len(masks)
         assert greedy(inst) == expected
         assert element_masks(inst) != masks
+
+    def test_weights_over_common_denominator(self):
+        ws = [Fraction(1, 3), Fraction(5, 7), Fraction(7, 2), Fraction(10**12)]
+        inst = make_instance(2, [((1,), w) for w in ws[:2]] + [((2,), w) for w in ws[2:]])
+        assert require_positive_weights(inst) == (tuple(int(w * 42) for w in ws), 42)
+
+    def test_returned_weights_cannot_change_greedy(self):
+        inst = make_instance(3, [((1, 2), Fraction(3, 2)), ((3,), 1), ((1, 2, 3), 4)])
+        expected = greedy(make_instance(inst.m, [(e.elements, e.weight) for e in inst.sets]))
+        weights, denom = require_positive_weights(inst)
+        with pytest.raises(TypeError):
+            weights[2] = 0
+        assert greedy(inst) == expected
+        assert require_positive_weights(inst) == (weights, denom) == ((3, 2, 8), 2)
 
     @pytest.mark.parametrize("m", [5, 64, 65, 300])
     def test_masks_match_plain_shifts(self, m):

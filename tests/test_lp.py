@@ -107,8 +107,8 @@ class TestSolveExamples:
             assert check_fractional_cover(inst, out.x, tol=DEFAULT_TOL)
 
     def test_positive_weights_required(self):
-        inst = make_instance(2, [((1, 2), 0)])
-        with pytest.raises(NonPositiveWeight):
+        inst = make_instance(2, [((1,), 2), ((1, 2), 0), ((2,), 0)])
+        with pytest.raises(NonPositiveWeight, match="^set 1 has non-positive weight 0$"):
             solve_lp(inst)
 
 
@@ -255,7 +255,7 @@ class TestCertificateCheck:
         by_basis = solve_lp(inst)
         monkeypatch.undo()
 
-        def no_fallback(instance, b_mat, x, y):
+        def no_fallback(b_mat, x, y, dw):
             raise AssertionError("snapping did not certify")
 
         monkeypatch.setattr(lp_mod, "_snap_to_det", no_fallback)
