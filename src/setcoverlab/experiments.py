@@ -350,7 +350,7 @@ def table3(k_lo: int = 5, k_hi: int = 10) -> Table3Result:
         trace = greedy(inst)
         m = inst.m
         half = Fraction(1, 1 << (k - 1))
-        _, lp_objective = lp_mod._check_pair(inst, [half] * inst.n, [half] * m)
+        _, lp_objective = lp_mod.certify_pair(inst, [half] * inst.n, [half] * m)
         rows.append(Table3Row(
             k=k, m=m, w_gr=trace.total_weight,
             ig_lower=0.5 * math.log2(m),

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -137,8 +138,8 @@ class TestAgainstScipy:
 
 
 def solver_pairs(instance):
-    """solve_lp's outcome and every (x, y) pair it handed to _check_pair."""
-    with mock.patch.object(lp_mod, "_check_pair", wraps=lp_mod._check_pair) as spy:
+    """solve_lp's outcome and every (x, y) pair it handed to certify_pair."""
+    with mock.patch.object(lp_mod, "certify_pair", wraps=lp_mod.certify_pair) as spy:
         out = solve_lp(instance)
     return out, [(list(call.args[1]), list(call.args[2])) for call in spy.call_args_list]
 
@@ -160,7 +161,7 @@ def unit_perturbations(x, y):
 
 def assert_check_agrees(instance, x, y):
     expected = brute_weak_duality(instance, x, y)
-    assert lp_mod._check_pair(instance, x, y) == (
+    assert lp_mod.certify_pair(instance, x, y) == (
         None if expected is None else (tuple(x), expected))
     return expected
 
@@ -463,3 +464,84 @@ class TestSerialization:
         inst = rnd(17)
         out = solve_lp(inst)
         assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
+
+
+class TestDegeneracy:
+    """A degeneracy streak perturbs the weights once; dual pivots remove it."""
+
+    @pytest.mark.parametrize("k, ceiling", [(6, 100), (7, 195), (8, 500), (9, 1220)])
+    def test_gf2_pivot_ceilings(self, k, ceiling):
+        # 85, 167, 434 and 1,058 pivots; switching to Bland's rule at every
+        # streak instead took 107, 256, 826 and 4,563
+        out = solve_lp(gen_gf2(k))
+        assert out.exact_objective == Fraction(2 ** k - 1, 2 ** (k - 1))
+        assert out.iterations <= ceiling
+        assert out.stats.perturbed
+        assert out.stats.bland_pivots == 0
+        assert out.stats.certificate == "snap"
+
+    def test_alternative_optima(self):
+        # every 4-subset of {1..11} at unit weight: the optimum 11/4 has many
+        # vertices, and the perturbation may end on another one
+        inst = make_instance(11, [(s, 1) for s in itertools.combinations(range(1, 12), 4)])
+        out, pairs = solver_pairs(inst)
+        assert out.stats.perturbed
+        assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
+        x, y = pairs[-1]
+        assert brute_weak_duality(inst, x, y) == out.exact_objective == Fraction(11, 4)
+
+    @pytest.mark.parametrize("inst, perturbation", [
+        (gen_gf2(6), 0.5),
+        (random_lp(24, 57, 0.5, 256, weight_hi=1), 0.1),
+    ], ids=["gf2-6", "rnd24x57"])
+    def test_cleanup_pivots_restore_the_true_vertex(self, monkeypatch, inst, perturbation):
+        objective = solve_lp(inst).exact_objective
+        monkeypatch.setattr(lp_mod, "PERTURBATION", perturbation)
+        out, pairs = solver_pairs(inst)
+        assert out.stats.perturbed and out.stats.cleanup_pivots > 0
+        assert out.exact_objective == objective is not None
+        assert brute_weak_duality(inst, *pairs[-1]) == objective
+
+    def test_dual_pivot_keeps_reduced_costs_nonpositive(self):
+        # rows hold labels 3 and 4, slots labels 0..2; the last column is the
+        # rhs and the last row the reduced costs.  Row 0 is infeasible, and
+        # its ratios are 1 (slot 0) and 2 (slot 1): entering slot 1 would
+        # lift slot 0's reduced cost to +1
+        t = np.array([[-1.0, -2.0, 1.0, -2.0],
+                      [1.0, 1.0, 1.0, 3.0],
+                      [-1.0, -4.0, -1.0, -5.0]])
+        basis, nonbasic = np.array([3, 4]), np.array([0, 1, 2])
+        assert lp_mod._dual_pivot(t, basis, nonbasic) == (0, 0)
+        lp_mod._pivot(t, basis, nonbasic, 0, 0)
+        assert (t[2, :3] <= 0).all() and (t[:2, 3] >= 0).all()
+        assert lp_mod._dual_pivot(t, basis, nonbasic) is None
+
+    @pytest.mark.parametrize("inst", [
+        random_lp(8, 10, 0.3, 13, weight_hi=1),
+        random_lp(10, 12, 0.3, 2, weight_hi=1),
+        random_lp(12, 20, 0.2, 40, weight_hi=1),
+        gen_gf2(4),
+        random_lp(20, 20, 0.2, 5),
+    ], ids=["8x10s13", "10x12s2", "12x20s40", "gf2-4", "rnd20"])
+    def test_pivot_rule_instances_never_stall(self, inst):
+        out = solve_lp(inst)
+        assert not out.stats.perturbed
+        assert (out.stats.bland_pivots, out.stats.cleanup_pivots) == (0, 0)
+
+    def test_iteration_limit_reports_the_true_weights_vertex(self):
+        # gf2(7) perturbs its weights before pivot 80; a set with x_i > 0 has
+        # a nonbasic slack, so its load is its true weight 1, not 1 + O(delta)
+        inst = gen_gf2(7)
+        out = solve_lp(inst, max_iterations=120)
+        assert out.status == STATUS_ITERATION_LIMIT and out.stats.perturbed
+        loads = [sum(out.y[e - 1] for e in entry.elements) for entry in inst.sets]
+        assert all(abs(load - 1) <= DEFAULT_TOL for load, xi in zip(loads, out.x) if xi > 0)
+        assert min(out.y) >= -DEFAULT_TOL and max(loads) <= 1 + DEFAULT_TOL
+
+    def test_stats_are_not_compared(self, monkeypatch):
+        inst = gen_gf2(3)
+        plain = solve_lp(inst)
+        monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
+        by_det = solve_lp(inst)
+        assert (plain.stats.certificate, by_det.stats.certificate) == ("snap", "det")
+        assert plain == by_det
