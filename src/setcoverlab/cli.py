@@ -143,17 +143,25 @@ def _cmd_exact(args) -> int:
     return EXIT_OK if result.status == exact_mod.STATUS_OPTIMAL else EXIT_BUDGET
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    """A rational flag value; a zero denominator is a usage error like any bad literal."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} {text}: zero denominator") from None
+
+
 def _cmd_gen(args) -> int:
     if args.family == "cs":
         s = tuple(int(p) for p in args.s.split(","))
-        instance = gen_class_cs(SequenceSpec(s), Fraction(args.eps))
+        instance = gen_class_cs(SequenceSpec(s), _fraction("--eps", args.eps))
     elif args.family == "gf2":
         instance = gen_gf2(args.k)
     else:
         spec = RandomSpec(
             m=args.m, n=args.n, density=args.density,
-            weight_lo=Fraction(args.weight_lo),
-            weight_hi=Fraction(args.weight_hi),
+            weight_lo=_fraction("--weight-lo", args.weight_lo),
+            weight_hi=_fraction("--weight-hi", args.weight_hi),
             seed=args.seed,
         )
         instance = gen_random(spec)

@@ -12,20 +12,30 @@ product against vector i, all weights 1.
 
 gen_random is a seeded fuzzing generator (Mersenne Twister via
 random.Random, so identical seeds give identical instances everywhere).
+It takes the membership draws a block at a time but replays exactly the
+stream that one random() call per (element, set) pair would read:
+random() is CPython's res53, (a >> 5) * 2**26 + (b >> 6) over two
+consecutive 32-bit MT19937 outputs a, b, divided by 2**53, and
+getrandbits(64 * c) packs the next 2c outputs least-significant word
+first, so each 64-bit word of it holds one draw's (a, b).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import EpsilonOutOfRange, KOutOfRange
 from .instance import Instance, SetEntry
 
 DEFAULT_EPSILON = Fraction(1, 2)
 WEIGHT_GRID = 1000  # random weights live on a 1/WEIGHT_GRID grid
-GF2_MAX_K = 12  # gf2(12) peaks at 334 MB; each step in k quadruples its entries
+GF2_MAX_K = 12  # gf2(12) peaks at 106 MB RSS; each step in k quadruples its entries
+DRAW_BLOCK = 1 << 18  # gen_random holds at most this many draws (or one row)
 
 
 @dataclass(frozen=True)
@@ -94,9 +104,14 @@ def gen_gf2(k: int) -> Instance:
     if not 2 <= k <= GF2_MAX_K:
         raise KOutOfRange(f"k must be in 2..{GF2_MAX_K}, got {k}")
     m = (1 << k) - 1
+    v = np.arange(1, m + 1)
+    ids = v.astype(object)
     sets = []
     for i in range(1, m + 1):
-        elements = tuple(j for j in range(1, m + 1) if (i & j).bit_count() & 1)
+        p = v & i
+        for shift in (8, 4, 2, 1):  # fold the parity of k <= 12 bits into bit 0
+            p ^= p >> shift
+        elements = tuple(ids[(p & 1).astype(bool)].tolist())
         sets.append(SetEntry(elements, Fraction(1)))
     return Instance(m=m, sets=tuple(sets), name=f"gf2_{k}")
 
@@ -108,27 +123,44 @@ def gen_random(spec: RandomSpec) -> Instance:
     Empty sets get one uniformly chosen element, then uncovered elements
     are patched into a uniformly chosen set, so validation always passes.
     Weights are uniform on the rational grid weight_lo + j/WEIGHT_GRID.
+
+    The membership draws are the stream of one rng.random() per pair, in
+    element-major order, read DRAW_BLOCK draws at a time through
+    getrandbits (module docstring): a draw k53 / 2**53 is below the
+    density exactly when k53 < ceil(density * 2**53), computed in exact
+    rationals, so the output and the rng state after it are unchanged.
     """
     rng = random.Random(spec.seed)
-    members = [[] for _ in range(spec.n)]
-    covered = [False] * (spec.m + 1)
-    for e in range(1, spec.m + 1):
-        for i in range(spec.n):
-            if rng.random() < spec.density:
-                members[i].append(e)
-                covered[e] = True
-    for i in range(spec.n):
+    m, n = spec.m, spec.n
+    members = [[] for _ in range(n)]
+    covered = np.zeros(m + 1, dtype=bool)
+    cut = math.ceil(Fraction(spec.density) * 2**53)
+    rows = max(1, DRAW_BLOCK // n)
+    for lo in range(1, m + 1, rows):
+        hi = min(lo + rows, m + 1)
+        c = (hi - lo) * n
+        words = np.frombuffer(rng.getrandbits(64 * c).to_bytes(8 * c, "little"), "<u8")
+        k53 = (((words & 0xFFFFFFFF) >> 5) << 26) | (words >> 38)
+        hit = (k53 < cut).reshape(hi - lo, n)
+        covered[lo:hi] = hit.any(axis=1)
+        set_idx, row_idx = np.nonzero(hit.T)  # set-major, rows ascending
+        # one int object per element, shared by all the sets that hold it
+        elements = np.arange(lo, hi).astype(object)[row_idx].tolist()
+        sets_hit, starts = np.unique(set_idx, return_index=True)
+        ends = [*starts[1:].tolist(), len(elements)]
+        for i, a, b in zip(sets_hit.tolist(), starts.tolist(), ends):
+            members[i].extend(elements[a:b])
+    for i in range(n):
         if not members[i]:
-            e = rng.randrange(1, spec.m + 1)
+            e = rng.randrange(1, m + 1)
             members[i].append(e)
             covered[e] = True
-    for e in range(1, spec.m + 1):
-        if not covered[e]:
-            members[rng.randrange(spec.n)].append(e)
+    for e in (np.flatnonzero(~covered[1:]) + 1).tolist():
+        members[rng.randrange(n)].append(e)
     span = spec.weight_hi - spec.weight_lo
     steps = int(span * WEIGHT_GRID)
     sets = []
-    for i in range(spec.n):
+    for i in range(n):
         w = spec.weight_lo + Fraction(rng.randint(0, steps), WEIGHT_GRID) \
             if steps > 0 else spec.weight_lo
         sets.append(SetEntry(tuple(sorted(set(members[i]))), w))

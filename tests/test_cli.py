@@ -57,6 +57,15 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "gf2", "--k", "13")
         assert (code, out, err) == (1, "", "usage error: k must be in 2..12, got 13\n")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("random", "--m", "3", "--n", "2", "--weight-lo", "1/0"), "--weight-lo"),
+        (("random", "--m", "3", "--n", "2", "--weight-hi", "1/0"), "--weight-hi"),
+        (("cs", "--s", "2,1", "--eps", "1/0"), "--eps"),
+    ])
+    def test_zero_denominator_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert (code, out, err) == (1, "", f"usage error: {flag} 1/0: zero denominator\n")
+
 
 class TestValidateAndConvert:
     def test_validate_ok(self, capsys, cs_file):

@@ -1,3 +1,8 @@
+import hashlib
+import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +20,7 @@ from setcoverlab import (
     write_native,
 )
 from setcoverlab.errors import EpsilonOutOfRange, KOutOfRange
+from setcoverlab.generators import DRAW_BLOCK, WEIGHT_GRID
 
 
 class TestClassCs:
@@ -152,3 +158,145 @@ class TestRandom:
             self.spec(weight_lo=Fraction(0))
         with pytest.raises(ValueError):
             self.spec(m=0)
+
+
+def _reference_random(spec):
+    """gen_random as one random() call per pair: (elements, weight) per set."""
+    rng = random.Random(spec.seed)
+    members = [[] for _ in range(spec.n)]
+    covered = [False] * (spec.m + 1)
+    for e in range(1, spec.m + 1):
+        for i in range(spec.n):
+            if rng.random() < spec.density:
+                members[i].append(e)
+                covered[e] = True
+    for i in range(spec.n):
+        if not members[i]:
+            e = rng.randrange(1, spec.m + 1)
+            members[i].append(e)
+            covered[e] = True
+    for e in range(1, spec.m + 1):
+        if not covered[e]:
+            members[rng.randrange(spec.n)].append(e)
+    steps = int((spec.weight_hi - spec.weight_lo) * WEIGHT_GRID)
+    return [(tuple(sorted(set(m))),
+             spec.weight_lo + Fraction(rng.randint(0, steps), WEIGHT_GRID)
+             if steps > 0 else spec.weight_lo) for m in members]
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of write_native output, computed with the one-draw-per-pair
+# generators that the block replay and the numpy parity fold replaced.
+DENSITIES = (1e-4, Fraction(1, 3), None, 1.0, 0.05, 0.2, 0.6)  # None: 5/n
+SPANS = ((1, 1), (1, Fraction(10, 3)), (1, 10), (Fraction(1, 2), Fraction(3, 4)))
+CORPUS_SHA256 = "2560464657cd9ffe2fd941bc95f70dde3422b34c68a266bd37a2379ec5378ebb"
+LARGE_SHA256 = {
+    (3000, 700, 0.01, 11): "fdab7531697a68e061249932506169f24b86ae0aa70f83c310a2cff6fb193225",
+    (5, 300000, 0.001, 12): "08c1c5cff2ccd3743edc94e121d025b8d3a08c53200f4ba670b58f4e59c7acf2",
+    (2000, 250, 0.02, 13): "0c85a75d07eadb75770394093fed7ec6c5051b85780966e30644f0cc64dd62a2",
+}
+GF2_SHA256 = {
+    2: "2637d8eb84284e6f3e2d74b2dd92ccc2db571b36085067ffd7c9c5d9cffce2c7",
+    3: "26b9e7cf8e598072961ffb188d9fb4eaeeba6d1a401e49675104a0af8f62e2af",
+    4: "0b65e546987c885ceee551896e2a9381fc07fa60859f37c0a5e70c578985dc72",
+    5: "ffc17c293ff22af5996a59e5cd9a3a4e28175fdb4beaa3f2f77072b2adff4920",
+    6: "bc5e3718e10395ff98327ef291e6d41c98d50068f63a632b595bb99950460f77",
+    7: "02691c71ae9c4b1427f98e7f97dc26b5f071540f50212c45a5ea9cf15afa5304",
+    8: "1014c06a90046a910c0e748301270fccb3befbd9b408f9567b73e67b996658d4",
+    9: "8ef9ff55a45e3650645ca95ed1c3dcb46ba92c7a9eeb5e1fd5dc4f148658643e",
+    10: "a86d63a89ba34a5517e5f29a4cee26311109568036687835181d1cb62611ab91",
+    11: "e2f58e6b67e2fcaf34a429863dfa29daccde51d687653ca69e32c0080cf0804e",
+}
+
+
+def _corpus():
+    """320 seeded specs, m <= 80, n <= 60, over every density and span above."""
+    for seed in range(320):
+        m = 1 + (seed * 37) % 80
+        n = 1 + (seed * 11) % 60
+        density = DENSITIES[seed % 7]
+        if density is None:
+            density = 5 / n if n >= 5 else 0.5
+        lo, hi = SPANS[seed % 4]
+        yield RandomSpec(m=m, n=n, density=density, weight_lo=Fraction(lo),
+                         weight_hi=Fraction(hi), seed=seed)
+
+
+class TestGoldenBytes:
+    def test_random_corpus(self):
+        digest = hashlib.sha256()
+        for spec in _corpus():
+            digest.update(write_native(gen_random(spec)).encode())
+        assert digest.hexdigest() == CORPUS_SHA256
+
+    @pytest.mark.parametrize("key", list(LARGE_SHA256))
+    def test_random_across_blocks(self, key):
+        # 3000x700 spans several blocks; n = 300000 exceeds one block
+        m, n, density, seed = key
+        spec = RandomSpec(m=m, n=n, density=density, weight_lo=Fraction(1),
+                          weight_hi=Fraction(10), seed=seed)
+        assert _sha(write_native(gen_random(spec))) == LARGE_SHA256[key]
+
+    def test_gf2(self):
+        assert {k: _sha(write_native(gen_gf2(k))) for k in GF2_SHA256} == GF2_SHA256
+
+
+class TestBlockReplay:
+    def test_matches_one_draw_per_pair(self):
+        first = random.Random(3).random()
+        specs = [
+            # the first draw sits exactly on the density, so it must miss
+            RandomSpec(m=4, n=3, density=first, weight_lo=Fraction(1),
+                       weight_hi=Fraction(2), seed=3),
+            # half a 2**-53 step above it, so it must hit
+            RandomSpec(m=4, n=3, density=Fraction(first) + Fraction(1, 2**54),
+                       weight_lo=Fraction(1), weight_hi=Fraction(2), seed=3),
+            # two blocks of element rows
+            RandomSpec(m=DRAW_BLOCK // 1000 + 38, n=1000, density=Fraction(1, 7),
+                       weight_lo=Fraction(1), weight_hi=Fraction(1), seed=4),
+        ]
+        specs += [RandomSpec(m=1 + s % 40, n=1 + s % 13, density=(s % 10 + 1) / 10,
+                             weight_lo=Fraction(1), weight_hi=Fraction(3), seed=s)
+                  for s in range(40)]
+        for spec in specs:
+            # the weights come after the patches, so they also check the rng state
+            got = [(e.elements, e.weight) for e in gen_random(spec).sets]
+            assert got == _reference_random(spec)
+
+    def test_block_bound_holds(self):
+        # 4M pairs: one float64 per draw would hold 32 MB.  The one-draw-
+        # per-pair loop, which holds no draws, peaked at 11.3 MB traced:
+        # nearly every element is patched into one of the 20 lists
+        spec = RandomSpec(m=200_000, n=20, density=1e-5, weight_lo=Fraction(1),
+                          weight_hi=Fraction(10), seed=5)
+        tracemalloc.start()
+        try:
+            gen_random(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM")
+    def test_gf2_12_memory_and_no_numpy_random(self):
+        # VmHWM, not ru_maxrss: a child's ru_maxrss keeps the high-water
+        # mark of the pytest process it was forked from
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from setcoverlab import RandomSpec, gen_gf2, gen_random\n"
+            "gen_random(RandomSpec(m=50, n=40, density=0.1, weight_lo=Fraction(1),"
+            " weight_hi=Fraction(2), seed=1))\n"
+            "gen_gf2(12)\n"
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print(hwm[0].split()[1], 'numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        peak_kb, numpy_random = proc.stdout.split()
+        # the build with a fresh int per entry peaked at 334 MB
+        assert int(peak_kb) < 200 * 1024
+        assert numpy_random == "False"
