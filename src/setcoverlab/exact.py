@@ -1,14 +1,17 @@
 """Exact optimal covers at desk scale.
 
-One depth-first search: it branches on the lowest uncovered element, visits
-the sets containing it cheapest-first, and cuts a node once its weight
-reaches the incumbent's.  Every optimal cover is then a leaf.  The two
-methods differ in the tie rule: the exhaustive method keeps, among covers
-of equal weight, the one with the lowest subset bitmask; branch-and-bound
-keeps the first found.  Branch-and-bound can also prune by the root LP's
-dual, made exactly feasible, summed over the uncovered elements, tested
-before a child is pushed and again when it is popped (the incumbent may
-have improved in between).
+One depth-first search: it branches on the lowest uncovered element and
+visits the sets containing it cheapest-first.  The child that takes a set
+bans the cheaper holders of that element for its whole subtree, so each
+cover is reached at most once.  The incumbent cut is decided when a child
+is built: a child heavier than the incumbent, or as heavy and not a cover,
+is never pushed.  Every optimal cover is then a leaf.  The two methods
+differ in the tie rule: the exhaustive method keeps, among covers of equal
+weight, the one with the lowest subset bitmask; branch-and-bound keeps the
+first found.  Branch-and-bound can also prune by the root LP's dual, made
+exactly feasible, summed over the uncovered elements, tested before a
+child is pushed and again when it is popped (the incumbent may have
+improved in between).
 
 Weight arithmetic inside the search runs on the integer weights validation
 memoized (over their common denominator), so comparisons stay exact and
@@ -88,10 +91,16 @@ def _mask_sum(values, mask):
 def _search(instance, weights, denom, budget, use_lp_bound, bounded):
     """Depth-first search on weights over denom; bounded selects B&B's behaviour.
 
-    A node is cut once its weight reaches the incumbent's, so every optimal
-    cover is a leaf.  Unbounded, among equal weights the lowest subset
-    bitmask wins.  Bounded, the first cover found at a weight stays, the
-    root dual prunes when use_lp_bound is set, and the prunes are counted.
+    A node branches on its lowest uncovered element e.  The child that takes
+    e's j-th holder (cheapest first) bans holders 1..j-1 for its whole
+    subtree, so every cover is reached at most once: through the first of
+    its sets at each branching element.  A node whose holders of e are all
+    banned is a dead end.  The incumbent cut is decided when a child is
+    built: it is skipped when heavier than the incumbent, or as heavy and
+    not yet a cover, so every optimal cover is still a leaf.  Unbounded,
+    among equal weights the lowest subset bitmask wins.  Bounded, the first
+    cover found at a weight stays, the root dual prunes when use_lp_bound is
+    set, and the prunes are counted.
     """
     deadline = time.monotonic() + budget.time_limit
     masks = element_masks(instance)
@@ -104,14 +113,21 @@ def _search(instance, weights, denom, budget, use_lp_bound, bounded):
     incumbent_w = sum(weights[i] for i in seed.chosen)
     incumbent = tuple(sorted(seed.chosen))
 
-    by_element = [sorted(holders, key=lambda i: (weights[i], i))
-                  for holders in element_sets(instance)]
+    # per element, its holders cheapest first as (set, weight, mask, the
+    # holders before it as a bitmask, which the child taking it bans)
+    by_element = []
+    for holders in element_sets(instance):
+        row, before = [], 0
+        for i in sorted(holders, key=lambda i: (weights[i], i)):
+            row.append((i, weights[i], masks[i], before))
+            before |= 1 << i
+        by_element.append(row)
 
     stats = {"lp": 0}
     nodes = 0
     hit_limit = False
-    # (covered, w_so_far, chosen, dual sum of the uncovered elements)
-    stack: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), sum(ys))]
+    # (covered, w_so_far, chosen, dual sum of the uncovered elements, banned sets)
+    stack: list[tuple[int, int, tuple[int, ...], int, int]] = [(0, 0, (), sum(ys), 0)]
 
     while stack:
         if nodes >= budget.node_limit:
@@ -120,7 +136,7 @@ def _search(instance, weights, denom, budget, use_lp_bound, bounded):
         if nodes % 256 == 0 and time.monotonic() > deadline:
             hit_limit = True
             break
-        covered, w_so_far, chosen, y_left = stack.pop()
+        covered, w_so_far, chosen, y_left, banned = stack.pop()
         nodes += 1
         if covered == full:
             if w_so_far < incumbent_w or (
@@ -129,20 +145,29 @@ def _search(instance, weights, denom, budget, use_lp_bound, bounded):
                 incumbent_w = w_so_far
                 incumbent = tuple(sorted(chosen))
             continue
+        # the incumbent may have improved since the push
         if ys and w_so_far * dy + y_left * denom >= incumbent_w * dy:
             stats["lp"] += 1
             continue
-        if w_so_far >= incumbent_w:
-            continue
-        e = ((full & ~covered) & -(full & ~covered)).bit_length() - 1
-        for i in reversed(by_element[e]):
-            w = w_so_far + weights[i]
-            child_y = y_left - _mask_sum(ys, masks[i] & ~covered) if ys else 0
-            # the same dual test, before the child is built and pushed
+        uncovered = full & ~covered
+        e = (uncovered & -uncovered).bit_length() - 1
+        children = []
+        for i, wi, mask, before in by_element[e]:
+            w = w_so_far + wi
+            if w > incumbent_w:
+                break  # so are the holders after it
+            if banned >> i & 1:
+                continue
+            child = covered | mask
+            if w == incumbent_w and child != full:
+                continue
+            child_y = y_left - _mask_sum(ys, mask & uncovered) if ys else 0
+            # the same dual test, before the child is pushed
             if ys and w * dy + child_y * denom >= incumbent_w * dy:
                 stats["lp"] += 1
                 continue
-            stack.append((covered | masks[i], w, chosen + (i,), child_y))
+            children.append((child, w, chosen + (i,), child_y, banned | before))
+        stack.extend(reversed(children))  # the cheapest child is popped first
 
     status = STATUS_BUDGET if hit_limit else STATUS_OPTIMAL
     return (Fraction(incumbent_w, denom), incumbent, nodes, status,

@@ -157,12 +157,13 @@ def gen_random(spec: RandomSpec) -> Instance:
             covered[e] = True
     for e in (np.flatnonzero(~covered[1:]) + 1).tolist():
         members[rng.randrange(n)].append(e)
-    span = spec.weight_hi - spec.weight_lo
-    steps = int(span * WEIGHT_GRID)
+    lo = spec.weight_lo
+    steps = int((spec.weight_hi - lo) * WEIGHT_GRID)
     sets = []
     for i in range(n):
-        w = spec.weight_lo + Fraction(rng.randint(0, steps), WEIGHT_GRID) \
-            if steps > 0 else spec.weight_lo
+        # lo + j / WEIGHT_GRID as one Fraction, with no addition to normalize
+        w = Fraction(lo.numerator * WEIGHT_GRID + rng.randint(0, steps) * lo.denominator,
+                     lo.denominator * WEIGHT_GRID) if steps > 0 else lo
         sets.append(SetEntry(tuple(sorted(set(members[i]))), w))
     return Instance(
         m=spec.m, sets=tuple(sets),

@@ -117,12 +117,13 @@ class TestExhaustive:
             assert (res.weight, res.cover.set_indices) == brute_lowest_mask_optimum(inst)
 
     def test_node_counts(self):
-        # a node is cut once its weight reaches the incumbent's, not later;
-        # the unit-weight instance has uncovered nodes at that weight
+        # each cover is reached once, and a child that is not a cover at the
+        # incumbent's weight is never pushed; the unit-weight instance has
+        # such children
         unit = gen_random(RandomSpec(m=12, n=14, density=0.3, weight_lo=Fraction(1),
                                      weight_hi=Fraction(1), seed=1))
-        for inst, expected in ((gen_gf2(4), (4, 4681, (0, 1, 3, 7))),
-                               (unit, (3, 130, (0, 2, 4)))):
+        for inst, expected in ((gen_gf2(4), (4, 1121, (0, 1, 3, 7))),
+                               (unit, (3, 38, (0, 2, 4)))):
             res = exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE))
             assert (res.weight, res.nodes, res.cover.set_indices) == expected
             assert res.bound_stats == {}
@@ -180,7 +181,16 @@ class TestBranchAndBound:
 
     def test_gf2_4_node_count(self):
         res = exact_opt(gen_gf2(4), SolveBudget(method=METHOD_BNB))
-        assert (res.weight, res.nodes, res.bound_stats) == (4, 4681, {"lp": 0})
+        assert (res.weight, res.nodes, res.bound_stats) == (4, 1121, {"lp": 0})
+
+    @pytest.mark.parametrize("make, weight, nodes", [
+        (lambda: gen_gf2(5), 5, 98769),
+        (lambda: weights_1_to_10(40, 40, 0.1, 1), Fraction(52137, 1000), 100604)])
+    def test_closes_without_the_lp_bound(self, make, weight, nodes):
+        inst = make()
+        res = exact_opt(inst, SolveBudget(method=METHOD_BNB))
+        assert (res.status, res.weight, res.nodes) == (STATUS_OPTIMAL, weight, nodes)
+        assert weight == highs_optimum(inst)
 
 
 class TestRootDualBound:
@@ -194,8 +204,8 @@ class TestRootDualBound:
         assert res.status == STATUS_OPTIMAL
         assert res.weight == optimum == highs_optimum(inst)
 
-    @pytest.mark.parametrize("m, n, seed, nodes, prunes", [(40, 40, 1, 847, 1514),
-                                                           (60, 60, 3, 1898, 6365)])
+    @pytest.mark.parametrize("m, n, seed, nodes, prunes", [(40, 40, 1, 534, 746),
+                                                           (60, 60, 3, 1345, 3785)])
     def test_children_the_dual_rules_out_are_never_pushed(self, m, n, seed, nodes, prunes):
         # a child the dual rules out is counted as a prune, not pushed and
         # visited as a node
@@ -204,7 +214,7 @@ class TestRootDualBound:
         assert (res.nodes, res.bound_stats["lp"]) == (nodes, prunes)
 
     def test_deadline_covers_the_root_lp(self):
-        # an instance the search cannot close in 20 s
+        # an instance the search cannot close in 30 s
         inst = weights_1_to_10(100, 300, 0.05, 0)
         t0 = time.monotonic()
         res = exact_opt(inst, SolveBudget(method=METHOD_BNB, time_limit=2),

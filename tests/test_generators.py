@@ -266,6 +266,16 @@ class TestBlockReplay:
             got = [(e.elements, e.weight) for e in gen_random(spec).sets]
             assert got == _reference_random(spec)
 
+    def test_weights_match_the_fraction_addition(self):
+        # each weight is built as one Fraction; _reference_random adds
+        # weight_lo + Fraction(j, WEIGHT_GRID), the values it must keep
+        for lo, hi in ((Fraction(1, 3), Fraction(13, 6)), (Fraction(7, 4), Fraction(9, 4)),
+                       (Fraction(2), Fraction(9))):
+            spec = RandomSpec(m=6, n=60, density=0.3, weight_lo=lo, weight_hi=hi, seed=11)
+            got = [entry.weight for entry in gen_random(spec).sets]
+            assert got == [w for _, w in _reference_random(spec)]
+            assert all(type(w) is Fraction for w in got) and len(set(got)) > 50
+
     def test_block_bound_holds(self):
         # 4M pairs: one float64 per draw would hold 32 MB.  The one-draw-
         # per-pair loop, which holds no draws, peaked at 11.3 MB traced:
