@@ -163,12 +163,19 @@ def bound_report(instance: Instance, trace: GreedyTrace,
     )
 
 
+def _approx(v: Fraction) -> str:
+    """v to six decimals; inf, signed, where v is beyond the float range."""
+    try:
+        return f"{float(v):.6f}"
+    except OverflowError:
+        return "inf" if v > 0 else "-inf"
+
+
 def _scalar(v) -> str:
     if v is None:
         return ""
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator} (~{float(v):.6f})" \
-            if v.denominator != 1 else f"{v} (~{float(v):.6f})"
+        return f"{v} (~{_approx(v)})"
     if isinstance(v, float):
         return f"{v:.6f}"
     return str(v)

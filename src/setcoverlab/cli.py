@@ -114,8 +114,9 @@ def _cmd_bounds(args) -> int:
 def _cmd_lp(args) -> int:
     instance = _load(args.file, args.source)
     if args.export_lp:
+        text = lp_mod.write_lp_format(instance)
         with open(args.export_lp, "w") as fh:
-            fh.write(lp_mod.write_lp_format(instance))
+            fh.write(text)
     outcome = lp_mod.solve_lp(instance)
     if args.format == "csv":
         _write_out(lp_mod.solution_to_csv(outcome), args.output)

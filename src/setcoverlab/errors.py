@@ -2,7 +2,7 @@
 
 Exit-code mapping used by the CLI: usage errors -> 1, ScpSyntaxError -> 2,
 instance/feasibility errors -> 3, budget or iteration limits -> 4,
-NumericalFailure (a solver fault, not the input's) -> 5.
+NumericalFailure (a fault or a float limit of the LP solver) -> 5.
 """
 
 

@@ -46,7 +46,7 @@ class SolveBudget:
     method: str = METHOD_AUTO
 
     def __post_init__(self):
-        if self.node_limit <= 0 or self.time_limit <= 0:
+        if self.node_limit <= 0 or not self.time_limit > 0:  # NaN fails "> 0" too
             raise ValueError("budget limits must be positive")
         if self.method not in (METHOD_EXHAUSTIVE, METHOD_BNB, METHOD_AUTO):
             raise ValueError(f"unknown method {self.method!r}")

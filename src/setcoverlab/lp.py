@@ -11,21 +11,24 @@ rows and column slots to variables (y_e is label e-1, set i's slack label
 m+i); at a pivot the leaving variable takes the entering one's slot.
 Pricing is Dantzig's.  The first time BLAND_STREAK degenerate pivots
 come in a row, the rhs is perturbed once, by a positive, per-row distinct
-delta scaled to the weights, and Dantzig pricing goes on: the perturbed
-vertex is the basic solution of the weights w' = w + B.delta (B the basis
-at the stall), from which later refactorizations rebuild (Wolfe 1963,
-Charnes 1952).  At the optimum for w' the tableau is refactorized on the
-true weights, and dual-simplex pivots (the most negative rhs leaves, the
-dual ratio test picks the entering column) repair any rhs that dropping
-delta left below -DEFAULT_TOL.  Bland's rule is the fallback: only a second streak, after the
-perturbation, switches to it until the objective moves again.  Every
+delta scaled to the weights, and Dantzig pricing goes on (Wolfe 1963,
+Charnes 1952).  Bland's rule is the fallback: only a second streak, after
+the perturbation, switches to it until the objective moves again.  Every
 rule, and both ratio tests, break ties by the lowest variable label,
 never by slot.  An LP that never stalls pivots exactly as plain Dantzig.
-The tableau is refactorized from the original data every so many pivots
-and again before optimality is declared, so drift never decides
-termination; the primal solution is the simplex multipliers of that final
-refactorization.  Each outcome's stats count the Bland, cleanup and
-refactorization steps and name the certificate path.
+
+The tableau is rebuilt from the original data, always on the true
+weights, only where the answer is decided: when no column prices in, and
+once at an iteration limit while the rhs is still perturbed.  So drift and
+delta never decide termination, and every pivot before that rebuild is
+elementwise numpy work, independent of the BLAS thread count.  After every
+rebuild, dual-simplex pivots (the most negative rhs leaves, the dual ratio
+test picks the entering column) repair any rhs that dropping delta, or
+drift, left below -DEFAULT_TOL; optimality is declared only on a rebuilt
+tableau with no pivot since.  x is read off that tableau's reduced-cost
+row: a nonbasic slack's reduced cost is -x_i, and x_i = 0 for a basic one.
+Each outcome's stats count the Bland, repair and refactorization steps and
+name the certificate path.
 
 Because the float tableau can drift, the solver then tries to certify the
 result exactly: the float primal/dual pair is snapped to small rationals
@@ -58,7 +61,6 @@ from .instance import Instance, _over_lcm, element_sets, require_positive_weight
 
 DEFAULT_TOL = 1e-9
 BLAND_STREAK = 40
-REFRESH_INTERVAL = 1000  # pivots between refactorizations (drift control)
 PERTURBATION = 1e-5  # the rhs perturbation at a stall, relative to the mean weight
 GOLDEN = (math.sqrt(5) - 1) / 2
 # The tableau's values carry float error near 1e-14.  A denominator limit
@@ -76,9 +78,9 @@ STATUS_ITERATION_LIMIT = "iteration-limit"
 class LpStats:
     """What one solve did: its pivot kinds, refactorizations and certificate path."""
     bland_pivots: int = 0  # pivots priced by Bland's rule (the fallback)
-    cleanup_pivots: int = 0  # dual pivots that removed the perturbation
+    cleanup_pivots: int = 0  # dual pivots that repaired the rhs after a refactorization
     refactorizations: int = 0
-    perturbed: bool = False  # a degeneracy streak perturbed the weights
+    perturbed: bool = False  # a degeneracy streak perturbed the rhs
     certificate: str | None = None  # "snap", "det", or None when uncertified
 
 
@@ -119,23 +121,23 @@ def _columns(d, labels):
 
 
 def _refactorize(d, w, basis, nonbasic):
-    """Rebuild the condensed tableau from scratch for the basis.
+    """Rebuild the condensed tableau from scratch for the basis, on weights w.
 
-    Pivoting drifts the dense tableau; recomputing B^-1 [N | w] and the
-    reduced-cost row from the original data bounds the error by a single
-    solve, exactly like reinversion in a revised simplex.  Returns the
-    tableau and the simplex multipliers pi.
+    Pivoting drifts the dense tableau; recomputing B^-1 [N | w] from the
+    original data bounds the error by a single solve, exactly like
+    reinversion in a revised simplex.  The same solve gives the reduced-cost
+    row c_N - c_B B^-1 N, with minus the objective in the rhs slot: c_B is 1
+    on the rows of basic y_e and 0 on basic slacks, so c_B B^-1 [N | w] is
+    the sum of those rows.
     """
     m = d.shape[1]
-    b_mat = _columns(d, basis)
-    n_mat = _columns(d, nonbasic)
     try:
-        body = np.linalg.solve(b_mat, np.column_stack([n_mat, w]))
-        pi = np.linalg.solve(b_mat.T, (basis < m).astype(float))
+        body = np.linalg.solve(_columns(d, basis),
+                               np.column_stack([_columns(d, nonbasic), w]))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular basis during refactorization: {exc}")
-    obj = np.append((nonbasic < m).astype(float) - pi @ n_mat, -(pi @ w))
-    return np.vstack([body, obj]), pi
+    obj = np.append((nonbasic < m).astype(float), 0.0) - body[basis < m].sum(axis=0)
+    return np.vstack([body, obj])
 
 
 def _pivot(t, basis, nonbasic, leave, enter):
@@ -194,16 +196,15 @@ def _dual_pivot(t, basis, nonbasic):
     return leave, _lowest_label(slots[ratios <= ratios.min() + DEFAULT_TOL], nonbasic)
 
 
-def _perturbed_weights(d, w, basis):
-    """Weights w' = w + B.delta whose basic solution is the current one plus delta.
-
-    delta is positive, distinct per row (a golden-ratio sequence) and
-    scaled to the mean weight, so ratio tests on w' rarely tie.  Returns w'
-    and delta; B.delta is summed elementwise, with no BLAS call.
-    """
-    n = basis.size
-    delta = PERTURBATION * w.mean() * (1.0 + np.modf(np.arange(1, n + 1) * GOLDEN)[0])
-    return w + (_columns(d, basis) * delta).sum(axis=1), delta
+def _float_weights(instance: Instance) -> list[float]:
+    """The weights as floats; NumericalFailure names a set whose weight overflows."""
+    weights = []
+    for i, entry in enumerate(instance.sets):
+        try:
+            weights.append(float(entry.weight))
+        except OverflowError:
+            raise NumericalFailure(f"set {i} has a weight beyond the float range") from None
+    return weights
 
 
 def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutcome:
@@ -219,8 +220,7 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
         max_iterations = 100 * (m + n) + 1000
 
     d = _dual_data(instance)
-    w = np.array([float(entry.weight) for entry in instance.sets])
-    rhs_w = w  # the weights the tableau's rhs is refactorized from
+    w = np.array(_float_weights(instance))
     basis = np.arange(m, m + n)  # row -> variable label
     nonbasic = np.arange(m)  # slot -> variable label
     # the slack basis is the identity: the start tableau is [D | w] over [1 | -0]
@@ -229,32 +229,32 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
     t[:n, m] = w
     t[n, :m] = 1.0
     t[n, m] = -0.0
-    pi = np.zeros(n)
-    iterations = since_refresh = streak = 0
+    iterations = streak = 0
     bland_pivots = cleanup_pivots = refactorizations = 0
-    bland = perturbed = cleanup = False
+    bland = perturbed = shifted = repair = False
+    fresh = True  # no pivot since the tableau was built from the data
     while True:
-        step = _dual_pivot(t, basis, nonbasic) if cleanup else None
-        cleanup = step is not None
-        if cleanup:
+        step = _dual_pivot(t, basis, nonbasic) if repair else None
+        repair = step is not None
+        if repair:
             leave, enter = step
         else:
             enter = _entering(t[n, :m], nonbasic, bland)
             if enter < 0:
-                if since_refresh == 0 and rhs_w is w:
+                if fresh:
                     status = STATUS_OPTIMAL
                     break
-                if rhs_w is not w:  # optimal for w' (reduced costs ignore the rhs)
-                    rhs_w = w
-                    cleanup = True
-                t, pi = _refactorize(d, rhs_w, basis, nonbasic)
+                # decide on the true weights: the rebuild drops the drift and
+                # any perturbation, and dual pivots repair what is left
+                t = _refactorize(d, w, basis, nonbasic)
                 refactorizations += 1
-                since_refresh = 0
+                fresh = repair = True
+                shifted = False
                 continue
         if iterations >= max_iterations:
             status = STATUS_ITERATION_LIMIT
             break
-        if not cleanup:
+        if not repair:
             col = t[:n, enter]
             rows = (col > DEFAULT_TOL).nonzero()[0]
             if rows.size == 0:
@@ -264,12 +264,8 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
             leave = _lowest_label(rows[ratios <= best + DEFAULT_TOL], basis)
         _pivot(t, basis, nonbasic, leave, enter)
         iterations += 1
-        since_refresh += 1
-        if since_refresh >= REFRESH_INTERVAL:
-            t, pi = _refactorize(d, rhs_w, basis, nonbasic)
-            refactorizations += 1
-            since_refresh = 0
-        if cleanup:
+        fresh = False
+        if repair:
             cleanup_pivots += 1
             continue
         bland_pivots += bland
@@ -283,23 +279,20 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
         if perturbed:  # the fallback: Bland's rule cannot cycle
             bland = True
         else:
-            rhs_w, delta = _perturbed_weights(d, w, basis)
-            t[:n, m] += delta
-            perturbed = True
+            # delta: positive and distinct per row (a golden-ratio sequence),
+            # so the ratio tests on the shifted rhs rarely tie
+            t[:n, m] += PERTURBATION * w.mean() * (1.0 + np.modf(np.arange(1, n + 1) * GOLDEN)[0])
+            perturbed = shifted = True
             streak = 0
 
-    if status == STATUS_ITERATION_LIMIT:
-        if rhs_w is not w:  # report the vertex of the true weights
-            t = _refactorize(d, w, basis, nonbasic)[0]
-            refactorizations += 1
-        # the nonbasic slacks' reduced costs are -pi; the basic ones' are 0
-        slacks = np.flatnonzero(nonbasic >= m)
-        pi = np.zeros(n)
-        pi[nonbasic[slacks] - m] = -t[n, slacks]
-    # optimality is only ever declared right after a refactorization, so
-    # its multipliers are fresh then
-    x = np.maximum(pi, 0.0)
-    objective = float(sum(float(e.weight) * xi for e, xi in zip(instance.sets, x)))
+    if shifted:  # report the vertex of the true weights
+        t = _refactorize(d, w, basis, nonbasic)
+        refactorizations += 1
+    # the nonbasic slacks' reduced costs are -x; the basic ones' are 0
+    slacks = np.flatnonzero(nonbasic >= m)
+    x = np.zeros(n)
+    x[nonbasic[slacks] - m] = np.maximum(-t[n, slacks], 0.0)
+    objective = float(sum(wi * xi for wi, xi in zip(w, x)))
     y = np.zeros(m)
     structural = np.flatnonzero(basis < m)
     y[basis[structural]] = t[structural, m]
@@ -421,9 +414,7 @@ def solution_to_csv(lp: LpOutcome) -> str:
 def write_lp_format(instance: Instance) -> str:
     """CPLEX-LP text of the covering program, for external cross-checks."""
     lines = ["Minimize"]
-    terms = " + ".join(
-        f"{float(entry.weight):.12g} x{i}" for i, entry in enumerate(instance.sets)
-    )
+    terms = " + ".join(f"{wi:.12g} x{i}" for i, wi in enumerate(_float_weights(instance)))
     lines.append(f" obj: {terms}")
     lines.append("Subject To")
     for e, holders in enumerate(element_sets(instance), start=1):

@@ -1,0 +1,168 @@
+"""Frozen copy of the simplex loop before refactorizing only at the end, the
+reference for the differential test of setcoverlab.lp.
+
+This loop rebuilds the tableau every REFRESH_INTERVAL pivots, onto the
+perturbed weights w' = w + B.delta while a stall's perturbation is in
+force, and reads x from a second solve for the simplex multipliers.  On
+an LP that stays under REFRESH_INTERVAL pivots its status, iterations,
+exact objective, x, y and certificate path define solve_lp's contract.
+Do not edit: the differential test compares against exactly this
+behaviour.
+"""
+
+import numpy as np
+
+from setcoverlab.errors import NumericalFailure
+from setcoverlab.instance import require_positive_weights
+from setcoverlab.lp import (
+    BLAND_STREAK,
+    DEFAULT_TOL,
+    GOLDEN,
+    PERTURBATION,
+    STATUS_ITERATION_LIMIT,
+    STATUS_OPTIMAL,
+    LpOutcome,
+    LpStats,
+    _columns,
+    _dual_data,
+    _dual_pivot,
+    _entering,
+    _lowest_label,
+    _pivot,
+    _snap,
+    _snap_to_det,
+    certify_pair,
+)
+
+REFRESH_INTERVAL = 1000
+
+
+def _refactorize(d, w, basis, nonbasic):
+    m = d.shape[1]
+    b_mat = _columns(d, basis)
+    n_mat = _columns(d, nonbasic)
+    try:
+        body = np.linalg.solve(b_mat, np.column_stack([n_mat, w]))
+        pi = np.linalg.solve(b_mat.T, (basis < m).astype(float))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"singular basis during refactorization: {exc}")
+    obj = np.append((nonbasic < m).astype(float) - pi @ n_mat, -(pi @ w))
+    return np.vstack([body, obj]), pi
+
+
+def _perturbed_weights(d, w, basis):
+    n = basis.size
+    delta = PERTURBATION * w.mean() * (1.0 + np.modf(np.arange(1, n + 1) * GOLDEN)[0])
+    return w + (_columns(d, basis) * delta).sum(axis=1), delta
+
+
+def solve_lp(instance, *, max_iterations=None):
+    dw = require_positive_weights(instance)[1]
+    m, n = instance.m, instance.n
+    if max_iterations is None:
+        max_iterations = 100 * (m + n) + 1000
+
+    d = _dual_data(instance)
+    w = np.array([float(entry.weight) for entry in instance.sets])
+    rhs_w = w
+    basis = np.arange(m, m + n)
+    nonbasic = np.arange(m)
+    t = np.empty((n + 1, m + 1))
+    t[:n, :m] = d
+    t[:n, m] = w
+    t[n, :m] = 1.0
+    t[n, m] = -0.0
+    pi = np.zeros(n)
+    iterations = since_refresh = streak = 0
+    bland_pivots = cleanup_pivots = refactorizations = 0
+    bland = perturbed = cleanup = False
+    while True:
+        step = _dual_pivot(t, basis, nonbasic) if cleanup else None
+        cleanup = step is not None
+        if cleanup:
+            leave, enter = step
+        else:
+            enter = _entering(t[n, :m], nonbasic, bland)
+            if enter < 0:
+                if since_refresh == 0 and rhs_w is w:
+                    status = STATUS_OPTIMAL
+                    break
+                if rhs_w is not w:
+                    rhs_w = w
+                    cleanup = True
+                t, pi = _refactorize(d, rhs_w, basis, nonbasic)
+                refactorizations += 1
+                since_refresh = 0
+                continue
+        if iterations >= max_iterations:
+            status = STATUS_ITERATION_LIMIT
+            break
+        if not cleanup:
+            col = t[:n, enter]
+            rows = (col > DEFAULT_TOL).nonzero()[0]
+            if rows.size == 0:
+                raise NumericalFailure("dual LP appears unbounded; corrupt tableau")
+            ratios = t[rows, m] / col[rows]
+            best = ratios.min()
+            leave = _lowest_label(rows[ratios <= best + DEFAULT_TOL], basis)
+        _pivot(t, basis, nonbasic, leave, enter)
+        iterations += 1
+        since_refresh += 1
+        if since_refresh >= REFRESH_INTERVAL:
+            t, pi = _refactorize(d, rhs_w, basis, nonbasic)
+            refactorizations += 1
+            since_refresh = 0
+        if cleanup:
+            cleanup_pivots += 1
+            continue
+        bland_pivots += bland
+        if best > DEFAULT_TOL:
+            streak = 0
+            bland = False
+            continue
+        streak += 1
+        if streak < BLAND_STREAK:
+            continue
+        if perturbed:
+            bland = True
+        else:
+            rhs_w, delta = _perturbed_weights(d, w, basis)
+            t[:n, m] += delta
+            perturbed = True
+            streak = 0
+
+    if status == STATUS_ITERATION_LIMIT:
+        if rhs_w is not w:
+            t = _refactorize(d, w, basis, nonbasic)[0]
+            refactorizations += 1
+        slacks = np.flatnonzero(nonbasic >= m)
+        pi = np.zeros(n)
+        pi[nonbasic[slacks] - m] = -t[n, slacks]
+    x = np.maximum(pi, 0.0)
+    objective = float(sum(float(e.weight) * xi for e, xi in zip(instance.sets, x)))
+    y = np.zeros(m)
+    structural = np.flatnonzero(basis < m)
+    y[basis[structural]] = t[structural, m]
+
+    exact_obj = None
+    exact_x = None
+    certificate = None
+    if status == STATUS_OPTIMAL:
+        pair = (_snap(x), _snap(y))
+        exact = certify_pair(instance, *pair)
+        certificate = "snap"
+        if exact is None:
+            pair = _snap_to_det(_columns(d, basis), x, y, dw)
+            exact = pair and certify_pair(instance, *pair)
+            certificate = "det" if exact is not None else None
+        if exact is not None:
+            exact_x, exact_obj = exact
+            objective = float(exact_obj)
+            x, y = exact_x, pair[1]
+
+    stats = LpStats(bland_pivots=bland_pivots, cleanup_pivots=cleanup_pivots,
+                    refactorizations=refactorizations, perturbed=perturbed,
+                    certificate=certificate)
+    return LpOutcome(x=tuple(x), objective=objective, status=status,
+                     iterations=iterations, exact_objective=exact_obj,
+                     exact_x=exact_x, y=tuple(y), stats=stats)

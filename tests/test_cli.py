@@ -216,6 +216,47 @@ class TestLpExact:
         code, out, _ = run_cli(capsys, "lp", cs_file, "--tol", "1e-9")
         assert (code, out) == (1, "")
 
+    @pytest.mark.parametrize("limit", ["nan", "0", "-1"])
+    def test_time_limit_must_be_positive(self, capsys, cs_file, limit):
+        code, out, err = run_cli(capsys, "exact", cs_file, "--time-limit", limit)
+        assert (code, out) == (1, "")
+        assert err == "usage error: budget limits must be positive\n"
+
+    def test_infinite_time_limit_is_no_limit(self, capsys, cs_file):
+        code, out, _ = run_cli(capsys, "exact", cs_file, "--time-limit", "inf")
+        assert code == 0
+        assert "status=proven-optimal" in out
+
+
+class TestWeightsBeyondFloats:
+    """Set 0 weighs 10**400, beyond the largest float."""
+
+    @pytest.fixture
+    def huge_file(self, tmp_path):
+        path = tmp_path / "huge.scp"
+        path.write_text("scp 1\n3 2\n1e400 2 1 2\n1 2 2 3\n")
+        return str(path)
+
+    def test_bounds_approximate_by_inf(self, capsys, huge_file):
+        code, out, _ = run_cli(capsys, "bounds", huge_file)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[4] == "H_m=11/6 (~1.833333)" and lines[-1] == "ratio=1 (~1.000000)"
+        assert lines[-3] == f"w_gr={10**400 + 1} (~inf)"
+        assert lines[-2] == f"opt_lower={3 * (10**400 + 1)}/5 (~inf)"  # w_gr / G, G = 5/3
+        code, out, _ = run_cli(capsys, "bounds", huge_file, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1].endswith(",1 (~1.000000)") and out.count("(~inf)") == 2
+
+    @pytest.mark.parametrize("export", [False, True])
+    def test_lp_is_a_solver_error(self, capsys, huge_file, tmp_path, export):
+        lp_path = tmp_path / "prog.lp"
+        flags = ["--export-lp", str(lp_path)] if export else []
+        code, out, err = run_cli(capsys, "lp", huge_file, *flags)
+        assert (code, out) == (5, "")
+        assert err == "solver error: set 0 has a weight beyond the float range\n"
+        assert not lp_path.exists()
+
 
 class TestTables:
     def test_table1_csv(self, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 from fractions import Fraction
 from unittest import mock
@@ -136,6 +137,18 @@ class TestExhaustive:
         assert res.weight == sum((inst.sets[i].weight for i in res.cover.set_indices),
                                  Fraction(0))
         assert res.weight >= brute_optimum(inst)[0]
+
+
+class TestSolveBudget:
+    @pytest.mark.parametrize("limits", [{"time_limit": math.nan}, {"time_limit": 0},
+                                        {"time_limit": -1.0}, {"node_limit": 0}])
+    def test_limits_must_be_positive(self, limits):
+        with pytest.raises(ValueError, match="^budget limits must be positive$"):
+            SolveBudget(**limits)
+
+    def test_infinite_time_limit_is_no_limit(self):
+        res = exact_opt(gen_gf2(3), SolveBudget(time_limit=math.inf, method=METHOD_EXHAUSTIVE))
+        assert (res.status, res.weight) == (STATUS_OPTIMAL, 3)
 
 
 class TestBranchAndBound:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -90,8 +93,7 @@ class TestSolveExamples:
 
     @pytest.mark.slow
     def test_gf2_family_objective_up_to_k10(self):
-        # the large instances need the periodic refactorization to stay
-        # within tolerance after thousands of dense pivots
+        # thousands of dense pivots, with one refactorization at the end
         for k in (7, 8, 9, 10):
             inst = gen_gf2(k)
             out = solve_lp(inst)
@@ -467,11 +469,11 @@ class TestSerialization:
 
 
 class TestDegeneracy:
-    """A degeneracy streak perturbs the weights once; dual pivots remove it."""
+    """A degeneracy streak perturbs the rhs once; dual pivots remove it."""
 
     @pytest.mark.parametrize("k, ceiling", [(6, 100), (7, 195), (8, 500), (9, 1220)])
     def test_gf2_pivot_ceilings(self, k, ceiling):
-        # 85, 167, 434 and 1,058 pivots; switching to Bland's rule at every
+        # 85, 167, 434 and 1,059 pivots; switching to Bland's rule at every
         # streak instead took 107, 256, 826 and 4,563
         out = solve_lp(gen_gf2(k))
         assert out.exact_objective == Fraction(2 ** k - 1, 2 ** (k - 1))
@@ -479,6 +481,28 @@ class TestDegeneracy:
         assert out.stats.perturbed
         assert out.stats.bland_pivots == 0
         assert out.stats.certificate == "snap"
+
+    def test_bland_fallback_certifies(self, monkeypatch):
+        # one degenerate pivot perturbs the rhs, the next switches to Bland's
+        # rule until the objective moves again
+        monkeypatch.setattr(lp_mod, "BLAND_STREAK", 1)
+        out = solve_lp(gen_gf2(6))
+        assert out.stats.perturbed and out.stats.bland_pivots == 57
+        assert (out.iterations, out.exact_objective) == (86, Fraction(63, 32))
+        assert out.stats.certificate == "snap"
+
+    @pytest.mark.slow
+    def test_pivot_path_does_not_depend_on_blas_threads(self):
+        # the tableau is rebuilt only once no column prices in, so the
+        # thread count of OpenBLAS's solve cannot steer gf2(9)'s pivots
+        script = ("from setcoverlab import gen_gf2, solve_lp; "
+                  "out = solve_lp(gen_gf2(9)); print(out.iterations, out.exact_x, out.y)")
+        runs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                               timeout=300)
+                for threads in ("1", "2")]
+        assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout
 
     def test_alternative_optima(self):
         # every 4-subset of {1..11} at unit weight: the optimum 11/4 has many
@@ -529,7 +553,7 @@ class TestDegeneracy:
         assert (out.stats.bland_pivots, out.stats.cleanup_pivots) == (0, 0)
 
     def test_iteration_limit_reports_the_true_weights_vertex(self):
-        # gf2(7) perturbs its weights before pivot 80; a set with x_i > 0 has
+        # gf2(7) perturbs its rhs before pivot 80; a set with x_i > 0 has
         # a nonbasic slack, so its load is its true weight 1, not 1 + O(delta)
         inst = gen_gf2(7)
         out = solve_lp(inst, max_iterations=120)
