@@ -17,8 +17,7 @@ from .bounds import (
 from .exact import ExactResult, SolveBudget, exact_opt
 from .experiments import (
     BucketStats,
-    Table1Result,
-    Table2Result,
+    BucketTable,
     Table3Result,
     emit_csv,
     emit_markdown,

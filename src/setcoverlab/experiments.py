@@ -84,7 +84,11 @@ class BucketStats:
 
 
 @dataclass(frozen=True)
-class Table1Result:
+class BucketTable:
+    """Table 1 (which=1, the share per bucket) or table 2 (which=2, the
+    mean/max improvement per bucket), both read off one bucket_stats sweep."""
+
+    which: int
     m: int
     mode: str
     stats: tuple[BucketStats, ...]
@@ -92,13 +96,6 @@ class Table1Result:
     @property
     def shares(self) -> tuple[float, ...]:
         return tuple(b.share_pct for b in self.stats)
-
-
-@dataclass(frozen=True)
-class Table2Result:
-    m: int
-    mode: str
-    stats: tuple[BucketStats, ...]
 
     @property
     def pairs(self) -> tuple[tuple[float, float], ...]:
@@ -314,25 +311,23 @@ def bucket_stats(m: int, mode: str = "auto") -> tuple[BucketStats, ...]:
 
 
 def table1(m: int, mode: str = "auto",
-           workers: int | None = None) -> Table1Result:
+           workers: int | None = None) -> BucketTable:
     """Share of sequences per bucket with G(s) < H(largest part).
 
     workers has no effect; it stays only because bench/ passes it.
     """
-    mode = resolve_mode(mode)
-    return Table1Result(m=m, mode=mode, stats=bucket_stats(m, mode))
+    return BucketTable(1, m, resolve_mode(mode), bucket_stats(m, mode))
 
 
 def table2(m: int, mode: str = "auto",
-           workers: int | None = None) -> Table2Result:
+           workers: int | None = None) -> BucketTable:
     """Mean/max improvement of G over H(largest part) among qualifying s.
 
     For each mu-bucket: the mean and the maximum, over the sequences s with
     G(s) < H(max(s)) (strict), of 100*(H(max(s)) - G(s))/H(max(s)).
     workers has no effect; it stays only because bench/ passes it.
     """
-    mode = resolve_mode(mode)
-    return Table2Result(m=m, mode=mode, stats=bucket_stats(m, mode))
+    return BucketTable(2, m, resolve_mode(mode), bucket_stats(m, mode))
 
 
 def table3(k_lo: int = 5, k_hi: int = 10) -> Table3Result:
@@ -368,35 +363,33 @@ def table3(k_lo: int = 5, k_hi: int = 10) -> Table3Result:
 
 
 def _frac_cell(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator} (≈{float(v):.4f})" \
-        if v.denominator != 1 else f"{v} (≈{float(v):.4f})"
+    return f"{v} (≈{float(v):.4f})"
+
+
+def _bucket_rows(report: BucketTable):
+    """The column names per bucket, then the computed row and the published
+    row (None when the paper gives none for this m), each as one tuple of
+    values per bucket: the share for table 1, the mean and max for table 2."""
+    if report.which == 1:
+        published = PUBLISHED_TABLE1.get(report.m)
+        return (("b",), [(v,) for v in report.shares],
+                None if published is None else [(v,) for v in published])
+    return ("mean", "max"), report.pairs, PUBLISHED_TABLE2.get(report.m)
+
+
+def _joined(row, within: str, between: str) -> str:
+    return between.join(within.join(f"{v:.1f}" for v in cell) for cell in row)
 
 
 def emit_csv(report) -> str:
     out = io.StringIO()
-    if isinstance(report, Table1Result):
-        out.write("m,b1,b2,b3,b4,b5\n")
-        out.write(str(report.m))
-        for share in report.shares:
-            out.write(f",{share:.1f}")
-        out.write("\n")
-        if report.m in PUBLISHED_TABLE1:
-            out.write("published")
-            for v in PUBLISHED_TABLE1[report.m]:
-                out.write(f",{v:.1f}")
-            out.write("\n")
-    elif isinstance(report, Table2Result):
-        head = ",".join(f"mean{b + 1},max{b + 1}" for b in range(5))
+    if isinstance(report, BucketTable):
+        names, mine, published = _bucket_rows(report)
+        head = ",".join(f"{n}{b + 1}" for b in range(5) for n in names)
         out.write(f"m,{head}\n")
-        out.write(str(report.m))
-        for mean, mx in report.pairs:
-            out.write(f",{mean:.1f},{mx:.1f}")
-        out.write("\n")
-        if report.m in PUBLISHED_TABLE2:
-            out.write("published")
-            for mean, mx in PUBLISHED_TABLE2[report.m]:
-                out.write(f",{mean:.1f},{mx:.1f}")
-            out.write("\n")
+        out.write(f"{report.m},{_joined(mine, ',', ',')}\n")
+        if published is not None:
+            out.write(f"published,{_joined(published, ',', ',')}\n")
     elif isinstance(report, Table3Result):
         out.write("k,m,w_gr,ig_lower,r_lower,lp_objective,r_lp,"
                   "g_trace,g_published,g_matches_published\n")
@@ -414,9 +407,8 @@ def emit_csv(report) -> str:
 
 def emit_markdown(report) -> str:
     out = io.StringIO()
-    if isinstance(report, (Table1Result, Table2Result)):
-        which = "1" if isinstance(report, Table1Result) else "2"
-        out.write(f"### Table {which} (m={report.m}, mode={report.mode})\n\n")
+    if isinstance(report, BucketTable):
+        out.write(f"### Table {report.which} (m={report.m}, mode={report.mode})\n\n")
         out.write("| bucket | total | qualifying | share % | mean Δ% | max Δ% |\n")
         out.write("|---|---|---|---|---|---|\n")
         for b in report.stats:
@@ -425,20 +417,12 @@ def emit_markdown(report) -> str:
                 f"{b.share_pct:.1f} | {b.mean_improvement_pct:.1f} | "
                 f"{b.max_improvement_pct:.1f} |\n"
             )
-        published = PUBLISHED_TABLE1.get(report.m) if which == "1" \
-            else PUBLISHED_TABLE2.get(report.m)
+        _, mine, published = _bucket_rows(report)
         if published is not None:
-            if which == "1":
-                cells = " ".join(f"{v:.1f}" for v in published)
-                mine = " ".join(f"{v:.1f}" for v in report.shares)
-            else:
-                cells = " ".join(f"{a:.1f}/{b:.1f}" for a, b in published)
-                mine = " ".join(
-                    f"{a:.1f}/{b:.1f}" for a, b in report.pairs
-                )
+            cells, computed = _joined(published, "/", " "), _joined(mine, "/", " ")
             out.write(f"\npublished row: {cells}\n")
-            out.write(f"computed row:  {mine}\n")
-            if cells != mine:
+            out.write(f"computed row:  {computed}\n")
+            if cells != computed:
                 out.write("NOTE: computed row differs from the published row.\n")
     elif isinstance(report, Table3Result):
         out.write("### Table 3 (GF(2) family)\n\n")

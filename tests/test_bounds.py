@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -202,6 +203,15 @@ class TestBoundReport:
         other = make_instance(2, [((1, 2), 1)])
         with pytest.raises(TraceMismatch):
             bound_report(inst, greedy(other))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"chosen": (0, 7)}, "trace chose a set index outside the instance"),
+        ({"total_weight": Fraction(99)}, "trace weight disagrees with the instance weights"),
+    ])
+    def test_trace_disagrees_with_instance(self, fields, message):
+        inst = gen_class_cs(SequenceSpec((2, 1)))
+        with pytest.raises(TraceMismatch, match=message):
+            bound_report(inst, dataclasses.replace(greedy(inst), **fields))
 
     def test_g_at_most_h_and_length(self):
         for seed in range(40):

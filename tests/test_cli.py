@@ -179,6 +179,12 @@ class TestLpExact:
         assert "objective=3.500000000" in out
         assert "exact_objective=7/2" in out
 
+    def test_lp_csv(self, capsys, tmp_path):
+        path = tmp_path / "g2.scp"
+        assert main(["gen", "gf2", "--k", "2", "-o", str(path)]) == 0
+        code, out, _ = run_cli(capsys, "lp", str(path), "--format", "csv")
+        assert (code, out) == (0, "set_index,x\n0,1/2\n1,1/2\n2,1/2\n")
+
     def test_lp_export(self, capsys, cs_file, tmp_path):
         lp_path = tmp_path / "prog.lp"
         code, _, _ = run_cli(capsys, "lp", cs_file, "--export-lp", str(lp_path))

@@ -68,6 +68,10 @@ class TestEnumerate:
     def test_auto_resolves_to_compositions(self):
         assert resolve_mode("auto") == MODE_COMPOSITIONS
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown sequence mode"):
+            resolve_mode("bogus")
+
 
 class TestBuckets:
     def test_counts_against_brute_force(self):
@@ -350,3 +354,5 @@ class TestEmit:
     def test_unknown_report_type(self):
         with pytest.raises(TypeError):
             emit_csv(42)
+        with pytest.raises(TypeError):
+            emit_markdown(42)

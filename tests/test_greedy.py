@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,8 @@ from setcoverlab import (
     replay_diff,
     trace_to_csv,
 )
-from setcoverlab.errors import NonPositiveWeight
-from setcoverlab.greedy import GreedyTrace
+from setcoverlab.errors import InvalidTrace, NonPositiveWeight
+from setcoverlab.greedy import GreedyTrace, check_trace_shape
 
 from oracle import brute_greedy_sequence
 
@@ -74,6 +75,10 @@ class TestTieBreak:
         inst = make_instance(3, [((1,), 1), ((2, 3), 2), ((1, 2, 3), 10)])
         assert greedy(inst, tie=TIE_LOWEST_INDEX).chosen[0] == 0
         assert greedy(inst, tie=TIE_MAX_RESIDUAL).chosen[0] == 1
+
+    def test_unknown_tie_policy(self):
+        with pytest.raises(ValueError, match="unknown tie policy"):
+            greedy(cs21(), tie="bogus")
 
     def test_determinism(self):
         spec = RandomSpec(m=9, n=7, density=0.4, weight_lo=Fraction(1),
@@ -149,6 +154,34 @@ class TestReplayCheck:
                           tie=t.tie)
         assert not replay_check(inst, bad)
         assert "telescope" in replay_diff(inst, bad)
+
+    # cs21's greedy trace is chosen (0, 1), s (2, 1), residuals (3, 1, 0)
+    @pytest.mark.parametrize("fields, message", [
+        ({"s": (2,)}, "trace field lengths disagree"),
+        ({"chosen": (), "s": (), "ratios": (), "residuals": (3,)}, "empty trace"),
+        ({"chosen": (0, 0)}, "chosen set indices repeat"),
+        ({"s": (3, 0), "residuals": (3, 0, 0)}, "s_2 = 0 < 1"),
+        ({"residuals": (4, 2, 1)}, "trace does not end with an empty residual"),
+    ])
+    def test_malformed_trace(self, fields, message):
+        inst = cs21()
+        bad = dataclasses.replace(greedy(inst), **fields)
+        with pytest.raises(InvalidTrace, match=message):
+            check_trace_shape(bad)
+        assert replay_diff(inst, bad) == f"malformed trace: {message}"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"chosen": (0,), "s": (2,), "residuals": (2, 0), "ratios": (Fraction(1),)},
+         "trace starts at m=2, instance has m=3"),
+        # a shorter trace diverges at a step, not by its length
+        ({"chosen": (2,), "s": (3,), "residuals": (3, 0), "ratios": (Fraction(7, 6),)},
+         "iteration 0: trace chose set 2, greedy chooses 0"),
+        ({"ratios": (Fraction(1), Fraction(3))}, "iteration 1: ratio 3 != 2"),
+        ({"total_weight": Fraction(5)}, "total weight 5 != 4"),
+    ])
+    def test_first_divergence(self, fields, message):
+        inst = cs21()
+        assert replay_diff(inst, dataclasses.replace(greedy(inst), **fields)) == message
 
     def test_wrong_tie_policy_detected(self):
         inst = make_instance(3, [((1,), 1), ((2, 3), 2), ((1, 2, 3), 10)])

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setcoverlab import (
+    Cover,
     Instance,
     SetEntry,
     is_cover,
+    make_cover,
     make_instance,
     parse_native,
     parse_orlib,
@@ -202,6 +204,13 @@ class TestIsCover:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             is_cover(gf2_k2(), [3])
+
+    def test_make_cover_weighs_a_cover(self):
+        assert make_cover(gf2_k2(), [0, 1]) == Cover(set_indices=(0, 1), weight=Fraction(2))
+
+    def test_make_cover_rejects_a_non_cover(self):
+        with pytest.raises(InvalidInstance, match="do not cover"):
+            make_cover(gf2_k2(), [0])
 
 
 class TestNativeFormat:

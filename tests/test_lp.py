@@ -17,6 +17,7 @@ from oracle import brute_weak_duality, greedy_lp_slack
 from setcoverlab import (
     TIE_LOWEST_INDEX,
     TIE_MAX_RESIDUAL,
+    LpOutcome,
     RandomSpec,
     SequenceSpec,
     check_fractional_cover,
@@ -427,6 +428,13 @@ class TestEstimates:
             r_estimate(greedy(inst), out)
         with pytest.raises(NonOptimalLp):
             integrality_gap(Fraction(3), out)
+
+    def test_uncertified_optimum_gives_floats(self):
+        lp = LpOutcome(x=(0.5, 0.5, 0.5), objective=1.5, status=STATUS_OPTIMAL, iterations=3)
+        r = r_estimate(greedy(gen_gf2(2)), lp)
+        ig = integrality_gap(Fraction(2), lp)
+        assert type(r) is type(ig) is float
+        assert r == ig == 2 / 1.5
 
 
 class TestSerialization:
