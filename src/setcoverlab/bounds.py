@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import (
@@ -181,9 +181,7 @@ def _scalar(v) -> str:
     return str(v)
 
 
-_REPORT_FIELDS = ("m", "m_bar", "m_of_s", "m_tilde", "H_m", "H_m_bar",
-                  "H_m_tilde", "G", "Delta", "T_l", "T_u", "w_gr",
-                  "opt_lower", "ratio")
+_REPORT_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
 def report_to_kv(report: BoundReport) -> str:

@@ -16,16 +16,7 @@ from . import bounds as bounds_mod
 from . import exact as exact_mod
 from . import experiments as exp_mod
 from . import lp as lp_mod
-from .errors import (
-    EpsilonOutOfRange,
-    InvalidInstance,
-    KOutOfRange,
-    MTooLargeForMode,
-    NonPositiveWeight,
-    NumericalFailure,
-    ScpError,
-    ScpSyntaxError,
-)
+from .errors import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, ScpError
 from .generators import (
     DEFAULT_EPSILON,
     RandomSpec,
@@ -37,19 +28,14 @@ from .generators import (
 from .greedy import TIE_LOWEST_INDEX, TIE_MAX_RESIDUAL, greedy, trace_to_csv
 from .instance import (
     Instance,
+    decode_text,
     detect_format,
     format_weight,
     parse_native,
     parse_orlib,
+    parse_weight,
     write_native,
 )
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_INVALID = 3
-EXIT_BUDGET = 4
-EXIT_SOLVER = 5
 
 TIE_FLAGS = {"index": TIE_LOWEST_INDEX, "max-size": TIE_MAX_RESIDUAL}
 
@@ -61,8 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str, source: str) -> Instance:
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        text = decode_text(fh.read())
     fmt = detect_format(text) if source == "auto" else source
     parse = parse_native if fmt == "native" else parse_orlib
     return parse(text, name=path)
@@ -145,9 +131,9 @@ def _cmd_exact(args) -> int:
 
 
 def _fraction(flag: str, text: str) -> Fraction:
-    """A rational flag value; a zero denominator is a usage error like any bad literal."""
+    """A rational flag value, read as a file weight; a zero denominator is a usage error."""
     try:
-        return Fraction(text)
+        return parse_weight(text)
     except ZeroDivisionError:
         raise ValueError(f"{flag} {text}: zero denominator") from None
 
@@ -227,11 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "incumbent cut: exhaustive (ties to the lowest bitmask) or "
                        "branch-and-bound (first cover found)")
     p.add_argument("file")
-    p.add_argument("--node-limit", type=int, default=10_000_000)
-    p.add_argument("--time-limit", type=float, default=60.0)
-    p.add_argument("--method", choices=(
-        exact_mod.METHOD_AUTO, exact_mod.METHOD_EXHAUSTIVE, exact_mod.METHOD_BNB,
-    ), default=exact_mod.METHOD_AUTO)
+    p.add_argument("--node-limit", type=int, default=exact_mod.SolveBudget.node_limit)
+    p.add_argument("--time-limit", type=float, default=exact_mod.SolveBudget.time_limit)
+    p.add_argument("--method", choices=exact_mod.METHODS, default=exact_mod.METHOD_AUTO)
     _add_io_flags(p, formats=None)
     p.set_defaults(fn=_cmd_exact)
 
@@ -284,30 +268,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (EpsilonOutOfRange, KOutOfRange) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScpSyntaxError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidInstance, NonPositiveWeight) as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except MTooLargeForMode as exc:
-        print(f"limit exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    except ScpError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError:
         print("limit exceeded: out of memory", file=sys.stderr)
         return EXIT_BUDGET
-    except NumericalFailure as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ScpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

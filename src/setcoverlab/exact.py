@@ -34,6 +34,7 @@ AUTO_EXHAUSTIVE_MAX_N = 18
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_BNB = "branch-and-bound"
 METHOD_AUTO = "auto"
+METHODS = (METHOD_AUTO, METHOD_EXHAUSTIVE, METHOD_BNB)
 
 STATUS_OPTIMAL = "proven-optimal"
 STATUS_BUDGET = "budget-exceeded"
@@ -48,7 +49,7 @@ class SolveBudget:
     def __post_init__(self):
         if self.node_limit <= 0 or not self.time_limit > 0:  # NaN fails "> 0" too
             raise ValueError("budget limits must be positive")
-        if self.method not in (METHOD_EXHAUSTIVE, METHOD_BNB, METHOD_AUTO):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 

@@ -24,6 +24,7 @@ Two file formats are supported:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -235,7 +236,19 @@ def make_cover(instance: Instance, set_indices) -> Cover:
 
 
 def parse_weight(token: str) -> Fraction:
-    """Parse a weight token: decimal ("5", "3.5") or rational ("7/2")."""
+    """Parse a weight token: decimal ("5", "3.5", "1e3") or rational ("7/2").
+
+    An exponent past sys.get_int_max_str_digits() is refused, as int()
+    refuses that many digits: 10**exponent would take seconds to build.
+    """
+    if "e" in token or "E" in token:
+        limit = sys.get_int_max_str_digits()
+        try:
+            exponent = int(token.lower().rpartition("e")[2])
+        except ValueError:
+            exponent = 0  # not a number's exponent: Fraction rejects the literal
+        if limit and abs(exponent) > limit:
+            raise ValueError(f"exponent of {token!r} is past the {limit}-digit limit")
     return Fraction(token)
 
 
@@ -244,6 +257,15 @@ def format_weight(w: Fraction) -> str:
     if w.denominator == 1:
         return str(w.numerator)
     return f"{w.numerator}/{w.denominator}"
+
+
+def decode_text(data: bytes) -> str:
+    """A file's bytes as text: both formats are UTF-8, and other bytes are a parse error."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScpSyntaxError(f"not UTF-8: byte 0x{data[exc.start]:02x} "
+                             f"at offset {exc.start}") from None
 
 
 # ---------------------------------------------------------------------------

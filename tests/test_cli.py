@@ -1,10 +1,11 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from setcoverlab import cli
+from setcoverlab import cli, errors
 from setcoverlab.cli import main
 
 
@@ -22,6 +23,51 @@ def cs_file(tmp_path):
     return str(path)
 
 
+# The documented exit code and stderr label of every failure the CLI maps.
+EXIT_TABLE = {
+    "ScpError": (3, "error"),
+    "ScpSyntaxError": (2, "parse error"),
+    "InvalidInstance": (3, "invalid instance"),
+    "ElementOutOfRange": (3, "invalid instance"),
+    "EmptySet": (3, "invalid instance"),
+    "NegativeWeight": (3, "invalid instance"),
+    "UnionNotUniverse": (3, "invalid instance"),
+    "IndexOutOfRange": (3, "error"),
+    "NonPositiveWeight": (3, "invalid instance"),
+    "NonPositiveArgument": (3, "error"),
+    "ArgumentTooSmall": (3, "error"),
+    "InvalidTrace": (3, "error"),
+    "TraceMismatch": (3, "error"),
+    "LengthMismatch": (3, "error"),
+    "NonOptimalLp": (3, "error"),
+    "NumericalFailure": (5, "solver error"),
+    "KOutOfRange": (1, "usage error"),
+    "EpsilonOutOfRange": (1, "usage error"),
+    "MTooLargeForMode": (4, "limit exceeded"),
+}
+SCP_ERRORS = [c for c in vars(errors).values()
+              if isinstance(c, type) and issubclass(c, errors.ScpError)]
+
+
+def test_exit_table_names_every_package_error():
+    assert sorted(c.__name__ for c in SCP_ERRORS) == sorted(EXIT_TABLE)
+
+
+@pytest.mark.parametrize("exc, code, stderr", [
+    *((c("boom"), code, f"{label}: boom")
+      for c in SCP_ERRORS for code, label in [EXIT_TABLE[c.__name__]]),
+    (ValueError("boom"), 1, "usage error: boom"),
+    (OSError("boom"), 1, "io error: boom"),
+    (MemoryError("boom"), 4, "limit exceeded: out of memory"),
+], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None)
+def test_exit_code_table(capsys, monkeypatch, exc, code, stderr):
+    def failing(path, source):
+        raise exc
+
+    monkeypatch.setattr(cli, "_load", failing)
+    assert run_cli(capsys, "validate", "x.scp") == (code, "", stderr + "\n")
+
+
 class TestBoundsLargeM:
     def test_gf2_k9_bounds(self, capsys, tmp_path):
         # m = 511 needs H(511), beyond any recursion limit
@@ -35,7 +81,7 @@ class TestBoundsLargeM:
 
 class TestGen:
     def test_cs_file_content(self, cs_file):
-        text = open(cs_file).read()
+        text = Path(cs_file).read_text()
         assert text == "scp 1\n3 3\n2 2 1 2\n2 1 3\n7/2 3 1 2 3\n"
 
     def test_gf2_then_greedy(self, capsys, tmp_path):
@@ -66,6 +112,11 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", *argv)
         assert (code, out, err) == (1, "", f"usage error: {flag} 1/0: zero denominator\n")
 
+    def test_flag_exponent_past_the_digit_limit_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "cs", "--s", "2,1", "--eps", "1e-9999")
+        assert (code, out) == (1, "")
+        assert err == "usage error: exponent of '1e-9999' is past the 4300-digit limit\n"
+
 
 class TestValidateAndConvert:
     def test_validate_ok(self, capsys, cs_file):
@@ -77,6 +128,12 @@ class TestValidateAndConvert:
         bad.write_text("scp 2\n1 1\n1 1 1\n")
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == 2 and "parse error" in err
+
+    def test_non_utf8_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.scp"
+        bad.write_bytes(b"scp 1\n1 1\n1 1 \xff\n")
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert (code, out, err) == (2, "", "parse error: not UTF-8: byte 0xff at offset 14\n")
 
     def test_invalid_instance_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.scp"
@@ -131,7 +188,7 @@ class TestValidateAndConvert:
     def test_convert_round_trip(self, capsys, cs_file):
         code, out, _ = run_cli(capsys, "convert", cs_file)
         assert code == 0
-        assert out == open(cs_file).read()
+        assert out == Path(cs_file).read_text()
 
 
 class TestBounds:

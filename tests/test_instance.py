@@ -233,6 +233,10 @@ class TestNativeFormat:
         inst = parse_native("scp 1\n2 1\n3.5 2 1 2")
         assert inst.sets[0].weight == Fraction(7, 2)
 
+    def test_weight_exponent_past_the_digit_limit(self):
+        with pytest.raises(ScpSyntaxError, match="got '1e10000000'"):
+            parse_native("scp 1\n1 1\n1e10000000 1 1\n")
+
     def test_unsupported_version(self):
         with pytest.raises(ScpSyntaxError):
             parse_native("scp 2\n3 1\n5 3 1 2 3")
@@ -310,9 +314,17 @@ class TestWeightScalars:
         ("5", Fraction(5)),
         ("7/2", Fraction(7, 2)),
         ("0.25", Fraction(1, 4)),
+        ("1e400", Fraction(10**400)),
+        ("1E4300", Fraction(10**4300)),
+        ("25e-4300", Fraction(25, 10**4300)),
     ])
     def test_parse(self, token, value):
         assert parse_weight(token) == value
+
+    @pytest.mark.parametrize("token", ["1e4301", "1e-4301", "2.5E+10000000"])
+    def test_exponent_past_the_digit_limit(self, token):
+        with pytest.raises(ValueError, match="past the 4300-digit limit"):
+            parse_weight(token)
 
     def test_format(self):
         assert format_weight(Fraction(5)) == "5"

@@ -8,6 +8,7 @@ whitespace, so that the mutations hit counts, elements and columns on
 purpose and the line/column search sees tabs, blank lines and CR/LF.
 """
 
+import string
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seed_parsers
-from setcoverlab.instance import format_weight, parse_native, parse_orlib
+from setcoverlab.errors import ScpError
+from setcoverlab.instance import Instance, format_weight, parse_native, parse_orlib
 
 SEPARATORS = (" ", " ", " ", "  ", "\t", "\n", "\n\n", " \n\t", "\r\n", "\x0c")
 
@@ -159,3 +161,18 @@ class TestAgainstFrozenParsers:
     ])
     def test_pinned_cases(self, text, fmt):
         assert_same(text, fmt)
+
+
+# Pieces of arbitrary input: number characters, letters, the native magic
+# word and the separators above.
+FUZZ_PIECES = (*string.digits, *"/.eE-+", *string.ascii_letters, "scp", *SEPARATORS)
+
+
+@pytest.mark.parametrize("parse", [parse_native, parse_orlib])
+@given(text=st.lists(st.sampled_from(FUZZ_PIECES), max_size=60).map("".join))
+def test_any_text_parses_or_raises_a_package_error(parse, text):
+    # Hypothesis's default deadline (200 ms) makes a slow parse a failure.
+    try:
+        assert isinstance(parse(text), Instance)
+    except ScpError:
+        pass
