@@ -131,11 +131,16 @@ def _cmd_exact(args) -> int:
 
 
 def _fraction(flag: str, text: str) -> Fraction:
-    """A rational flag value, read as a file weight; a zero denominator is a usage error."""
+    """A rational flag value, read as a file weight; a malformed value names its flag."""
     try:
         return parse_weight(text)
     except ZeroDivisionError:
-        raise ValueError(f"{flag} {text}: zero denominator") from None
+        reason = "zero denominator"
+    except ValueError as exc:
+        if str(exc).startswith("exponent of"):  # parse_weight's refusal names the value
+            raise
+        reason = "not a decimal or p/q number"
+    raise ValueError(f"{flag} {text}: {reason}")
 
 
 def _cmd_gen(args) -> int:

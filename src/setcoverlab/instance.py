@@ -19,16 +19,30 @@ Two file formats are supported:
 * OR-Library set-covering format (read-only): "m n", then n column costs,
   then for each of the m rows a count c_j followed by c_j 1-based column
   indices.  Rows are elements and columns are sets; parsing transposes.
+
+Both parsers read a well-formed file in bulk: one str.split(), a walk over
+the weight and count tokens alone (n sets, or m rows), and one numpy pass
+from the element tokens to a flat int64 array (for OR-Library, transposed
+by a stable argsort).  A plain ASCII "p" or "p/q" weight is read by int();
+other weights go through parse_weight.  When the bulk read finds anything
+out of place, a token walk re-reads the text only to raise the first
+error, with the message, line and column the per-token parser gave.
+validate() checks the flat arrays vectorized, names a violation by an
+ordered scan of the sets, builds the bitmasks from the arrays and drops
+them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import lt
+from itertools import chain, islice
+from functools import reduce
+from operator import lt, or_
+from typing import NoReturn
 
 import numpy as np
 
@@ -64,7 +78,8 @@ class Instance:
     """A validated-on-demand set-cover instance over the universe {1..m}.
 
     Memos (validation with masks and integer weights, incidence) live in
-    __dict__, not in the fields.
+    __dict__, not in the fields.  A parser leaves its flat element arrays
+    there for validate, which drops them.
     """
 
     m: int
@@ -99,16 +114,57 @@ def validate(instance: Instance) -> None:
     """Raise the first invariant violation, or return None if all hold.
 
     Checked per set, in order: element range, non-emptiness, weight sign;
-    then global coverage of the universe.  Success is memoized, with masks
-    and the weights as integers over their common denominator.
+    then global coverage of the universe.  Past m = 64 the checks run
+    vectorized over the flat element arrays (the parser's, or built from
+    the sets), and the ordered per-set scan runs only to name the first
+    violation; up to 64 the scan and one-word masks are cheaper than
+    numpy's fixed cost.  Success is memoized, with masks and the weights as
+    integers over their common denominator; the arrays are dropped.
     """
-    if "_view" in instance.__dict__:
+    memo = instance.__dict__
+    if "_view" in memo:
         return
+    flat = memo.pop("_flat", None)
     m = instance.m
     if m < 1:
         raise InvalidInstance(f"universe size must be >= 1, got {m}")
     if not instance.sets:
         raise InvalidInstance("instance has no sets")
+    weights, denom = _over_lcm([entry.weight for entry in instance.sets])
+    masks = None
+    if m <= 64:
+        _raise_first_violation(instance)
+        masks = [sum(1 << (e - 1) for e in entry.elements) for entry in instance.sets]
+        union = reduce(or_, masks)
+        missing = ((union + 1) & ~union).bit_length()  # the lowest clear bit
+    else:
+        try:
+            indptr, elements = flat or _flatten(instance.sets)
+        except OverflowError:  # an id past int64 is out of range, or m is past int64 too
+            _raise_first_violation(instance)
+            indptr, elements = _flatten(instance.sets, cap=2**62)
+        if not np.diff(indptr).all() or int(elements.min()) < 1 \
+                or int(elements.max()) > m or min(weights) < 0 or _unsorted(indptr, elements):
+            _raise_first_violation(instance)
+        # flags for 1..min(m, entries + 1), never m of them: fewer entries
+        # than m leave a gap at or below entries + 1
+        bound = min(m, elements.size + 1)
+        present = np.zeros(bound + 2, bool)
+        present[0] = True
+        present[elements[elements <= bound]] = True
+        missing = int(present.argmin())  # bound + 1 when 1..bound are all held
+    if missing <= m:
+        raise UnionNotUniverse(
+            f"element {missing} is covered by no set", missing_element=missing
+        )
+    if masks is None:
+        masks = _masks(indptr, elements)
+    memo["_view"] = (masks, tuple(weights), denom)
+
+
+def _raise_first_violation(instance: Instance) -> None:
+    """Scan the sets in order and raise the first per-set violation, if any."""
+    m = instance.m
     for i, entry in enumerate(instance.sets):
         els = entry.elements
         if not els:
@@ -127,43 +183,56 @@ def validate(instance: Instance) -> None:
             raise NegativeWeight(
                 f"set {i} has negative weight {entry.weight}", set_index=i
             )
-    entries = sum(entry.size for entry in instance.sets)
-    if entries < m:  # some element is missing: find the lowest without masks
-        present = {e for entry in instance.sets for e in entry.elements if e <= entries + 1}
-        missing = min(set(range(1, entries + 2)) - present)
-    else:
-        masks = _build_masks(instance)
-        union = 0
-        for mask in masks:
-            union |= mask
-        # lowest clear bit of the union; no integer wider than the largest element
-        missing = ((union + 1) & ~union).bit_length()
-    if missing <= m:
-        raise UnionNotUniverse(
-            f"element {missing} is covered by no set", missing_element=missing
-        )
-    weights, denom = _over_lcm([entry.weight for entry in instance.sets])
-    instance.__dict__["_view"] = (masks, tuple(weights), denom)
 
 
-def _build_masks(instance: Instance) -> list[int]:
-    """Per-set bitmasks from one vectorized O(size) pass over all elements."""
-    sets = instance.sets
-    if instance.m <= 64:  # one-word masks: plain shifts beat numpy's fixed cost
-        return [sum(1 << (e - 1) for e in entry.elements) for entry in sets]
-    sizes = np.fromiter(map(len, (entry.elements for entry in sets)), np.int64, len(sets))
-    pos = np.fromiter(chain.from_iterable(entry.elements for entry in sets),
-                      np.int32, int(sizes.sum()))  # temporaries: about 10 bytes per element
-    pos -= 1
+def _flatten(sets, cap=None) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, elements): set i holds elements[indptr[i]:indptr[i + 1]].
+
+    Ids past int64 raise OverflowError, unless `cap` is given: then every
+    id above it reads as `cap`.
+    """
+    indptr = _sizes_to_indptr(np.fromiter(map(len, (entry.elements for entry in sets)),
+                                          np.int64, len(sets)))
+    ids = chain.from_iterable(entry.elements for entry in sets)
+    if cap is not None:
+        ids = (min(e, cap) for e in ids)
+    return indptr, np.fromiter(ids, np.int64, int(indptr[-1]))
+
+
+def _unsorted(indptr: np.ndarray, elements: np.ndarray) -> bool:
+    """True if some set's elements do not strictly increase."""
+    step = np.diff(elements)
+    cuts = indptr[1:-1]
+    step[cuts[(cuts > 0) & (cuts < elements.size)] - 1] = 1  # steps from one set to the next
+    return bool((step <= 0).any())
+
+
+def _masks(indptr: np.ndarray, elements: np.ndarray) -> list[int]:
+    """Per-set bitmasks, each packed over its own byte span and shifted into place.
+
+    The buffer holds one byte per set plus the bytes of the spans, so a
+    far singleton costs no more than the mask it becomes.
+    """
+    pos = elements - 1
     if pos.size and pos.min() < 0:
         raise ValueError("element ids must be positive")
-    width = int(pos.max()) // 8 + 1 if pos.size else 1  # bytes per mask
-    bit = np.left_shift(np.uint8(1), pos.astype(np.uint8) & 7)
-    pos >>= 3  # now the byte of each element within its set's mask
-    packed = np.zeros((len(sets), width), np.uint8)
-    np.bitwise_or.at(packed, (np.repeat(np.arange(len(sets), dtype=np.int32), sizes), pos), bit)
+    bits = np.left_shift(np.uint8(1), pos.astype(np.uint8) & 7)
+    pos >>= 3  # now the byte of each element within its mask
+    sizes = np.diff(indptr)
+    full = sizes > 0
+    lo = np.zeros(sizes.size, np.int64)
+    width = np.zeros(sizes.size, np.int64)  # empty sets span no bytes
+    starts = indptr[:-1][full]
+    lo[full] = np.minimum.reduceat(pos, starts)
+    width[full] = np.maximum.reduceat(pos, starts) - lo[full] + 1
+    offset = _sizes_to_indptr(width)
+    pos += np.repeat(offset[:-1] - lo, sizes)  # now the byte within the buffer
+    packed = np.zeros(int(offset[-1]), np.uint8)
+    np.bitwise_or.at(packed, pos, bits)
     raw = packed.tobytes()
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    bounds = offset.tolist()
+    return [int.from_bytes(raw[a:b], "little") << shift
+            for a, b, shift in zip(bounds, bounds[1:], (lo << 3).tolist())]
 
 
 def element_masks(instance: Instance) -> list[int]:
@@ -173,7 +242,7 @@ def element_masks(instance: Instance) -> list[int]:
     returns a fresh list the caller may mutate.
     """
     view = instance.__dict__.get("_view")
-    return _build_masks(instance) if view is None else list(view[0])
+    return _masks(*_flatten(instance.sets)) if view is None else list(view[0])
 
 
 def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
@@ -269,11 +338,70 @@ def decode_text(data: bytes) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer shared by both parsers
+# bulk reads shared by both parsers
+
+
+def _ints(tokens: list[str]) -> np.ndarray | None:
+    """The tokens as int() reads them, in one int64 array; None if one is not
+    an integer or lies past int64."""
+    text = " ".join(tokens)
+    values = None
+    if "-" not in text and "+" not in text:  # numpy reads a lone sign as 0
+        try:
+            with warnings.catch_warnings():
+                # numpy stops at the first token that is not a number: by
+                # version it warns (DeprecationWarning) or raises ValueError
+                warnings.simplefilter("error", DeprecationWarning)
+                values = np.fromstring(text, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            pass
+    if values is None or values.size != len(tokens) or (values.size and values.max() >= 2**62):
+        # int() reads signs, "_" and non-ASCII digits; numpy saturates past int64
+        try:
+            values = np.array(list(map(int, tokens)), dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+    return values
+
+
+def _weights(tokens) -> list[Fraction]:
+    """parse_weight of each token, worked out once per distinct token; a
+    plain ASCII "p" or "p/q" is read by int() alone."""
+    tokens = list(tokens)
+    value = {}
+    for tok in set(tokens):
+        p, slash, q = tok.partition("/")
+        if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
+            value[tok] = Fraction(int(p), int(q) if slash else 1)
+        else:
+            value[tok] = parse_weight(tok)
+    return list(map(value.__getitem__, tokens))
+
+
+def _tokens_at(items: list[str], starts: list[int], sizes: list[int]) -> list[str]:
+    """items[a:a + k] for each start a and size k, end to end."""
+    return list(chain.from_iterable(items[a:a + k] for a, k in zip(starts, sizes)))
+
+
+def _sizes_to_indptr(sizes) -> np.ndarray:
+    indptr = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
+
+
+def _parsed(m, weights, indptr, elements, name) -> Instance:
+    """The parsed instance; its flat arrays stay for validate, which drops them."""
+    values = iter(elements.tolist())
+    sets = tuple(SetEntry(tuple(islice(values, k)), w)
+                 for k, w in zip(np.diff(indptr).tolist(), weights))
+    instance = Instance(m=m, sets=sets, name=name)
+    instance.__dict__["_flat"] = (indptr, elements)
+    return instance
 
 
 class _Tokens:
-    """Whitespace token stream; positions are worked out only for errors."""
+    """Whitespace token stream for the error walks; positions are worked out
+    only for the error raised."""
 
     def __init__(self, text: str):
         self.text = text
@@ -308,15 +436,10 @@ class _Tokens:
         except (ValueError, ZeroDivisionError):
             raise self.error(f"expected {what}, got {tok!r}") from None
 
-    def peek_ints(self, count: int) -> list[int] | None:
-        """The next `count` tokens (fewer at the end) as ints, unread; None on a non-int."""
-        try:
-            return list(map(int, self.items[self.pos:self.pos + count]))
-        except ValueError:
-            return None
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.items)
+    def end(self) -> None:
+        if self.pos < len(self.items):
+            tok = self.next("end of input")
+            raise self.error(f"trailing token {tok!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +448,46 @@ class _Tokens:
 
 def parse_native(text: str, name: str | None = None) -> Instance:
     """Parse the native "scp 1" format; the result is validated."""
+    instance = _read_native(text, name)
+    if instance is None:
+        _walk_native(text)
+    validate(instance)
+    return instance
+
+
+def _read_native(text: str, name: str | None) -> Instance | None:
+    """The bulk read; None when a token is out of place or not a number."""
+    items = text.split()
+    if items[:2] != [NATIVE_MAGIC, NATIVE_VERSION]:
+        return None
+    try:
+        m, n = int(items[2]), int(items[3])
+        starts, sizes = [], []  # of each set's elements
+        at = 4
+        for _ in range(n):
+            k = int(items[at + 1])
+            if k < 0:
+                return None
+            starts.append(at + 2)
+            sizes.append(k)
+            at += 2 + k
+        weights = _weights(items[a - 2] for a in starts)
+    except (IndexError, ValueError, ZeroDivisionError):
+        return None
+    elements = _ints(_tokens_at(items, starts, sizes)) if at == len(items) else None
+    del items  # the token strings outweigh the instance built below
+    if elements is None:
+        return None
+    indptr = _sizes_to_indptr(sizes)
+    if _unsorted(indptr, elements):  # each set is sorted; a repeated element is an error
+        elements = elements[np.lexsort((elements, np.repeat(np.arange(n), sizes)))]
+        if _unsorted(indptr, elements):
+            return None
+    return _parsed(m, weights, indptr, elements, name)
+
+
+def _walk_native(text: str) -> NoReturn:
+    """Raise the first error of a text the bulk read rejected, token by token."""
     toks = _Tokens(text)
     magic = toks.next("format magic")
     if magic != NATIVE_MAGIC:
@@ -340,22 +503,17 @@ def parse_native(text: str, name: str | None = None) -> Instance:
         k = toks.next_value(f"cardinality of set {i}")
         if k < 0:
             raise toks.error(f"negative cardinality for set {i}")
-        elements = toks.peek_ints(k)
-        if elements is None or len(set(elements)) < k:
-            seen = set()  # re-read one at a time: raises the first error in order
-            for j in range(k):
-                e = toks.next_value(f"element {j} of set {i}")
-                if e in seen:
-                    raise toks.error(f"duplicate element {e} in set {i}")
-                seen.add(e)
-        toks.pos += k
+        elements = set()
+        for j in range(k):
+            e = toks.next_value(f"element {j} of set {i}")
+            if e in elements:
+                raise toks.error(f"duplicate element {e} in set {i}")
+            elements.add(e)
         sets.append(SetEntry(tuple(sorted(elements)), w))
-    if not toks.at_end():
-        tok = toks.next("end of input")
-        raise toks.error(f"trailing token {tok!r}")
-    instance = Instance(m=m, sets=tuple(sets), name=name)
-    validate(instance)
-    return instance
+    toks.end()
+    # an element past int64 gets here with no syntax error; validation names it
+    validate(Instance(m=m, sets=tuple(sets)))
+    raise AssertionError("the bulk read rejected a valid native text")
 
 
 def write_native(instance: Instance) -> str:
@@ -375,39 +533,74 @@ def write_native(instance: Instance) -> str:
 
 def parse_orlib(text: str, name: str | None = None) -> Instance:
     """Parse the OR-Library set-covering format into a set-major Instance."""
+    instance = _read_orlib(text, name)
+    if instance is None:
+        _walk_orlib(text)
+    validate(instance)
+    return instance
+
+
+def _read_orlib(text: str, name: str | None) -> Instance | None:
+    """The bulk read; None when a token is out of place or not a number, a
+    column index is out of range or repeated in a row, or a row is uncovered."""
+    items = text.split()
+    try:
+        m, n = int(items[0]), int(items[1])
+        if m < 1 or n < 1 or len(items) < 2 + n:
+            return None
+        costs = _weights(items[2:2 + n])
+        starts, counts = [], []  # of each row's columns
+        at = 2 + n
+        for _ in range(m):
+            c = int(items[at])
+            if c < 1:
+                return None
+            starts.append(at + 1)
+            counts.append(c)
+            at += 1 + c
+    except (IndexError, ValueError, ZeroDivisionError):
+        return None
+    cols = _ints(_tokens_at(items, starts, counts)) if at == len(items) else None
+    del items  # the token strings outweigh the instance built below
+    if cols is None or not 1 <= int(cols.min()) <= int(cols.max()) <= n:
+        return None
+    cols -= 1
+    # rows ascend, so a stable sort by column lists each column's rows in order
+    rows = np.repeat(np.arange(1, m + 1), counts)
+    elements = rows[np.argsort(cols, kind="stable")]
+    indptr = _sizes_to_indptr(np.bincount(cols, minlength=n))
+    if _unsorted(indptr, elements):  # a row lists a column twice
+        return None
+    return _parsed(m, costs, indptr, elements, name)
+
+
+def _walk_orlib(text: str) -> NoReturn:
+    """Raise the first error of a text the bulk read rejected, token by token."""
     toks = _Tokens(text)
     m = toks.next_value("row count m")
     n = toks.next_value("column count n")
     if m < 1 or n < 1:
         raise ScpSyntaxError("m and n must be positive")
-    costs = [toks.next_value(f"cost of column {i}", parse_weight) for i in range(n)]
-    columns: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        toks.next_value(f"cost of column {i}", parse_weight)
     for row in range(1, m + 1):
         c = toks.next_value(f"cover count of row {row}")
         if c < 1:
             raise UnionNotUniverse(
                 f"element {row} is covered by no column", missing_element=row
             )
-        cols = toks.peek_ints(c)
-        if cols is None or len(set(cols)) < c or not 1 <= min(cols) <= max(cols) <= n:
-            seen = set()  # re-read one at a time: raises the first error in order
-            for j in range(c):
-                col_idx = toks.next_value(f"column {j} covering row {row}")
-                if not 1 <= col_idx <= n:
-                    raise toks.error(f"column index {col_idx} outside 1..{n}")
-                if col_idx in seen:
-                    raise toks.error(f"row {row} lists column {col_idx} twice")
-                seen.add(col_idx)
-        toks.pos += c
-        for col_idx in cols:
-            columns[col_idx - 1].append(row)
-    if not toks.at_end():
-        tok = toks.next("end of input")
-        raise toks.error(f"trailing token {tok!r}")
-    sets = tuple(SetEntry(tuple(els), w) for els, w in zip(columns, costs))
-    instance = Instance(m=m, sets=sets, name=name)
-    validate(instance)
-    return instance
+        seen = set()
+        for j in range(c):
+            col_idx = toks.next_value(f"column {j} covering row {row}")
+            if not 1 <= col_idx <= n:
+                raise toks.error(f"column index {col_idx} outside 1..{n}")
+            if col_idx in seen:
+                raise toks.error(f"row {row} lists column {col_idx} twice")
+            seen.add(col_idx)
+    toks.end()
+    # the bulk read rejects only what this walk raises on: a column index
+    # past int64 is out of range here too
+    raise AssertionError("the bulk read rejected a valid OR-Library text")
 
 
 def detect_format(text: str) -> str:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _validate_in_grandchild(path):
+    """`cover validate path` under default warning filters: exit code, stdout,
+    stderr and peak RSS in KiB.  The CLI runs as a grandchild, so
+    RUSAGE_CHILDREN holds its peak alone."""
+    probe = ("import resource, subprocess, sys\n"
+             "p = subprocess.run([sys.executable, '-m', 'setcoverlab.cli', 'validate',"
+             " sys.argv[1]], capture_output=True, text=True)\n"
+             "print(p.returncode, p.stdout, p.stderr,"
+             " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, sep='|')\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run([sys.executable, "-c", probe, str(path)],
+                          capture_output=True, text=True, env=env)
+    return proc.stdout.rstrip("\n").split("|")
 
 
 @pytest.fixture
@@ -112,6 +128,15 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", *argv)
         assert (code, out, err) == (1, "", f"usage error: {flag} 1/0: zero denominator\n")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("random", "--m", "3", "--n", "2", "--weight-lo", "abc"), "--weight-lo"),
+        (("random", "--m", "3", "--n", "2", "--weight-hi", "abc"), "--weight-hi"),
+        (("cs", "--s", "2,1", "--eps", "abc"), "--eps"),
+    ])
+    def test_malformed_value_names_its_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert (code, out, err) == (1, "", f"usage error: {flag} abc: not a decimal or p/q number\n")
+
     def test_flag_exponent_past_the_digit_limit_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "gen", "cs", "--s", "2,1", "--eps", "1e-9999")
         assert (code, out) == (1, "")
@@ -162,6 +187,26 @@ class TestValidateAndConvert:
         assert (code, out) == ("3", "")
         assert err == f"invalid instance: element {missing} is covered by no set\n"
         assert int(peak_kb) < 150 * 1024  # ru_maxrss is in KiB on Linux
+
+    def test_far_singletons_validate_in_bounded_memory(self, tmp_path):
+        # 20,000 singleton sets, a 189 KB file.  The masks themselves hold
+        # about 27 MB; packing every set as wide as the farthest element
+        # took 161 MB.
+        n = 20_000
+        path = tmp_path / "singletons.scp"
+        path.write_text(f"scp 1\n{n} {n}\n" + "".join(f"1 1 {e}\n" for e in range(1, n + 1)))
+        code, out, err, peak_kb = _validate_in_grandchild(path)
+        assert (code, out, err) == ("0", f"ok: m={n} n={n}\n", "")
+        assert int(peak_kb) < 64 * 1024
+
+    def test_non_number_element_under_default_warnings(self, tmp_path):
+        # numpy's tokenizer stops at '1/2'; whether it warns or raises, the
+        # parser reads the token alone, and stderr holds the parse error only
+        path = tmp_path / "half.scp"
+        path.write_text("scp 1\n1 1\n1 1 1/2\n")
+        code, out, err, _ = _validate_in_grandchild(path)
+        assert (code, out) == ("2", "")
+        assert err == "parse error: expected element 0 of set 0, got '1/2' (line 3, col 5)\n"
 
     def test_out_of_memory_is_a_limit(self, capsys, cs_file, monkeypatch):
         def exhausted(path, source):

@@ -138,6 +138,21 @@ class TestMemo:
         again = pickle.loads(pickle.dumps(used))
         assert again == used and vars(again) == vars(fresh)
 
+    @pytest.mark.parametrize("parse, text", [
+        (parse_native, "scp 1\n3 3\n1 2 1 3\n1 2 2 3\n1 2 1 2\n"),
+        (parse_native, "scp 1\n70 2\n1 2 1 70\n1 68 " + " ".join(map(str, range(2, 70))) + "\n"),
+        (parse_orlib, "3 2\n1 1\n1 1\n1 2\n2 1 2\n"),
+    ])
+    def test_parsed_instance_keeps_no_arrays(self, parse, text):
+        # the parser's flat element arrays serve validation and are dropped
+        inst = parse(text)
+        validate(inst)
+        memo = {k: v for k, v in vars(inst).items() if k not in ("m", "sets", "name")}
+        assert list(memo) == ["_view"]
+        masks, weights, _ = memo["_view"]
+        assert all(type(v) is int for v in (*masks, *weights))
+        assert masks == [sum(1 << (e - 1) for e in entry.elements) for entry in inst.sets]
+
     def test_replace_does_not_carry_the_memo(self):
         inst = gf2_k2()
         validate(inst)

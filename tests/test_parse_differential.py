@@ -158,6 +158,41 @@ class TestAgainstFrozenParsers:
         ("2 2\n1 1\n2 1 3\n1 2\n", "orlib"),
         ("2 2\n1 1\n1 1\n1 2\n9", "orlib"),
         ("0 2\n", "orlib"),
+        # numpy saturates int64 silently: the element and m are past it
+        ("scp 1\n100000000000000000000 1\n1 1 99999999999999999999\n", "native"),
+        ("scp 1\n3 1\n1 1 99999999999999999999\n", "native"),
+        ("scp 1\n3 1\n1 1 -99999999999999999999\n", "native"),
+        # tokens int() reads and numpy does not, or reads otherwise
+        ("scp 1\n5 1\n1 5 1 2 3 4 +5\n", "native"),
+        ("scp 1\n1000 1\n1 1 1_000\n", "native"),
+        ("scp 1\n3 1\n1 3 1 2 \u0663\n", "native"),
+        ("scp 1\n16 1\n1 1 0x10\n", "native"),
+        ("scp 1\n2 1\n1 2 1 010\n", "native"),
+        ("scp 1\n2 1\n1 2 1 -\n", "native"),
+        ("scp 1\n2 1\n1 2 - 2\n", "native"),
+        ("scp 1\n3 1\n1 3 1 -2 3\n", "native"),
+        ("2 2\n1 1\n1 1\n1 +2\n", "orlib"),
+        ("2 2\n1 1\n1 1\n1 +\n", "orlib"),
+        # a separator str.split() knows and str.splitlines() breaks lines at
+        ("scp 1\n2 1\n1 2 1\x1c2\n", "native"),
+        ("scp 1\n2 1\n1 2 1\x1cx\n", "native"),
+        # weights
+        ("scp 1\n1 1\n3/-4 1 1\n", "native"),
+        ("scp 1\n1 1\n1/0 1 1\n", "native"),
+        ("scp 1\n1 2\n1e3 1 1\n2.5 1 1\n", "native"),
+        ("scp 1\n1 2\n-1 1 1\n6/4 1 1\n", "native"),
+        ("1 2\n1e3 2.5\n2 2 1\n", "orlib"),
+        ("1 1\n1/0\n1 1\n", "orlib"),
+        # set shapes: unsorted, a duplicate, empty
+        ("scp 1\n3 1\n1 3 3 1 2\n", "native"),
+        ("scp 1\n3 1\n1 3 1 2 1\n", "native"),
+        ("scp 1\n1 2\n1 0\n1 1 1\n", "native"),
+        ("scp 1\n1 2\n1 1 1\n1 0\n", "native"),
+        # OR-Library: a column listed twice in a row, column 0, an unused column
+        ("2 2\n1 1\n2 1 1\n1 2\n", "orlib"),
+        ("2 2\n1 1\n2 2 1\n2 2 1\n", "orlib"),
+        ("2 2\n1 1\n1 0\n1 2\n", "orlib"),
+        ("2 3\n1 1 1\n1 1\n1 2\n", "orlib"),
     ])
     def test_pinned_cases(self, text, fmt):
         assert_same(text, fmt)
