@@ -19,6 +19,8 @@ import math
 import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 
 from .errors import (
     ArgumentTooSmall,
@@ -27,7 +29,7 @@ from .errors import (
     TraceMismatch,
 )
 from .greedy import GreedyTrace, check_trace_shape
-from .instance import Cover, Instance, cover_weight
+from .instance import Cover, Instance, cover_weight, set_sizes
 
 SLAVIK_LOWER_SHIFT = 0.31
 SLAVIK_UPPER_SHIFT = 0.78
@@ -48,15 +50,17 @@ def harmonic(j: int) -> Fraction:
 
 
 def g_from_counts(s, m: int) -> Fraction:
-    """G = sum s_k/m_{k-1} computed straight from a covering sequence."""
-    g = Fraction(0)
-    remaining = m
-    for sk in s:
-        g += Fraction(sk, remaining)
-        remaining -= sk
+    """G = sum s_k/m_{k-1} computed straight from a covering sequence.
+
+    Summed in integers over L = lcm of the residuals m_{k-1}, with one
+    Fraction at the end.
+    """
+    s = tuple(s)  # read twice below
+    *before, remaining = accumulate(s, sub, initial=m)
     if remaining != 0:
         raise InvalidTrace("sequence does not sum to m")
-    return g
+    scale = math.lcm(*before)
+    return Fraction(sum(sk * (scale // mk) for sk, mk in zip(s, before)), scale)
 
 
 def g_of(trace: GreedyTrace) -> Fraction:
@@ -126,19 +130,21 @@ def bound_report(instance: Instance, trace: GreedyTrace,
         raise TraceMismatch(
             f"trace covers m={trace.residuals[0]}, instance has m={instance.m}"
         )
-    if any(not 0 <= i < instance.n for i in trace.chosen):
+    n = instance.n
+    if any(not 0 <= i < n for i in trace.chosen):
         raise TraceMismatch("trace chose a set index outside the instance")
     if cover_weight(instance, trace.chosen) != trace.total_weight:
         raise TraceMismatch("trace weight disagrees with the instance weights")
 
     g = g_from_counts(trace.s, instance.m)
     h_m = harmonic(instance.m)
-    m_bar = max(entry.size for entry in instance.sets)
+    sizes = set_sizes(instance)
+    m_bar = max(sizes)
     m_tilde = None
     h_tilde = None
     ratio = None
     if opt is not None:
-        m_tilde = max(instance.sets[i].size for i in opt.set_indices)
+        m_tilde = max(sizes[i] for i in opt.set_indices)
         h_tilde = harmonic(m_tilde)
         ratio = trace.total_weight / opt.weight
     try:
@@ -171,11 +177,33 @@ def _approx(v: Fraction) -> str:
         return "inf" if v > 0 else "-inf"
 
 
+_DIGITS_PER_CHUNK = 600  # below the lowest int digit limit CPython allows (640)
+_CHUNK = 10**_DIGITS_PER_CHUNK
+
+
+def _decimal(n: int) -> str:
+    """str(n), also past the int digit limit: then chunk by chunk, with divmod."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        pass
+    chunks = []
+    rest = abs(n)
+    while rest:
+        rest, chunk = divmod(rest, _CHUNK)
+        chunks.append(chunk)
+    head = f"{'-' if n < 0 else ''}{chunks.pop()}"
+    return head + "".join(f"{c:0{_DIGITS_PER_CHUNK}d}" for c in reversed(chunks))
+
+
 def _scalar(v) -> str:
     if v is None:
         return ""
     if isinstance(v, Fraction):
-        return f"{v} (~{_approx(v)})"
+        exact = _decimal(v.numerator)
+        if v.denominator != 1:
+            exact += f"/{_decimal(v.denominator)}"
+        return f"{exact} (~{_approx(v)})"
     if isinstance(v, float):
         return f"{v:.6f}"
     return str(v)

@@ -20,29 +20,28 @@ Two file formats are supported:
   then for each of the m rows a count c_j followed by c_j 1-based column
   indices.  Rows are elements and columns are sets; parsing transposes.
 
-Both parsers read a well-formed file in bulk: one str.split(), a walk over
-the weight and count tokens alone (n sets, or m rows), and one numpy pass
-from the element tokens to a flat int64 array (for OR-Library, transposed
-by a stable argsort).  A plain ASCII "p" or "p/q" weight is read by int();
-other weights go through parse_weight.  When the bulk read finds anything
-out of place, a token walk re-reads the text only to raise the first
-error, with the message, line and column the per-token parser gave.
+Both parsers read an ASCII file in one numpy scan of its bytes (_scan): the
+token spans, and the value of each plain token (1 to 18 ASCII digits).  A
+walk over the count tokens alone (n sets, or m rows) places the weights,
+and a mask takes the elements (for OR-Library, transposed by a stable
+argsort).  Any other text (not ASCII, a count or an element that is not
+plain, a malformed token, a repeated element) goes through the token walk,
+which builds the instance token by token or raises the first error, with
+its message, line and column.  A parsed instance keeps its flat arrays and
+its weights, and builds its SetEntry tuple only when .sets is first read.
 validate() checks the flat arrays vectorized, names a violation by an
-ordered scan of the sets, builds the bitmasks from the arrays and drops
-them.
+ordered scan of the sets, and builds the bitmasks from the arrays.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from functools import reduce
 from operator import lt, or_
-from typing import NoReturn
 
 import numpy as np
 
@@ -78,8 +77,9 @@ class Instance:
     """A validated-on-demand set-cover instance over the universe {1..m}.
 
     Memos (validation with masks and integer weights, incidence) live in
-    __dict__, not in the fields.  A parser leaves its flat element arrays
-    there for validate, which drops them.
+    __dict__, not in the fields.  A parsed instance holds its sets as flat
+    arrays and weights there ("_csr"), and builds the sets field from them
+    on first read.
     """
 
     m: int
@@ -88,7 +88,16 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(self.sets)
+        csr = self.__dict__.get("_csr")
+        return len(self.sets) if csr is None else len(csr[2])
+
+    def __getattr__(self, attr):
+        # only a missing attribute gets here: the sets of a parsed instance
+        csr = self.__dict__.get("_csr") if attr == "sets" else None
+        if csr is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        sets = self.__dict__["sets"] = _entries(*csr)
+        return sets
 
     def __getstate__(self):
         return {"m": self.m, "sets": self.sets, "name": self.name}
@@ -114,37 +123,39 @@ def validate(instance: Instance) -> None:
     """Raise the first invariant violation, or return None if all hold.
 
     Checked per set, in order: element range, non-emptiness, weight sign;
-    then global coverage of the universe.  Past m = 64 the checks run
-    vectorized over the flat element arrays (the parser's, or built from
-    the sets), and the ordered per-set scan runs only to name the first
-    violation; up to 64 the scan and one-word masks are cheaper than
-    numpy's fixed cost.  Success is memoized, with masks and the weights as
-    integers over their common denominator; the arrays are dropped.
+    then global coverage of the universe.  On a parsed instance, or past
+    m = 64, the checks run vectorized over the flat element arrays (the
+    parser's, or built from the sets and then dropped), and the ordered
+    per-set scan runs only to name the first violation; on sets up to
+    m = 64 the scan and one-word masks are cheaper than numpy's fixed cost.
+    Success is memoized, with masks and the weights as integers over their
+    common denominator.
     """
     memo = instance.__dict__
     if "_view" in memo:
         return
-    flat = memo.pop("_flat", None)
+    csr = memo.get("_csr")
     m = instance.m
     if m < 1:
         raise InvalidInstance(f"universe size must be >= 1, got {m}")
-    if not instance.sets:
+    if not instance.n:
         raise InvalidInstance("instance has no sets")
-    weights, denom = _over_lcm([entry.weight for entry in instance.sets])
+    weights, denom = _over_lcm(csr[2] if csr else [entry.weight for entry in instance.sets])
     masks = None
-    if m <= 64:
+    if m <= 64 and csr is None:
         _raise_first_violation(instance)
         masks = [sum(1 << (e - 1) for e in entry.elements) for entry in instance.sets]
         union = reduce(or_, masks)
         missing = ((union + 1) & ~union).bit_length()  # the lowest clear bit
     else:
         try:
-            indptr, elements = flat or _flatten(instance.sets)
+            indptr, elements = csr[:2] if csr else _flatten(instance.sets)
         except OverflowError:  # an id past int64 is out of range, or m is past int64 too
             _raise_first_violation(instance)
             indptr, elements = _flatten(instance.sets, cap=2**62)
-        if not np.diff(indptr).all() or int(elements.min()) < 1 \
-                or int(elements.max()) > m or min(weights) < 0 or _unsorted(indptr, elements):
+        if not (indptr[1:] > indptr[:-1]).all() or int(elements.min()) < 1 \
+                or int(elements.max()) > m or min(weights) < 0 \
+                or csr is None and _unsorted(indptr, elements):  # the parsers sort each set
             _raise_first_violation(instance)
         # flags for 1..min(m, entries + 1), never m of them: fewer entries
         # than m leave a gap at or below entries + 1
@@ -201,32 +212,36 @@ def _flatten(sets, cap=None) -> tuple[np.ndarray, np.ndarray]:
 
 def _unsorted(indptr: np.ndarray, elements: np.ndarray) -> bool:
     """True if some set's elements do not strictly increase."""
-    step = np.diff(elements)
-    cuts = indptr[1:-1]
-    step[cuts[(cuts > 0) & (cuts < elements.size)] - 1] = 1  # steps from one set to the next
-    return bool((step <= 0).any())
+    falls = np.zeros(elements.size + 1, bool)  # falls[i]: element i is not above element i - 1
+    np.less_equal(elements[1:], elements[:-1], out=falls[1:-1])
+    falls[indptr] = False  # the first element of each set
+    return bool(falls.any())
 
 
 def _masks(indptr: np.ndarray, elements: np.ndarray) -> list[int]:
     """Per-set bitmasks, each packed over its own byte span and shifted into place.
 
     The buffer holds one byte per set plus the bytes of the spans, so a
-    far singleton costs no more than the mask it becomes.
+    far singleton costs no more than the mask it becomes.  When no set is
+    empty and no element is past 64, each mask is one word, ORed in place.
     """
     pos = elements - 1
     if pos.size and pos.min() < 0:
         raise ValueError("element ids must be positive")
+    sizes = indptr[1:] - indptr[:-1]
+    full = sizes > 0
+    if pos.size and pos.max() < 64 and full.all():  # one word per mask: OR each set's bits
+        return np.bitwise_or.reduceat(np.left_shift(np.uint64(1), pos.astype(np.uint64)),
+                                      indptr[:-1]).tolist()
     bits = np.left_shift(np.uint8(1), pos.astype(np.uint8) & 7)
     pos >>= 3  # now the byte of each element within its mask
-    sizes = np.diff(indptr)
-    full = sizes > 0
     lo = np.zeros(sizes.size, np.int64)
     width = np.zeros(sizes.size, np.int64)  # empty sets span no bytes
     starts = indptr[:-1][full]
     lo[full] = np.minimum.reduceat(pos, starts)
     width[full] = np.maximum.reduceat(pos, starts) - lo[full] + 1
     offset = _sizes_to_indptr(width)
-    pos += np.repeat(offset[:-1] - lo, sizes)  # now the byte within the buffer
+    pos += (offset[:-1] - lo).repeat(sizes)  # now the byte within the buffer
     packed = np.zeros(int(offset[-1]), np.uint8)
     np.bitwise_or.at(packed, pos, bits)
     raw = packed.tobytes()
@@ -241,8 +256,11 @@ def element_masks(instance: Instance) -> list[int]:
     A validated instance hands out the masks validation built; every call
     returns a fresh list the caller may mutate.
     """
-    view = instance.__dict__.get("_view")
-    return _masks(*_flatten(instance.sets)) if view is None else list(view[0])
+    memo = instance.__dict__
+    if "_view" in memo:
+        return list(memo["_view"][0])
+    csr = memo.get("_csr")
+    return _masks(*(csr[:2] if csr else _flatten(instance.sets)))
 
 
 def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
@@ -258,13 +276,25 @@ def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
     return holders
 
 
+def set_sizes(instance: Instance) -> list[int]:
+    """The number of elements of each set, in order."""
+    csr = instance.__dict__.get("_csr")
+    return [entry.size for entry in instance.sets] if csr is None else np.diff(csr[0]).tolist()
+
+
+def _validated_weights(instance: Instance) -> tuple[tuple[int, ...], int]:
+    """The weights as integers over their common denominator; validates first."""
+    validate(instance)
+    _, weights, denom = instance.__dict__["_view"]
+    return weights, denom
+
+
 def require_positive_weights(instance: Instance) -> tuple[tuple[int, ...], int]:
     """The validated weights as integers over their common denominator.
 
     Raises NonPositiveWeight for the first weight <= 0.
     """
-    validate(instance)
-    _, weights, denom = instance.__dict__["_view"]
+    weights, denom = _validated_weights(instance)
     if 0 in weights:  # validation rejected negative weights
         i = weights.index(0)
         raise NonPositiveWeight(f"set {i} has non-positive weight {instance.sets[i].weight}")
@@ -273,8 +303,9 @@ def require_positive_weights(instance: Instance) -> tuple[tuple[int, ...], int]:
 
 def _over_lcm(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
-    denom = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (denom // v.denominator) for v in values], denom
+    pairs = [v.as_integer_ratio() for v in values]
+    denom = math.lcm(*[d for _, d in pairs])
+    return [p * (denom // d) for p, d in pairs], denom
 
 
 def is_cover(instance: Instance, set_indices) -> bool:
@@ -289,7 +320,9 @@ def is_cover(instance: Instance, set_indices) -> bool:
 
 
 def cover_weight(instance: Instance, set_indices) -> Fraction:
-    return sum((instance.sets[i].weight for i in set_indices), Fraction(0))
+    """The total weight of the chosen sets; validates the instance."""
+    weights, denom = _validated_weights(instance)
+    return Fraction(sum(weights[i] for i in set_indices), denom)
 
 
 def make_cover(instance: Instance, set_indices) -> Cover:
@@ -340,67 +373,118 @@ def decode_text(data: bytes) -> str:
 # ---------------------------------------------------------------------------
 # bulk reads shared by both parsers
 
-
-def _ints(tokens: list[str]) -> np.ndarray | None:
-    """The tokens as int() reads them, in one int64 array; None if one is not
-    an integer or lies past int64."""
-    text = " ".join(tokens)
-    values = None
-    if "-" not in text and "+" not in text:  # numpy reads a lone sign as 0
-        try:
-            with warnings.catch_warnings():
-                # numpy stops at the first token that is not a number: by
-                # version it warns (DeprecationWarning) or raises ValueError
-                warnings.simplefilter("error", DeprecationWarning)
-                values = np.fromstring(text, dtype=np.int64, sep=" ")
-        except (ValueError, DeprecationWarning):
-            pass
-    if values is None or values.size != len(tokens) or (values.size and values.max() >= 2**62):
-        # int() reads signs, "_" and non-ASCII digits; numpy saturates past int64
-        try:
-            values = np.array(list(map(int, tokens)), dtype=np.int64)
-        except (ValueError, OverflowError):
-            return None
-    return values
+# bytes.translate tables: 1 for a byte str.split() separates at, and 1 for
+# a byte that is neither such a separator nor a digit
+_SEPARATOR = bytes(b in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f " for b in range(256))
+_OTHER = bytes(not (_SEPARATOR[b] or 48 <= b <= 57) for b in range(256))
+_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: every plain token fits in int64
 
 
-def _weights(tokens) -> list[Fraction]:
-    """parse_weight of each token, worked out once per distinct token; a
-    plain ASCII "p" or "p/q" is read by int() alone."""
-    tokens = list(tokens)
+def _scan(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(starts, ends, values) of the tokens of an ASCII text; None if it is not ASCII.
+
+    The tokens are those of str.split().  values holds the integer of each
+    plain token (1 to 18 ASCII digits), and -1 for every other token.
+    """
+    if not text.isascii():
+        return None
+    raw = f" {text} ".encode("ascii")  # byte i + 1 is text[i]
+    sep = np.frombuffer(raw.translate(_SEPARATOR), bool)
+    edges = (sep[1:] != sep[:-1]).nonzero()[0]
+    starts, ends = edges[::2], edges[1::2]
+    size = np.minimum(ends - starts, _PLAIN_DIGITS + 1)  # of a plain token, or 0 or 19
+    other = np.frombuffer(raw.translate(_OTHER), bool).nonzero()[0] - 1
+    size[starts.searchsorted(other, "right") - 1] = 0
+    values = np.empty(starts.size, np.int64)
+    values.fill(-1)
+    digits = np.frombuffer(raw, np.uint8, offset=1)
+    present = np.bincount(size)[1:_PLAIN_DIGITS + 1].nonzero()[0] + 1  # the lengths found
+    for k in present.tolist():
+        at = (size == k).nonzero()[0]
+        pos = starts[at]
+        value = digits[pos].astype(np.int64)
+        for j in range(1, k):
+            value = value * 10 + digits[pos + j]
+        values[at] = value - 48 * (10**k - 1) // 9  # each digit was read as its byte, "0" = 48
+    return starts, ends, values
+
+
+def _weights(text: str, starts, ends, values, at) -> list[Fraction]:
+    """The weights in tokens `at`, each distinct token worked out once: a
+    plain token by its value, a plain ASCII "p/q" by int(), any other by
+    parse_weight."""
+    first, last = memoryview(starts), memoryview(ends)
     value = {}
-    for tok in set(tokens):
-        p, slash, q = tok.partition("/")
-        if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
-            value[tok] = Fraction(int(p), int(q) if slash else 1)
-        else:
-            value[tok] = parse_weight(tok)
-    return list(map(value.__getitem__, tokens))
+    weights = []
+    for i, v in zip(at.tolist(), values[at].tolist()):
+        key = v if v >= 0 else text[first[i]:last[i]]
+        w = value.get(key)
+        if w is None:
+            if v >= 0:
+                w = Fraction(v)
+            else:
+                p, slash, q = key.partition("/")
+                w = Fraction(int(p), int(q)) if p.isdigit() and q.isdigit() else parse_weight(key)
+            value[key] = w
+        weights.append(w)
+    return weights
 
 
-def _tokens_at(items: list[str], starts: list[int], sizes: list[int]) -> list[str]:
-    """items[a:a + k] for each start a and size k, end to end."""
-    return list(chain.from_iterable(items[a:a + k] for a, k in zip(starts, sizes)))
+def _records(values: np.ndarray, at: int, count: int, lead: int, least: int):
+    """(members, indptr, firsts) of `count` records from token `at` to the end.
+
+    A record is `lead` tokens, a plain count c >= `least` and c plain member
+    tokens; firsts holds the first token of each record.  The counts are
+    walked through a memoryview, which gives Python ints.  None when the
+    tokens do not have that shape.
+    """
+    tokens = memoryview(values)
+    sizes = []
+    end = at
+    try:
+        for _ in range(count):
+            c = tokens[end + lead]
+            if c < least:
+                return None
+            sizes.append(c)
+            end += lead + 1 + c
+    except IndexError:
+        return None
+    if end != len(tokens):
+        return None
+    indptr = _sizes_to_indptr(sizes)
+    firsts = indptr[:-1] + np.arange(at, at + (lead + 1) * count, lead + 1)
+    member = np.ones(len(tokens), bool)
+    member[:at] = False
+    for j in range(lead + 1):
+        member[firsts + j] = False
+    members = values[member]
+    if members.size and members.min() < 0:
+        return None
+    return members, indptr, firsts
 
 
 def _sizes_to_indptr(sizes) -> np.ndarray:
     indptr = np.zeros(len(sizes) + 1, np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    return indptr
+    indptr[1:] = sizes
+    return indptr.cumsum(out=indptr)
 
 
-def _parsed(m, weights, indptr, elements, name) -> Instance:
-    """The parsed instance; its flat arrays stay for validate, which drops them."""
-    values = iter(elements.tolist())
-    sets = tuple(SetEntry(tuple(islice(values, k)), w)
-                 for k, w in zip(np.diff(indptr).tolist(), weights))
-    instance = Instance(m=m, sets=sets, name=name)
-    instance.__dict__["_flat"] = (indptr, elements)
+def _parsed(m, indptr, elements, weights, name) -> Instance:
+    """A parsed instance: its sets stay flat arrays until .sets is read."""
+    instance = Instance.__new__(Instance)
+    vars(instance).update(m=m, name=name, _csr=(indptr, elements, weights))
     return instance
 
 
+def _entries(indptr, elements, weights) -> tuple[SetEntry, ...]:
+    values = iter(elements.tolist())
+    return tuple(SetEntry(tuple(islice(values, k)), w)
+                 for k, w in zip(np.diff(indptr).tolist(), weights))
+
+
 class _Tokens:
-    """Whitespace token stream for the error walks; positions are worked out
+    """Whitespace token stream for the token walks; positions are worked out
     only for the error raised."""
 
     def __init__(self, text: str):
@@ -450,44 +534,43 @@ def parse_native(text: str, name: str | None = None) -> Instance:
     """Parse the native "scp 1" format; the result is validated."""
     instance = _read_native(text, name)
     if instance is None:
-        _walk_native(text)
+        instance = _walk_native(text, name)
     validate(instance)
     return instance
 
 
 def _read_native(text: str, name: str | None) -> Instance | None:
-    """The bulk read; None when a token is out of place or not a number."""
-    items = text.split()
-    if items[:2] != [NATIVE_MAGIC, NATIVE_VERSION]:
+    """The bulk read; None when the text is not ASCII, a token is out of
+    place or not plain, a weight does not parse or a set repeats an element."""
+    scan = _scan(text)
+    if scan is None:
         return None
+    starts, ends, values = scan
     try:
-        m, n = int(items[2]), int(items[3])
-        starts, sizes = [], []  # of each set's elements
-        at = 4
-        for _ in range(n):
-            k = int(items[at + 1])
-            if k < 0:
-                return None
-            starts.append(at + 2)
-            sizes.append(k)
-            at += 2 + k
-        weights = _weights(items[a - 2] for a in starts)
-    except (IndexError, ValueError, ZeroDivisionError):
+        if text[:ends[1]].split() != [NATIVE_MAGIC, NATIVE_VERSION]:
+            return None
+        m, n = values[2:4].tolist()
+    except (IndexError, ValueError):
         return None
-    elements = _ints(_tokens_at(items, starts, sizes)) if at == len(items) else None
-    del items  # the token strings outweigh the instance built below
-    if elements is None:
+    records = _records(values, 4, n, lead=1, least=0) if m >= 0 and n >= 0 else None
+    if records is None:
         return None
-    indptr = _sizes_to_indptr(sizes)
+    elements, indptr, first = records
+    try:
+        weights = _weights(text, starts, ends, values, first)
+    except (ValueError, ZeroDivisionError):
+        return None
     if _unsorted(indptr, elements):  # each set is sorted; a repeated element is an error
-        elements = elements[np.lexsort((elements, np.repeat(np.arange(n), sizes)))]
+        owner = np.arange(n).repeat(indptr[1:] - indptr[:-1])
+        elements = elements[np.lexsort((elements, owner))]
         if _unsorted(indptr, elements):
             return None
-    return _parsed(m, weights, indptr, elements, name)
+    return _parsed(m, indptr, elements, weights, name)
 
 
-def _walk_native(text: str) -> NoReturn:
-    """Raise the first error of a text the bulk read rejected, token by token."""
+def _walk_native(text: str, name: str | None) -> Instance:
+    """Read a text the bulk read did not take token by token, or raise its
+    first error."""
     toks = _Tokens(text)
     magic = toks.next("format magic")
     if magic != NATIVE_MAGIC:
@@ -511,9 +594,7 @@ def _walk_native(text: str) -> NoReturn:
             elements.add(e)
         sets.append(SetEntry(tuple(sorted(elements)), w))
     toks.end()
-    # an element past int64 gets here with no syntax error; validation names it
-    validate(Instance(m=m, sets=tuple(sets)))
-    raise AssertionError("the bulk read rejected a valid native text")
+    return Instance(m=m, sets=tuple(sets), name=name)
 
 
 def write_native(instance: Instance) -> str:
@@ -535,54 +616,52 @@ def parse_orlib(text: str, name: str | None = None) -> Instance:
     """Parse the OR-Library set-covering format into a set-major Instance."""
     instance = _read_orlib(text, name)
     if instance is None:
-        _walk_orlib(text)
+        instance = _walk_orlib(text, name)
     validate(instance)
     return instance
 
 
 def _read_orlib(text: str, name: str | None) -> Instance | None:
-    """The bulk read; None when a token is out of place or not a number, a
-    column index is out of range or repeated in a row, or a row is uncovered."""
-    items = text.split()
-    try:
-        m, n = int(items[0]), int(items[1])
-        if m < 1 or n < 1 or len(items) < 2 + n:
-            return None
-        costs = _weights(items[2:2 + n])
-        starts, counts = [], []  # of each row's columns
-        at = 2 + n
-        for _ in range(m):
-            c = int(items[at])
-            if c < 1:
-                return None
-            starts.append(at + 1)
-            counts.append(c)
-            at += 1 + c
-    except (IndexError, ValueError, ZeroDivisionError):
+    """The bulk read; None when the text is not ASCII, a token is out of
+    place or not plain, a cost does not parse, a column index is out of
+    range or repeated in a row, or a row is uncovered."""
+    scan = _scan(text)
+    if scan is None:
         return None
-    cols = _ints(_tokens_at(items, starts, counts)) if at == len(items) else None
-    del items  # the token strings outweigh the instance built below
-    if cols is None or not 1 <= int(cols.min()) <= int(cols.max()) <= n:
+    starts, ends, values = scan
+    m, n = values[:2].tolist() if values.size >= 2 else (0, 0)
+    if m < 1 or n < 1 or values.size < 2 + n:
+        return None
+    records = _records(values, 2 + n, m, lead=0, least=1)
+    if records is None:
+        return None
+    cols, rows_at, _ = records
+    try:
+        costs = _weights(text, starts, ends, values, np.arange(2, 2 + n))
+    except (ValueError, ZeroDivisionError):
+        return None
+    if not 1 <= int(cols.min()) <= int(cols.max()) <= n:
         return None
     cols -= 1
     # rows ascend, so a stable sort by column lists each column's rows in order
-    rows = np.repeat(np.arange(1, m + 1), counts)
+    rows = np.arange(1, m + 1).repeat(rows_at[1:] - rows_at[:-1])
     elements = rows[np.argsort(cols, kind="stable")]
     indptr = _sizes_to_indptr(np.bincount(cols, minlength=n))
     if _unsorted(indptr, elements):  # a row lists a column twice
         return None
-    return _parsed(m, costs, indptr, elements, name)
+    return _parsed(m, indptr, elements, costs, name)
 
 
-def _walk_orlib(text: str) -> NoReturn:
-    """Raise the first error of a text the bulk read rejected, token by token."""
+def _walk_orlib(text: str, name: str | None) -> Instance:
+    """Read a text the bulk read did not take token by token, or raise its
+    first error."""
     toks = _Tokens(text)
     m = toks.next_value("row count m")
     n = toks.next_value("column count n")
     if m < 1 or n < 1:
         raise ScpSyntaxError("m and n must be positive")
-    for i in range(n):
-        toks.next_value(f"cost of column {i}", parse_weight)
+    costs = [toks.next_value(f"cost of column {i}", parse_weight) for i in range(n)]
+    columns = [[] for _ in range(n)]
     for row in range(1, m + 1):
         c = toks.next_value(f"cover count of row {row}")
         if c < 1:
@@ -597,10 +676,11 @@ def _walk_orlib(text: str) -> NoReturn:
             if col_idx in seen:
                 raise toks.error(f"row {row} lists column {col_idx} twice")
             seen.add(col_idx)
+            columns[col_idx - 1].append(row)
     toks.end()
-    # the bulk read rejects only what this walk raises on: a column index
-    # past int64 is out of range here too
-    raise AssertionError("the bulk read rejected a valid OR-Library text")
+    # rows ascend, so each column lists its rows in order
+    return Instance(m=m, sets=tuple(SetEntry(tuple(rows), w) for rows, w in zip(columns, costs)),
+                    name=name)
 
 
 def detect_format(text: str) -> str:

@@ -23,7 +23,7 @@ from setcoverlab import (
     make_instance,
     slavik_bounds,
 )
-from setcoverlab.bounds import g_from_counts, report_to_csv, report_to_kv
+from setcoverlab.bounds import _scalar, g_from_counts, report_to_csv, report_to_kv
 from setcoverlab.errors import (
     ArgumentTooSmall,
     InvalidTrace,
@@ -31,8 +31,9 @@ from setcoverlab.errors import (
     TraceMismatch,
 )
 from setcoverlab.greedy import GreedyTrace
+from setcoverlab.instance import cover_weight
 
-from oracle import brute_harmonic
+from oracle import brute_g, brute_harmonic
 
 
 def synthetic_trace(s, m):
@@ -98,6 +99,15 @@ class TestG:
     def test_invalid_sum(self):
         with pytest.raises(InvalidTrace):
             g_from_counts((3, 3), 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 2000), min_size=1, max_size=60))
+    def test_integer_sum_equals_per_step_fractions(self, s):
+        # one Fraction over the lcm of the residuals, against one per step
+        assert g_from_counts(s, sum(s)) == brute_g(s, sum(s))
+
+    def test_counts_from_an_iterator(self):
+        assert g_from_counts(iter((7, 3)), 10) == Fraction(17, 10)
 
 
 class TestDelta:
@@ -213,6 +223,16 @@ class TestBoundReport:
         with pytest.raises(TraceMismatch, match=message):
             bound_report(inst, dataclasses.replace(greedy(inst), **fields))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 1000)), min_size=1,
+                    max_size=12), st.data())
+    def test_weight_check_equals_per_set_fractions(self, weights, data):
+        # the trace weight check sums the integer weights over one denominator
+        inst = make_instance(1, [((1,), Fraction(p, q)) for p, q in weights])
+        chosen = data.draw(st.lists(st.integers(0, inst.n - 1), unique=True))
+        assert cover_weight(inst, chosen) == sum((inst.sets[i].weight for i in chosen),
+                                                 Fraction(0))
+
     def test_g_at_most_h_and_length(self):
         for seed in range(40):
             spec = RandomSpec(m=2 + seed % 9, n=2 + seed % 5, density=0.5,
@@ -233,6 +253,22 @@ class TestSerialization:
         assert "Delta=1/6 (~0.166667)" in kv
         assert "H_m=11/6" in kv
         assert kv.count("\n") == 14
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(), st.integers(0, 10**9))
+    def test_scalar_below_the_digit_limit_is_str(self, v, n):
+        assert _scalar(v) == f"{v} (~{float(v):.6f})"
+        assert _scalar(Fraction(n)) == f"{n} (~{n:.6f})"
+
+    def test_scalar_past_the_digit_limit_is_exact_decimal(self):
+        v = Fraction(-(10**5000) - 7, 3**11000)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the reference needs str() past the limit
+        try:
+            expected = f"{v.numerator}/{v.denominator} (~-0.000000)"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert _scalar(v) == expected
 
     def test_csv_two_lines(self):
         inst = make_instance(3, [((1, 2, 3), 5)])

@@ -9,6 +9,8 @@ import pytest
 from setcoverlab import cli, errors
 from setcoverlab.cli import main
 
+from oracle import brute_harmonic
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -93,6 +95,31 @@ class TestBoundsLargeM:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("m=511\n")
+
+    def test_bounds_past_the_int_digit_limit(self, tmp_path):
+        # H(10000)'s denominator has more digits than str() converts by default
+        m = 10_000
+        path = tmp_path / "one-set.scp"
+        path.write_text(f"scp 1\n{m} 1\n1 {m} " + " ".join(map(str, range(1, m + 1))) + "\n")
+        h = brute_harmonic(m)
+        limit = sys.get_int_max_str_digits()
+        assert h.denominator.bit_length() > 3.33 * limit
+        sys.set_int_max_str_digits(0)  # the reference needs str() past the limit
+        try:
+            expected = f"{h.numerator}/{h.denominator} (~{float(h):.6f})"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for fmt in ("kv", "csv"):
+            proc = subprocess.run([sys.executable, "-m", "setcoverlab.cli", "bounds", str(path),
+                                   "--format", fmt], capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (0, ""), fmt
+            if fmt == "kv":
+                fields = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+            else:
+                header, row = proc.stdout.splitlines()
+                fields = dict(zip(header.split(","), row.split(",")))
+            assert fields["H_m"] == fields["H_m_bar"] == expected, fmt
+            assert fields["G"] == "1 (~1.000000)", fmt
 
 
 class TestGen:

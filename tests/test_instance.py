@@ -2,14 +2,17 @@ import dataclasses
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seed_parsers
 from setcoverlab import (
     Cover,
     Instance,
     SetEntry,
+    bound_report,
     is_cover,
     make_cover,
     make_instance,
@@ -143,15 +146,39 @@ class TestMemo:
         (parse_native, "scp 1\n70 2\n1 2 1 70\n1 68 " + " ".join(map(str, range(2, 70))) + "\n"),
         (parse_orlib, "3 2\n1 1\n1 1\n1 2\n2 1 2\n"),
     ])
-    def test_parsed_instance_keeps_no_arrays(self, parse, text):
-        # the parser's flat element arrays serve validation and are dropped
+    def test_parsed_instance_holds_arrays_not_sets(self, parse, text):
+        # the parser's flat arrays are the instance's one copy of its sets; the
+        # G-only path (greedy, bound report) builds no SetEntry
         inst = parse(text)
-        validate(inst)
-        memo = {k: v for k, v in vars(inst).items() if k not in ("m", "sets", "name")}
-        assert list(memo) == ["_view"]
-        masks, weights, _ = memo["_view"]
-        assert all(type(v) is int for v in (*masks, *weights))
-        assert masks == [sum(1 << (e - 1) for e in entry.elements) for entry in inst.sets]
+        bound_report(inst, greedy(inst))
+        assert sorted(vars(inst)) == ["_csr", "_view", "m", "name"]
+        indptr, elements, weights = vars(inst)["_csr"]
+        masks, int_weights, _ = vars(inst)["_view"]
+        assert all(type(v) is int for v in (*masks, *int_weights))
+        arrays = [a for v in vars(inst).values() if isinstance(v, tuple)
+                  for a in v if isinstance(a, np.ndarray)]
+        assert len(arrays) == 2 and arrays[0] is indptr and arrays[1] is elements
+        # the tuple, built on first read, is the eager build
+        eager = (seed_parsers.parse_native if parse is parse_native
+                 else seed_parsers.parse_orlib)(text)
+        sets = inst.sets
+        assert type(sets) is tuple and sets == eager.sets and inst.sets is sets
+        assert all(type(e) is int for entry in sets for e in entry.elements)
+        assert masks == [sum(1 << (e - 1) for e in entry.elements) for entry in sets]
+        assert inst == eager and hash(inst) == hash(eager) and repr(inst) == repr(eager)
+        again = pickle.loads(pickle.dumps(inst))
+        assert again == eager and sorted(vars(again)) == ["m", "name", "sets"]
+        assert dataclasses.replace(inst) == eager
+
+    def test_unread_sets_are_built_for_eq_hash_repr_pickle(self):
+        text = "scp 1\n3 3\n1 2 1 3\n1 2 2 3\n1 2 1 2\n"
+        fresh = gf2_k2()
+        for use in (lambda i: i == fresh, hash, repr, pickle.dumps, dataclasses.replace):
+            inst = parse_native(text)
+            assert "sets" not in vars(inst)
+            use(inst)
+            assert inst.sets == fresh.sets
+        assert pickle.dumps(parse_native(text)) == pickle.dumps(parse_native(text))
 
     def test_replace_does_not_carry_the_memo(self):
         inst = gf2_k2()

@@ -19,7 +19,9 @@ import seed_parsers
 from setcoverlab.errors import ScpError
 from setcoverlab.instance import Instance, format_weight, parse_native, parse_orlib
 
-SEPARATORS = (" ", " ", " ", "  ", "\t", "\n", "\n\n", " \n\t", "\r\n", "\x0c")
+SEPARATORS = (" ", " ", " ", "  ", "\t", "\n", "\n\n", " \n\t", "\r\n", "\x0c",
+              # the other ASCII bytes str.split() separates at
+              "\r", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _outcome(parse, text):
@@ -193,6 +195,39 @@ class TestAgainstFrozenParsers:
         ("2 2\n1 1\n2 2 1\n2 2 1\n", "orlib"),
         ("2 2\n1 1\n1 0\n1 2\n", "orlib"),
         ("2 3\n1 1 1\n1 1\n1 2\n", "orlib"),
+        # every ASCII separator of str.split(), in a valid text and before an error
+        *((f"scp 1{sep}2 1{sep}1 2 1{sep}2{sep}", "native")
+          for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r\n", "\r")),
+        *((f"scp 1{sep}2 1{sep}1 2 1{sep}x{sep}", "native")
+          for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r\n", "\r")),
+        *((f"2 2{sep}1 1{sep}1 1{sep}1 x", "orlib") for sep in ("\x0b", "\x1f", "\r\n")),
+        # control bytes str.split() keeps inside a token
+        ("scp 1\n2 1\n1 2 1 2\x00\n", "native"),
+        ("scp 1\n2 1\n1\x07 2 1 2\n", "native"),
+        ("scp\x7f 1\n2 1\n1 2 1 2\n", "native"),
+        ("scp 1\n2 1\n1 2\x07 1 2\n", "native"),
+        ("2 1\n1\n1 1\x00\n1 1\n", "orlib"),
+        ("2 1\n1\x7f\n1 1\n1 1\n", "orlib"),
+        # non-ASCII separators: a valid text, and an error past a line break
+        ("scp 1\n2 1\n1 2 1\xa02\n", "native"),
+        ("scp 1\u20282 1\u20281 2 1 2\n", "native"),
+        ("scp 1\u20282 1\u20281 2 1 x\n", "native"),
+        ("scp 1\xa02 1\n1 2 1\xa0x\n", "native"),
+        ("2 1\u20281\u20281 1\u20281 x\n", "orlib"),
+        # 18 digits are read by the scan, 19 by the walk
+        ("scp 1\n999999999999999999 1\n1 1 999999999999999999\n", "native"),
+        ("scp 1\n1000000000000000000 1\n1 1 1000000000000000000\n", "native"),
+        ("scp 1\n3 1\n1 3 1 2 123456789012345678\n", "native"),
+        ("scp 1\n3 1\n1 3 1 2 1234567890123456789\n", "native"),
+        ("scp 1\n1 1\n999999999999999999 1 1\n", "native"),
+        ("scp 1\n1 1\n9999999999999999999/3 1 1\n", "native"),
+        ("2 1\n1\n1 1\n1 000000000000000001\n", "orlib"),
+        ("2 1\n1\n1 1\n1 0000000000000000001\n", "orlib"),
+        # leading zeros
+        ("scp 1\n0003 1\n01 3 001 02 3\n", "native"),
+        ("scp 1\n3 1\n1 03 1 2 03\n", "native"),
+        ("scp 1\n2 1\n002/004 2 1 2\n", "native"),
+        ("02 1\n01\n1 01\n01 001\n", "orlib"),
     ])
     def test_pinned_cases(self, text, fmt):
         assert_same(text, fmt)
