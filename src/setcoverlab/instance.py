@@ -27,10 +27,12 @@ and a mask takes the elements (for OR-Library, transposed by a stable
 argsort).  Any other text (not ASCII, a count or an element that is not
 plain, a malformed token, a repeated element) goes through the token walk,
 which builds the instance token by token or raises the first error, with
-its message, line and column.  A parsed instance keeps its flat arrays and
-its weights, and builds its SetEntry tuple only when .sets is first read.
-validate() checks the flat arrays vectorized, names a violation by an
-ordered scan of the sets, and builds the bitmasks from the arrays.
+its message, line and column.  Every instance is read as flat arrays and
+weights (_arrays): a parsed one keeps the parser's, and builds its SetEntry
+tuple only when .sets is first read; one built from SetEntry tuples
+flattens them once.  validate() checks the flat arrays vectorized, names a
+violation by an ordered scan of the sets, and builds the bitmasks from the
+arrays.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
-from functools import reduce
-from operator import lt, or_
+from itertools import chain, islice, pairwise
+from numbers import Integral
+from operator import lt
 
 import numpy as np
 
@@ -60,7 +62,7 @@ NATIVE_MAGIC = "scp"
 NATIVE_VERSION = "1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetEntry:
     """One candidate set: a sorted tuple of element ids plus its weight."""
 
@@ -76,10 +78,10 @@ class SetEntry:
 class Instance:
     """A validated-on-demand set-cover instance over the universe {1..m}.
 
-    Memos (validation with masks and integer weights, incidence) live in
-    __dict__, not in the fields.  A parsed instance holds its sets as flat
-    arrays and weights there ("_csr"), and builds the sets field from them
-    on first read.
+    Memos (the flat arrays and weights "_csr", validation with masks and
+    integer weights, incidence) live in __dict__, not in the fields.  A
+    parsed instance holds its sets only as "_csr", and builds the sets
+    field from it on first read; one built from sets adds "_csr" on demand.
     """
 
     m: int
@@ -88,15 +90,13 @@ class Instance:
 
     @property
     def n(self) -> int:
-        csr = self.__dict__.get("_csr")
-        return len(self.sets) if csr is None else len(csr[2])
+        return len(_arrays(self)[2])
 
     def __getattr__(self, attr):
         # only a missing attribute gets here: the sets of a parsed instance
-        csr = self.__dict__.get("_csr") if attr == "sets" else None
-        if csr is None:
+        if attr != "sets" or "_csr" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        sets = self.__dict__["sets"] = _entries(*csr)
+        sets = self.__dict__["sets"] = _entries(*self._csr)
         return sets
 
     def __getstate__(self):
@@ -122,55 +122,38 @@ def make_instance(m, sets, name=None) -> Instance:
 def validate(instance: Instance) -> None:
     """Raise the first invariant violation, or return None if all hold.
 
-    Checked per set, in order: element range, non-emptiness, weight sign;
-    then global coverage of the universe.  On a parsed instance, or past
-    m = 64, the checks run vectorized over the flat element arrays (the
-    parser's, or built from the sets and then dropped), and the ordered
-    per-set scan runs only to name the first violation; on sets up to
-    m = 64 the scan and one-word masks are cheaper than numpy's fixed cost.
-    Success is memoized, with masks and the weights as integers over their
-    common denominator.
+    Checked per set, in order: non-emptiness, each element an integer in
+    range and above the one before, weight sign; then global coverage of the
+    universe.  The checks run vectorized over the flat arrays, and the
+    ordered per-set scan runs only to name the first violation.  Success is
+    memoized, with masks and the weights as integers over their common
+    denominator.
     """
     memo = instance.__dict__
     if "_view" in memo:
         return
-    csr = memo.get("_csr")
     m = instance.m
     if m < 1:
         raise InvalidInstance(f"universe size must be >= 1, got {m}")
     if not instance.n:
         raise InvalidInstance("instance has no sets")
-    weights, denom = _over_lcm(csr[2] if csr else [entry.weight for entry in instance.sets])
-    masks = None
-    if m <= 64 and csr is None:
+    indptr, elements, weights = _arrays(instance)
+    weights, denom = _over_lcm(weights)
+    if not (indptr[1:] > indptr[:-1]).all() or int(elements.min()) < 1 \
+            or int(elements.max()) > m or min(weights) < 0 or _unsorted(indptr, elements):
         _raise_first_violation(instance)
-        masks = [sum(1 << (e - 1) for e in entry.elements) for entry in instance.sets]
-        union = reduce(or_, masks)
-        missing = ((union + 1) & ~union).bit_length()  # the lowest clear bit
-    else:
-        try:
-            indptr, elements = csr[:2] if csr else _flatten(instance.sets)
-        except OverflowError:  # an id past int64 is out of range, or m is past int64 too
-            _raise_first_violation(instance)
-            indptr, elements = _flatten(instance.sets, cap=2**62)
-        if not (indptr[1:] > indptr[:-1]).all() or int(elements.min()) < 1 \
-                or int(elements.max()) > m or min(weights) < 0 \
-                or csr is None and _unsorted(indptr, elements):  # the parsers sort each set
-            _raise_first_violation(instance)
-        # flags for 1..min(m, entries + 1), never m of them: fewer entries
-        # than m leave a gap at or below entries + 1
-        bound = min(m, elements.size + 1)
-        present = np.zeros(bound + 2, bool)
-        present[0] = True
-        present[elements[elements <= bound]] = True
-        missing = int(present.argmin())  # bound + 1 when 1..bound are all held
+    # flags for 1..min(m, entries + 1), never m of them: fewer entries
+    # than m leave a gap at or below entries + 1
+    bound = min(m, elements.size + 1)
+    present = np.zeros(bound + 2, bool)
+    present[0] = True
+    present[elements[elements <= bound]] = True
+    missing = int(present.argmin())  # bound + 1 when 1..bound are all held
     if missing <= m:
         raise UnionNotUniverse(
             f"element {missing} is covered by no set", missing_element=missing
         )
-    if masks is None:
-        masks = _masks(indptr, elements)
-    memo["_view"] = (masks, tuple(weights), denom)
+    memo["_view"] = (_masks(indptr, elements), tuple(weights), denom)
 
 
 def _raise_first_violation(instance: Instance) -> None:
@@ -180,9 +163,13 @@ def _raise_first_violation(instance: Instance) -> None:
         els = entry.elements
         if not els:
             raise EmptySet(f"set {i} is empty", set_index=i)
-        if not (1 <= els[0] and els[-1] <= m and all(map(lt, els, els[1:]))):
+        if not (all(isinstance(e, Integral) for e in els) and 1 <= els[0] and els[-1] <= m
+                and all(map(lt, els, els[1:]))):
             prev = 0  # find the first violation in reading order
             for e in els:
+                if not isinstance(e, Integral):
+                    raise InvalidInstance(f"set {i} contains element {e!r}, not an integer",
+                                          set_index=i)
                 if not 1 <= e <= m:
                     raise ElementOutOfRange(f"set {i} contains element {e} outside 1..{m}",
                                             set_index=i)
@@ -196,18 +183,31 @@ def _raise_first_violation(instance: Instance) -> None:
             )
 
 
-def _flatten(sets, cap=None) -> tuple[np.ndarray, np.ndarray]:
+def _arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, list]:
+    """(indptr, elements, weights): the parser's, or the sets' flattened once."""
+    memo = instance.__dict__
+    if "_csr" not in memo:
+        sets = instance.sets
+        memo["_csr"] = (*_flatten(sets), [entry.weight for entry in sets])
+    return memo["_csr"]
+
+
+def _flatten(sets) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, elements): set i holds elements[indptr[i]:indptr[i + 1]].
 
-    Ids past int64 raise OverflowError, unless `cap` is given: then every
-    id above it reads as `cap`.
+    An id that is not an integer, or is past int64, reads as 0: validate's
+    range check then hands the sets to the ordered scan, which names the id,
+    and an id past int64 that is in range lies above any gap coverage finds.
     """
-    indptr = _sizes_to_indptr(np.fromiter(map(len, (entry.elements for entry in sets)),
-                                          np.int64, len(sets)))
-    ids = chain.from_iterable(entry.elements for entry in sets)
-    if cap is not None:
-        ids = (min(e, cap) for e in ids)
-    return indptr, np.fromiter(ids, np.int64, int(indptr[-1]))
+    indptr = _sizes_to_indptr([len(entry.elements) for entry in sets])
+    ids = list(chain.from_iterable(entry.elements for entry in sets))
+    try:
+        if type(sum(ids)) is int:  # not for a float, Fraction or numpy id; a str raises
+            return indptr, np.fromiter(ids, np.int64, len(ids))
+    except (TypeError, OverflowError):  # a str id; an id past int64
+        pass
+    return indptr, np.fromiter((e if isinstance(e, Integral) and -2**63 <= e < 2**63 else 0
+                                for e in ids), np.int64, len(ids))
 
 
 def _unsorted(indptr: np.ndarray, elements: np.ndarray) -> bool:
@@ -259,8 +259,7 @@ def element_masks(instance: Instance) -> list[int]:
     memo = instance.__dict__
     if "_view" in memo:
         return list(memo["_view"][0])
-    csr = memo.get("_csr")
-    return _masks(*(csr[:2] if csr else _flatten(instance.sets)))
+    return _masks(*_arrays(instance)[:2])
 
 
 def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
@@ -268,9 +267,11 @@ def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
     validate(instance)
     holders = instance.__dict__.get("_holders")
     if holders is None:
+        indptr, elements, _ = _arrays(instance)
         lists = [[] for _ in range(instance.m)]
-        for i, entry in enumerate(instance.sets):
-            for e in entry.elements:
+        values = elements.tolist()
+        for i, (a, b) in enumerate(pairwise(indptr.tolist())):
+            for e in values[a:b]:
                 lists[e - 1].append(i)
         holders = instance.__dict__["_holders"] = tuple(map(tuple, lists))
     return holders
@@ -278,8 +279,7 @@ def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
 
 def set_sizes(instance: Instance) -> list[int]:
     """The number of elements of each set, in order."""
-    csr = instance.__dict__.get("_csr")
-    return [entry.size for entry in instance.sets] if csr is None else np.diff(csr[0]).tolist()
+    return np.diff(_arrays(instance)[0]).tolist()
 
 
 def _validated_weights(instance: Instance) -> tuple[tuple[int, ...], int]:
@@ -297,7 +297,7 @@ def require_positive_weights(instance: Instance) -> tuple[tuple[int, ...], int]:
     weights, denom = _validated_weights(instance)
     if 0 in weights:  # validation rejected negative weights
         i = weights.index(0)
-        raise NonPositiveWeight(f"set {i} has non-positive weight {instance.sets[i].weight}")
+        raise NonPositiveWeight(f"set {i} has non-positive weight {_arrays(instance)[2][i]}")
     return weights, denom
 
 
@@ -601,10 +601,10 @@ def write_native(instance: Instance) -> str:
     """Emit the native format; inverse of parse_native on valid instances."""
     validate(instance)
     lines = [f"{NATIVE_MAGIC} {NATIVE_VERSION}", f"{instance.m} {instance.n}"]
-    for entry in instance.sets:
-        parts = [format_weight(entry.weight), str(entry.size)]
-        parts.extend(str(e) for e in entry.elements)
-        lines.append(" ".join(parts))
+    indptr, elements, weights = _arrays(instance)
+    for (a, b), weight in zip(pairwise(indptr.tolist()), weights):  # one set's ints at a time
+        ids = map(str, elements[a:b].tolist())
+        lines.append(" ".join([format_weight(weight), str(b - a), *ids]))
     return "\n".join(lines) + "\n"
 
 

@@ -50,14 +50,13 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 
 import numpy as np
 
 from .errors import LengthMismatch, NonOptimalLp, NumericalFailure
 from .greedy import GreedyTrace
-from .instance import Instance, _over_lcm, element_sets, require_positive_weights
+from .instance import Instance, _arrays, _over_lcm, element_sets, require_positive_weights
 
 DEFAULT_TOL = 1e-9
 BLAND_STREAK = 40
@@ -98,11 +97,9 @@ class LpOutcome:
 
 def _dual_data(instance: Instance):
     """The dual's constraint matrix D (n x m): D[i, e-1] = 1 when set i holds e."""
-    holders = element_sets(instance)
-    sizes = list(map(len, holders))
+    indptr, elements, _ = _arrays(instance)
     d = np.zeros((instance.n, instance.m))
-    d[np.fromiter(chain.from_iterable(holders), np.intp, sum(sizes)),
-      np.repeat(np.arange(instance.m), sizes)] = 1.0
+    d[np.arange(instance.n).repeat(np.diff(indptr)), elements - 1] = 1.0
     return d
 
 
@@ -199,9 +196,9 @@ def _dual_pivot(t, basis, nonbasic):
 def _float_weights(instance: Instance) -> list[float]:
     """The weights as floats; NumericalFailure names a set whose weight overflows."""
     weights = []
-    for i, entry in enumerate(instance.sets):
+    for i, weight in enumerate(_arrays(instance)[2]):
         try:
-            weights.append(float(entry.weight))
+            weights.append(float(weight))
         except OverflowError:
             raise NumericalFailure(f"set {i} has a weight beyond the float range") from None
     return weights

@@ -40,6 +40,7 @@ from setcoverlab.instance import (
     format_weight,
     parse_weight,
     require_positive_weights,
+    set_sizes,
 )
 from setcoverlab.lp import solve_lp
 
@@ -114,6 +115,47 @@ class TestValidate:
             validate(order_first)
         assert type(exc.value) is InvalidInstance
         assert "not sorted" in str(exc.value)
+
+    @pytest.mark.parametrize("m", [3, 70])
+    @pytest.mark.parametrize("bad", [1.5, 3.0, "1"])
+    def test_an_id_that_is_not_an_int_names_its_set(self, m, bad):
+        # neither truncated nor parsed, at any m: every reader refuses the instance
+        inst = Instance(m=m, sets=(SetEntry((1,), Fraction(1)),
+                                   SetEntry((bad, *range(2, m + 1)), Fraction(1))))
+        for use in (validate, greedy, write_native, element_sets):
+            with pytest.raises(InvalidInstance) as exc:
+                use(inst)
+            assert type(exc.value) is InvalidInstance and exc.value.set_index == 1
+            assert str(exc.value) == f"set 1 contains element {bad!r}, not an integer"
+
+    @pytest.mark.parametrize("m", [3, 70])
+    def test_numpy_integer_ids_are_integers(self, m):
+        ids = tuple(np.arange(1, m + 1))
+        assert element_masks(make_instance(m, [(ids, 1)])) == [(1 << m) - 1]
+        assert write_native(Instance(m=m, sets=(SetEntry(ids, Fraction(1)),))) \
+            == write_native(make_instance(m, [(range(1, m + 1), 1)]))
+
+    def test_ids_past_int64(self):
+        for sets in ([((1, 2, 2**70), 1)], [((-2**70, 1, 2, 3), 1)]):
+            with pytest.raises(ElementOutOfRange) as exc:
+                validate(make_instance(3, sets))
+            assert exc.value.set_index == 0
+        # in range when m is past int64 too: the lowest gap is still found
+        with pytest.raises(UnionNotUniverse) as exc:
+            validate(make_instance(2**70, [((1, 2**65), 1)]))
+        assert exc.value.missing_element == 2
+
+
+class TestSetEntry:
+    def test_slots_keep_identity(self):
+        entry = SetEntry((1, 3), Fraction(5, 2))
+        assert not hasattr(entry, "__dict__")
+        assert repr(entry) == "SetEntry(elements=(1, 3), weight=Fraction(5, 2))"
+        for again in (pickle.loads(pickle.dumps(entry)), dataclasses.replace(entry)):
+            assert again == entry and hash(again) == hash(entry) and repr(again) == repr(entry)
+        assert dataclasses.replace(entry, weight=Fraction(1)) == SetEntry((1, 3), Fraction(1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.weight = Fraction(1)
 
 
 class TestMemo:
@@ -404,3 +446,37 @@ class TestRoundTripProperty:
     @given(instances())
     def test_all_sets_cover(self, inst):
         assert is_cover(inst, range(inst.n))
+
+
+@st.composite
+def raw_native(draw):
+    """(m, [(elements, weight)]) across m = 64, valid or not: empty sets, ids
+    out of range, gaps and negative weights all come up."""
+    m = draw(st.integers(1, 130))
+    sets = [(draw(st.lists(st.integers(-1, m + 2), unique=True, max_size=8)),
+             Fraction(draw(st.integers(-2, 30)), draw(st.integers(1, 6))))
+            for _ in range(draw(st.integers(0, 5)))]
+    if sets and draw(st.booleans()):  # cover the universe, but for at most one gap
+        gap = draw(st.integers(1, 2 * m))
+        held = {e for els, _ in sets for e in els}
+        sets[0] = (sets[0][0] + sorted(set(range(1, m + 1)) - held - {gap}), sets[0][1])
+    return m, sets
+
+
+def _read(build):
+    try:
+        inst = build()
+        validate(inst)
+    except InvalidInstance as exc:
+        return (type(exc), str(exc), exc.set_index, getattr(exc, "missing_element", None))
+    return element_masks(inst), element_sets(inst), set_sizes(inst), write_native(inst)
+
+
+class TestBuiltAgreesWithParsed:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_native())
+    def test_same_error_or_same_views(self, raw):
+        m, sets = raw
+        text = f"scp 1\n{m} {len(sets)}\n" + "".join(
+            f"{format_weight(w)} {len(els)} {' '.join(map(str, els))}\n" for els, w in sets)
+        assert _read(lambda: make_instance(m, sets)) == _read(lambda: parse_native(text))
