@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import lp
 from .greedy import greedy
-from .instance import (Cover, Instance, _over_lcm, element_masks, element_sets,
+from .instance import (Cover, Instance, _over_lcm, _set_loads, element_masks, element_sets,
                        require_positive_weights)
 
 AUTO_EXHAUSTIVE_MAX_N = 18
@@ -70,9 +70,8 @@ def _feasible_dual(instance: Instance, y, weights, dw):
     weights over dw; returns numerators ys (ys[e - 1] for element e) over dy.
     """
     ys, dy = _over_lcm([max(Fraction(v), Fraction(0)) for v in y])
-    # the set with the largest load / weight, which is (load * dw) / (weight * dy)
-    load, weight = max(((sum(ys[e - 1] for e in entry.elements), wi)
-                        for entry, wi in zip(instance.sets, weights)),
+    # the first set with the largest load / weight, which is (load * dw) / (weight * dy)
+    load, weight = max(zip(_set_loads(instance, ys).tolist(), weights),
                        key=lambda pair: Fraction(*pair))
     if load * dw > weight * dy:
         return [v * weight for v in ys], load * dw

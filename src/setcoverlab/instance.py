@@ -73,15 +73,23 @@ class SetEntry:
     def size(self) -> int:
         return len(self.elements)
 
+    def __setstate__(self, state):
+        # a pickle written before the slots holds the entry's __dict__
+        if isinstance(state, dict):
+            state = (state["elements"], state["weight"])
+        object.__setattr__(self, "elements", state[0])
+        object.__setattr__(self, "weight", state[1])
+
 
 @dataclass(frozen=True)
 class Instance:
     """A validated-on-demand set-cover instance over the universe {1..m}.
 
     Memos (the flat arrays and weights "_csr", validation with masks and
-    integer weights, incidence) live in __dict__, not in the fields.  A
-    parsed instance holds its sets only as "_csr", and builds the sets
-    field from it on first read; one built from sets adds "_csr" on demand.
+    integer weights, incidence, the element-major order) live in __dict__,
+    not in the fields.  A parsed instance holds its sets only as "_csr",
+    and builds the sets field from it on first read; one built from sets
+    adds "_csr" on demand.
     """
 
     m: int
@@ -275,6 +283,34 @@ def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
                 lists[e - 1].append(i)
         holders = instance.__dict__["_holders"] = tuple(map(tuple, lists))
     return holders
+
+
+def _set_loads(instance: Instance, values) -> np.ndarray:
+    """Per set, the sum of values[e - 1] over its elements e.
+
+    The sums run over an object array, so Python ints stay exact.  Reads
+    the flat arrays of a validated instance (no set is empty).
+    """
+    indptr, elements, _ = _arrays(instance)
+    return np.add.reduceat(np.array(values, object)[elements - 1], indptr[:-1])
+
+
+def _element_coverage(instance: Instance, values) -> np.ndarray:
+    """Per element, the sum of values[i] over the sets i holding it.
+
+    Exact for Python ints, like _set_loads.  The element-major order is one
+    stable argsort of the flat elements, memoized as "_by_element"; every
+    element of a validated instance has a holder.
+    """
+    memo = instance.__dict__
+    if "_by_element" not in memo:
+        indptr, elements, _ = _arrays(instance)
+        owners = np.arange(indptr.size - 1).repeat(np.diff(indptr))
+        counts = np.bincount(elements, minlength=instance.m + 1)[1:]
+        memo["_by_element"] = (owners[np.argsort(elements, kind="stable")],
+                               _sizes_to_indptr(counts)[:-1])
+    owners, starts = memo["_by_element"]
+    return np.add.reduceat(np.array(values, object)[owners], starts)
 
 
 def set_sizes(instance: Instance) -> list[int]:

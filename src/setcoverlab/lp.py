@@ -33,7 +33,11 @@ name the certificate path.
 Because the float tableau can drift, the solver then tries to certify the
 result exactly: the float primal/dual pair is snapped to small rationals
 and checked in integer arithmetic over common denominators (feasibility of
-both sides plus equal objectives proves optimality by weak duality).  When
+both sides plus equal objectives proves optimality by weak duality).  A
+snapped value is limit_denominator's, most often confirmed by an integer
+test on a float continued fraction's convergent instead of computed.  The
+check reads only the instance's flat arrays: each element's coverage and
+each set's load are bulk sums over Python ints (object arrays).  When
 that fails, the pair is rounded once more onto the denominators Cramer's
 rule allows for the final basis B (|det B|, times the weights' common
 denominator for the dual) and checked the same way.  That rounding is only
@@ -56,7 +60,8 @@ import numpy as np
 
 from .errors import LengthMismatch, NonOptimalLp, NumericalFailure
 from .greedy import GreedyTrace
-from .instance import Instance, _arrays, _over_lcm, element_sets, require_positive_weights
+from .instance import (Instance, _arrays, _element_coverage, _over_lcm, _set_loads, element_sets,
+                       require_positive_weights)
 
 DEFAULT_TOL = 1e-9
 BLAND_STREAK = 40
@@ -298,7 +303,8 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
     exact_x = None
     certificate = None
     if status == STATUS_OPTIMAL:
-        pair = (_snap(x), _snap(y))
+        snapped = _snap(np.concatenate([x, y]).tolist())
+        pair = (snapped[:n], snapped[n:])
         exact = certify_pair(instance, *pair)
         certificate = "snap"
         if exact is None:
@@ -319,10 +325,42 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
 
 
 def _snap(values) -> list[Fraction]:
-    """Each value's nearest small rational, computed once per distinct value."""
+    """Each value's nearest rational with denominator at most RATIONALIZE_DENOM.
+
+    The value of Fraction(v).limit_denominator(RATIONALIZE_DENOM), worked
+    out once per distinct value.
+    """
     floats = [float(v) for v in values]
-    snapped = {v: Fraction(v).limit_denominator(RATIONALIZE_DENOM) for v in set(floats)}
+    snapped = {v: _nearest(v) for v in set(floats)}
     return [snapped[v] for v in floats]
+
+
+def _nearest(v: float) -> Fraction:
+    """Fraction(v).limit_denominator(N), N = RATIONALIZE_DENOM, mostly without it.
+
+    With v = a/b exactly, the float continued fraction of |v| proposes its
+    last convergent p/q with q <= N.  When 2N|aq - pb| < b, checked in
+    integers, v lies within 1/(2Nq) of p/q; two distinct fractions with
+    denominators at most N are at least 1/(qN) apart, so p/q is the unique
+    closest, which is limit_denominator's value.  Otherwise that decides.
+    """
+    a, b = v.as_integer_ratio()  # raises for inf and nan, as Fraction(v) does
+    limit = RATIONALIZE_DENOM
+    rest = abs(v)
+    p0, q0, p, q = 1, 0, math.floor(rest), 1
+    rest -= p
+    while rest * (limit + 1) >= 1:  # else the next partial quotient takes q past N
+        rest = 1 / rest
+        t = math.floor(rest)
+        if t * q + q0 > limit:
+            break
+        p0, q0, p, q = p, q, t * p + p0, t * q + q0
+        rest -= t
+    if a < 0:
+        p = -p
+    if 2 * limit * abs(a * q - p * b) < b:
+        return Fraction(p, q)
+    return Fraction(v).limit_denominator(limit)
 
 
 def _snap_to_det(b_mat, x, y, dw):
@@ -355,16 +393,17 @@ def certify_pair(instance: Instance, x, y):
     Returns (x, objective) when x is primal-feasible, y is dual-feasible
     and the objectives match exactly; None otherwise.  Decided in integers:
     x and y over their own common denominators, the weights as validated.
+    The coverage of each element and the load of each set are summed in
+    bulk over the flat arrays, on Python ints.
     """
     xs, dx = _over_lcm(x)
-    ys, dy = _over_lcm([0, *y])  # ys[e]: element e
-    if min(xs) < 0 or min(ys) < 0:
+    ys, dy = _over_lcm(y)  # ys[e - 1]: element e
+    if min(xs) < 0 or min(ys, default=0) < 0:
         return None
     weights, dw = require_positive_weights(instance)
-    if any(sum(map(xs.__getitem__, holders)) < dx for holders in element_sets(instance)):
+    if (_element_coverage(instance, xs) < dx).any():
         return None
-    if any(sum(map(ys.__getitem__, entry.elements)) * dw > wi * dy
-           for entry, wi in zip(instance.sets, weights)):
+    if (_set_loads(instance, ys) * dw > np.array(weights, object) * dy).any():
         return None
     primal = sum(map(mul, weights, xs))
     if primal * dy != sum(ys) * dw * dx:

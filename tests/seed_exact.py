@@ -4,8 +4,10 @@ for the differential test of setcoverlab.exact.
 This search reaches a cover once through each of its holders of every
 branching element, and cuts a node by the incumbent only after it is
 popped.  Its weight, cover and status define the exact solver's contract
-under both tie rules; its node counts do not.  Do not edit: the
-differential test compares against exactly this behaviour.
+under both tie rules; its node counts do not.  The root dual it prunes
+by is frozen here too (_feasible_dual, a walk over each set's elements).
+Do not edit: the differential test compares against exactly this
+behaviour.
 """
 
 import time
@@ -21,17 +23,27 @@ from setcoverlab.exact import (
     STATUS_OPTIMAL,
     ExactResult,
     SolveBudget,
-    _feasible_dual,
     _mask_sum,
 )
 from setcoverlab.greedy import greedy
 from setcoverlab.instance import (
     Cover,
     Instance,
+    _over_lcm,
     element_masks,
     element_sets,
     require_positive_weights,
 )
+
+
+def _feasible_dual(instance, y, weights, dw):
+    ys, dy = _over_lcm([max(Fraction(v), Fraction(0)) for v in y])
+    load, weight = max(((sum(ys[e - 1] for e in entry.elements), wi)
+                        for entry, wi in zip(instance.sets, weights)),
+                       key=lambda pair: Fraction(*pair))
+    if load * dw > weight * dy:
+        return [v * weight for v in ys], load * dw
+    return ys, dy
 
 
 def _search(instance, weights, denom, budget, use_lp_bound, bounded):

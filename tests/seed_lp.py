@@ -6,19 +6,26 @@ perturbed weights w' = w + B.delta while a stall's perturbation is in
 force, and reads x from a second solve for the simplex multipliers.  On
 an LP that stays under REFRESH_INTERVAL pivots its status, iterations,
 exact objective, x, y and certificate path define solve_lp's contract.
+The certification it calls is frozen here too: _snap by
+Fraction.limit_denominator alone, and certify_pair by a walk over each
+element's holders and each set's elements.
 Do not edit: the differential test compares against exactly this
 behaviour.
 """
 
+from fractions import Fraction
+from operator import mul
+
 import numpy as np
 
 from setcoverlab.errors import NumericalFailure
-from setcoverlab.instance import require_positive_weights
+from setcoverlab.instance import _over_lcm, element_sets, require_positive_weights
 from setcoverlab.lp import (
     BLAND_STREAK,
     DEFAULT_TOL,
     GOLDEN,
     PERTURBATION,
+    RATIONALIZE_DENOM,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     LpOutcome,
@@ -29,12 +36,33 @@ from setcoverlab.lp import (
     _entering,
     _lowest_label,
     _pivot,
-    _snap,
     _snap_to_det,
-    certify_pair,
 )
 
 REFRESH_INTERVAL = 1000
+
+
+def _snap(values):
+    floats = [float(v) for v in values]
+    snapped = {v: Fraction(v).limit_denominator(RATIONALIZE_DENOM) for v in set(floats)}
+    return [snapped[v] for v in floats]
+
+
+def certify_pair(instance, x, y):
+    xs, dx = _over_lcm(x)
+    ys, dy = _over_lcm([0, *y])  # ys[e]: element e
+    if min(xs) < 0 or min(ys) < 0:
+        return None
+    weights, dw = require_positive_weights(instance)
+    if any(sum(map(xs.__getitem__, holders)) < dx for holders in element_sets(instance)):
+        return None
+    if any(sum(map(ys.__getitem__, entry.elements)) * dw > wi * dy
+           for entry, wi in zip(instance.sets, weights)):
+        return None
+    primal = sum(map(mul, weights, xs))
+    if primal * dy != sum(ys) * dw * dx:
+        return None
+    return tuple(x), Fraction(primal, dw * dx)
 
 
 def _refactorize(d, w, basis, nonbasic):

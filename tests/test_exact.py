@@ -32,8 +32,9 @@ from setcoverlab.exact import (
     result_to_kv,
 )
 from setcoverlab.errors import NonPositiveWeight
-from setcoverlab.instance import require_positive_weights
+from setcoverlab.instance import parse_native, require_positive_weights, write_native
 
+import seed_exact
 from oracle import brute_lowest_mask_optimum, brute_optimum, brute_residual_optimum
 
 
@@ -294,6 +295,32 @@ class TestRootDualBound:
             res = exact_opt(inst, SolveBudget(method=METHOD_BNB), use_lp_bound=True)
             assert res.weight == exact_opt(inst, SolveBudget(method=METHOD_EXHAUSTIVE)).weight
         assert spy.call_count == 20  # each search read the inflated dual
+
+    def test_first_set_with_the_largest_load_per_weight_scales(self):
+        # on y = 1, sets 1, 2 and 3 all have load / weight 2 (3 over 3/2, and
+        # 2 over 1), so the first of them, set 1, sets the scale
+        inst = make_instance(3, [((1,), 1), ((1, 2, 3), Fraction(3, 2)), ((2, 3), 1),
+                                 ((1, 2), 1)])
+        weights, dw = require_positive_weights(inst)
+        ys, dy = exact_mod._feasible_dual(inst, [1, 1, 1], weights, dw)
+        assert (ys, dy) == ([3, 3, 3], 6)
+        assert (ys, dy) == seed_exact._feasible_dual(inst, [1, 1, 1], weights, dw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_same_dual_as_the_frozen_walk(self, seed, data):
+        # numerators and denominator both, over tuple-built and parsed instances
+        inst = rnd(seed)
+        values = st.one_of(st.fractions(min_value=-2, max_value=4, max_denominator=6),
+                           st.sampled_from([0, 1, 2]),
+                           st.floats(min_value=-1, max_value=3))
+        y = data.draw(st.lists(values, min_size=inst.m, max_size=inst.m))
+        args = (y, *require_positive_weights(inst))
+        expected = seed_exact._feasible_dual(inst, *args)
+        assert exact_mod._feasible_dual(inst, *args) == expected
+        parsed = parse_native(write_native(inst))
+        assert exact_mod._feasible_dual(parsed, *args) == expected
+        assert "sets" not in vars(parsed)
 
 
 class TestPlumbing:

@@ -157,6 +157,22 @@ class TestSetEntry:
         with pytest.raises(dataclasses.FrozenInstanceError):
             entry.weight = Fraction(1)
 
+    def test_pickle_from_before_the_slots_loads(self):
+        # pickle.dumps(make_instance(3, [((1, 2), 1), ((3,), "5/2")])) while
+        # SetEntry had no __slots__: each entry's state is its __dict__
+        old = (b"\x80\x04\x95\xb2\x00\x00\x00\x00\x00\x00\x00\x8c\x14setcoverlab.instance"
+               b"\x94\x8c\x08Instance\x94\x93\x94)\x81\x94}\x94(\x8c\x01m\x94K\x03\x8c\x04sets"
+               b"\x94h\x00\x8c\x08SetEntry\x94\x93\x94)\x81\x94}\x94(\x8c\x08elements\x94K\x01"
+               b"K\x02\x86\x94\x8c\x06weight\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94"
+               b"K\x01K\x01\x86\x94R\x94ubh\x08)\x81\x94}\x94(h\x0bK\x03\x85\x94h\rh\x10K\x05"
+               b"K\x02\x86\x94R\x94ub\x86\x94\x8c\x04name\x94Nub.")
+        inst = pickle.loads(old)
+        expected = make_instance(3, [((1, 2), 1), ((3,), "5/2")])
+        assert inst == expected and inst.sets[1] == SetEntry((3,), Fraction(5, 2))
+        assert not hasattr(inst.sets[0], "__dict__")
+        assert pickle.loads(pickle.dumps(inst)) == expected
+        assert write_native(inst) == write_native(expected)
+
 
 class TestMemo:
     """Validation, masks, integer weights and incidence are memoized, identity unchanged."""

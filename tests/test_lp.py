@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import seed_lp
 from oracle import brute_weak_duality, greedy_lp_slack
 
 from setcoverlab import (
@@ -33,9 +34,11 @@ from setcoverlab import (
     write_lp_format,
 )
 from setcoverlab.errors import LengthMismatch, NonOptimalLp, NonPositiveWeight
+from setcoverlab.instance import parse_native, write_native
 from setcoverlab import lp as lp_mod
 from setcoverlab.lp import (
     DEFAULT_TOL,
+    RATIONALIZE_DENOM,
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     solution_to_csv,
@@ -267,6 +270,87 @@ class TestCertificateCheck:
         assert out.exact_objective == by_basis.exact_objective == Fraction(35411, 1000)
         assert out.exact_x == by_basis.exact_x
         assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
+
+
+class TestCertifyAgainstFrozen:
+    """certify_pair's bulk sums against the frozen walk over holders and sets."""
+
+    @staticmethod
+    def assert_same_answers(inst):
+        parsed = parse_native(write_native(inst))
+        _, pairs = solver_pairs(inst)
+        assert pairs
+        for x, y in pairs:
+            for px, py in [(x, y), *unit_perturbations(x, y)]:
+                expected = seed_lp.certify_pair(inst, px, py)
+                assert lp_mod.certify_pair(inst, px, py) == expected
+                assert lp_mod.certify_pair(parsed, px, py) == expected
+        assert "sets" not in vars(parsed) and "_holders" not in vars(parsed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=small_instances())
+    def test_solver_pairs_and_unit_perturbations(self, inst):
+        self.assert_same_answers(inst)
+
+    @pytest.mark.parametrize("inst", [gen_gf2(4), gen_class_cs(SequenceSpec((3, 1, 2))),
+                                      rnd(5, m=12, n=20)], ids=["gf2_4", "cs312", "rnd5"])
+    def test_pinned_instances(self, inst):
+        self.assert_same_answers(inst)
+
+    @pytest.mark.parametrize("inst", [gen_gf2(5), rnd(5, m=12, n=20)], ids=["gf2_5", "rnd5"])
+    def test_solve_on_a_parsed_instance_builds_no_sets_or_holders(self, inst):
+        parsed = parse_native(write_native(inst))
+        out = solve_lp(parsed)
+        assert out.exact_objective is not None and out == solve_lp(inst)
+        assert "sets" not in vars(parsed) and "_holders" not in vars(parsed)
+
+
+@st.composite
+def near_rationals(draw):
+    """p/q, for q small, near 10**7 or up to 10**9, times 1 plus a little noise."""
+    q = draw(st.one_of(st.integers(1, 60), st.integers(10**7 - 2000, 10**7 + 2000),
+                       st.integers(1, 10**9)))
+    p = draw(st.integers(-50 * q, 50 * q))
+    noise = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-16, -1e-16, 3e-10]))
+    return p / q * (1 + noise)
+
+
+SNAP_VALUES = st.one_of(
+    near_rationals(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-320,
+                     1.7976931348623157e308, -1e300, 2.0**53 + 2, 1e7 + 0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+class TestSnap:
+    @settings(max_examples=600, deadline=None)
+    @given(values=st.lists(SNAP_VALUES, min_size=1, max_size=8))
+    def test_the_value_of_limit_denominator(self, values):
+        snapped = lp_mod._snap(values)
+        assert snapped == [Fraction(v).limit_denominator(RATIONALIZE_DENOM) for v in values]
+        assert snapped == seed_lp._snap(values)
+        assert all(type(v) is Fraction for v in snapped)
+
+    def test_noisy_small_rationals_need_no_limit_denominator(self, monkeypatch):
+        def refuse(self, max_denominator=10**6):
+            raise AssertionError("limit_denominator ran")
+
+        values = [1 / 3 * (1 + 1e-13), -2 / 7, 0.0, -0.0, 0.1, 5e-324, 1e300, 355 / 113]
+        expected = [Fraction(1, 3), Fraction(-2, 7), 0, 0, Fraction(1, 10), 0, Fraction(1e300),
+                    Fraction(355, 113)]
+        monkeypatch.setattr(Fraction, "limit_denominator", refuse)
+        assert lp_mod._snap(values) == expected
+
+    @pytest.mark.parametrize("value, error", [(math.inf, OverflowError),
+                                              (-math.inf, OverflowError),
+                                              (math.nan, ValueError)])
+    def test_non_finite_values_raise_as_fraction_does(self, value, error):
+        with pytest.raises(error):
+            seed_lp._snap([value])
+        with pytest.raises(error):
+            lp_mod._snap([value])
 
 
 def random_lp(m, n, density, seed, weight_hi=10):
