@@ -86,10 +86,9 @@ class Instance:
     """A validated-on-demand set-cover instance over the universe {1..m}.
 
     Memos (the flat arrays and weights "_csr", validation with masks and
-    integer weights, incidence, the element-major order) live in __dict__,
-    not in the fields.  A parsed instance holds its sets only as "_csr",
-    and builds the sets field from it on first read; one built from sets
-    adds "_csr" on demand.
+    integer weights, incidence) live in __dict__, not in the fields.  A
+    parsed instance holds its sets only as "_csr", and builds the sets
+    field from it on first read; one built from sets adds "_csr" on demand.
     """
 
     m: int
@@ -299,18 +298,14 @@ def _element_coverage(instance: Instance, values) -> np.ndarray:
     """Per element, the sum of values[i] over the sets i holding it.
 
     Exact for Python ints, like _set_loads.  The element-major order is one
-    stable argsort of the flat elements, memoized as "_by_element"; every
-    element of a validated instance has a holder.
+    stable argsort of the flat elements; every element of a validated
+    instance has a holder.
     """
-    memo = instance.__dict__
-    if "_by_element" not in memo:
-        indptr, elements, _ = _arrays(instance)
-        owners = np.arange(indptr.size - 1).repeat(np.diff(indptr))
-        counts = np.bincount(elements, minlength=instance.m + 1)[1:]
-        memo["_by_element"] = (owners[np.argsort(elements, kind="stable")],
-                               _sizes_to_indptr(counts)[:-1])
-    owners, starts = memo["_by_element"]
-    return np.add.reduceat(np.array(values, object)[owners], starts)
+    indptr, elements, _ = _arrays(instance)
+    owners = np.arange(indptr.size - 1).repeat(np.diff(indptr))
+    starts = _sizes_to_indptr(np.bincount(elements, minlength=instance.m + 1)[1:])[:-1]
+    return np.add.reduceat(np.array(values, object)[owners[np.argsort(elements, kind="stable")]],
+                           starts)
 
 
 def set_sizes(instance: Instance) -> list[int]:
