@@ -1,5 +1,8 @@
 """Instance generators: sequence classes, the GF(2) family, seeded random.
 
+Each generator builds the flat arrays (indptr, elements, weights) that a
+parser builds, so no SetEntry exists until .sets is read.
+
 gen_class_cs builds, for a covering sequence s, an instance on which the
 greedy algorithm (lowest-index ties) reproduces s exactly: disjoint blocks
 S_1..S_l sized by s with w(S_i) = s_i (last block weighs s_l + 1), plus the
@@ -30,12 +33,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EpsilonOutOfRange, KOutOfRange
-from .instance import Instance, SetEntry
+from .instance import Instance, _parsed, _sizes_to_indptr
 
 DEFAULT_EPSILON = Fraction(1, 2)
 WEIGHT_GRID = 1000  # random weights live on a 1/WEIGHT_GRID grid
-GF2_MAX_K = 12  # gf2(12) peaks at 106 MB RSS; each step in k quadruples its entries
-DRAW_BLOCK = 1 << 18  # gen_random holds at most this many draws (or one row)
+GF2_MAX_K = 12  # gf2(12) peaks at about 100 MB RSS; each step in k quadruples its entries
+DRAW_BLOCK = 1 << 18  # gen_random holds at most this many draws, gen_gf2 products (or one row)
 
 
 @dataclass(frozen=True)
@@ -85,18 +88,12 @@ def gen_class_cs(spec: SequenceSpec,
     s = spec.s
     m = spec.m
     label = "cs_" + "_".join(str(p) for p in s)
+    universe = np.arange(1, m + 1)
     if len(s) == 1:
-        only = SetEntry(tuple(range(1, m + 1)), Fraction(m))
-        return Instance(m=m, sets=(only,), name=label)
-    sets = []
-    q = 0
-    for i, part in enumerate(s):
-        elements = tuple(range(q + 1, q + part + 1))
-        weight = Fraction(part if i < len(s) - 1 else part + 1)
-        sets.append(SetEntry(elements, weight))
-        q += part
-    sets.append(SetEntry(tuple(range(1, m + 1)), Fraction(m) + epsilon))
-    return Instance(m=m, sets=tuple(sets), name=label)
+        return _parsed(m, np.array([0, m]), universe, [Fraction(m)], label)
+    # the blocks tile 1..m in order, then A = 1..m again
+    weights = [Fraction(p) for p in s[:-1]] + [Fraction(s[-1] + 1), Fraction(m) + epsilon]
+    return _parsed(m, _sizes_to_indptr([*s, m]), np.tile(universe, 2), weights, label)
 
 
 def gen_gf2(k: int) -> Instance:
@@ -104,16 +101,18 @@ def gen_gf2(k: int) -> Instance:
     if not 2 <= k <= GF2_MAX_K:
         raise KOutOfRange(f"k must be in 2..{GF2_MAX_K}, got {k}")
     m = (1 << k) - 1
+    half = 1 << (k - 1)
     v = np.arange(1, m + 1)
-    ids = v.astype(object)
-    sets = []
-    for i in range(1, m + 1):
-        p = v & i
+    members = np.empty((m, half), np.int64)  # set i holds 2^(k-1) vectors: row i - 1
+    rows = max(1, DRAW_BLOCK // m)
+    for lo in range(1, m + 1, rows):
+        hi = min(lo + rows, m + 1)
+        p = v & np.arange(lo, hi)[:, None]
         for shift in (8, 4, 2, 1):  # fold the parity of k <= 12 bits into bit 0
             p ^= p >> shift
-        elements = tuple(ids[(p & 1).astype(bool)].tolist())
-        sets.append(SetEntry(elements, Fraction(1)))
-    return Instance(m=m, sets=tuple(sets), name=f"gf2_{k}")
+        members[lo - 1:hi - 1] = (np.nonzero(p & 1)[1] + 1).reshape(hi - lo, half)
+    return _parsed(m, np.arange(0, m * half + 1, half), members.reshape(-1),
+                   [Fraction(1) for _ in range(m)], f"gf2_{k}")
 
 
 def gen_random(spec: RandomSpec) -> Instance:
@@ -129,10 +128,11 @@ def gen_random(spec: RandomSpec) -> Instance:
     getrandbits (module docstring): a draw k53 / 2**53 is below the
     density exactly when k53 < ceil(density * 2**53), computed in exact
     rationals, so the output and the rng state after it are unchanged.
+    The (set, element) pairs drawn and patched are sorted once at the end.
     """
     rng = random.Random(spec.seed)
     m, n = spec.m, spec.n
-    members = [[] for _ in range(n)]
+    owners, elements = [], []
     covered = np.zeros(m + 1, dtype=bool)
     cut = math.ceil(Fraction(spec.density) * 2**53)
     rows = max(1, DRAW_BLOCK // n)
@@ -143,29 +143,21 @@ def gen_random(spec: RandomSpec) -> Instance:
         k53 = (((words & 0xFFFFFFFF) >> 5) << 26) | (words >> 38)
         hit = (k53 < cut).reshape(hi - lo, n)
         covered[lo:hi] = hit.any(axis=1)
-        set_idx, row_idx = np.nonzero(hit.T)  # set-major, rows ascending
-        # one int object per element, shared by all the sets that hold it
-        elements = np.arange(lo, hi).astype(object)[row_idx].tolist()
-        sets_hit, starts = np.unique(set_idx, return_index=True)
-        ends = [*starts[1:].tolist(), len(elements)]
-        for i, a, b in zip(sets_hit.tolist(), starts.tolist(), ends):
-            members[i].extend(elements[a:b])
-    for i in range(n):
-        if not members[i]:
-            e = rng.randrange(1, m + 1)
-            members[i].append(e)
-            covered[e] = True
-    for e in (np.flatnonzero(~covered[1:]) + 1).tolist():
-        members[rng.randrange(n)].append(e)
+        row_idx, set_idx = np.nonzero(hit)
+        owners.append(set_idx)
+        elements.append(row_idx + lo)
+    empty = np.flatnonzero(np.bincount(np.concatenate(owners), minlength=n) == 0)
+    picks = np.array([rng.randrange(1, m + 1) for _ in range(empty.size)], np.int64)
+    covered[picks] = True
+    uncovered = np.flatnonzero(~covered[1:]) + 1
+    patched = np.array([rng.randrange(n) for _ in range(uncovered.size)], np.int64)
+    owners = np.concatenate([*owners, empty, patched])
+    elements = np.concatenate([*elements, picks, uncovered])
+    elements = elements[np.lexsort((elements, owners))]
     lo = spec.weight_lo
     steps = int((spec.weight_hi - lo) * WEIGHT_GRID)
-    sets = []
-    for i in range(n):
-        # lo + j / WEIGHT_GRID as one Fraction, with no addition to normalize
-        w = Fraction(lo.numerator * WEIGHT_GRID + rng.randint(0, steps) * lo.denominator,
-                     lo.denominator * WEIGHT_GRID) if steps > 0 else lo
-        sets.append(SetEntry(tuple(sorted(set(members[i]))), w))
-    return Instance(
-        m=spec.m, sets=tuple(sets),
-        name=f"rnd_m{spec.m}_n{spec.n}_seed{spec.seed}",
-    )
+    # lo + j / WEIGHT_GRID as one Fraction, with no addition to normalize
+    weights = [Fraction(lo.numerator * WEIGHT_GRID + rng.randint(0, steps) * lo.denominator,
+                        lo.denominator * WEIGHT_GRID) if steps > 0 else lo for _ in range(n)]
+    return _parsed(m, _sizes_to_indptr(np.bincount(owners, minlength=n)), elements, weights,
+                   f"rnd_m{spec.m}_n{spec.n}_seed{spec.seed}")

@@ -28,11 +28,12 @@ argsort).  Any other text (not ASCII, a count or an element that is not
 plain, a malformed token, a repeated element) goes through the token walk,
 which builds the instance token by token or raises the first error, with
 its message, line and column.  Every instance is read as flat arrays and
-weights (_arrays): a parsed one keeps the parser's, and builds its SetEntry
-tuple only when .sets is first read; one built from SetEntry tuples
-flattens them once.  validate() checks the flat arrays vectorized, names a
-violation by an ordered scan of the sets, and builds the bitmasks from the
-arrays.
+weights (_arrays): a parsed or generated one holds them and builds its
+SetEntry tuple only when .sets is first read; one built from SetEntry
+tuples flattens them once.  Each view is built from the arrays once, on
+first use, by its owner: validate() only checks them and keeps the integer
+weights, element_masks() builds the bitmasks, and element_sets() the
+holders, in the element-major order (_by_element) the LP's sums also use.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ class SetEntry:
 class Instance:
     """A validated-on-demand set-cover instance over the universe {1..m}.
 
-    Memos (the flat arrays and weights "_csr", validation with masks and
-    integer weights, incidence) live in __dict__, not in the fields.  A
-    parsed instance holds its sets only as "_csr", and builds the sets
-    field from it on first read; one built from sets adds "_csr" on demand.
+    Memos live in __dict__, not in the fields: the flat arrays and weights
+    "_csr", the validated integer weights "_int_weights", the bitmasks
+    "_masks" and the holders "_holders".  A parsed or generated instance
+    holds its sets only as "_csr", and builds the sets field from it on
+    first read; one built from sets adds "_csr" on demand.
     """
 
     m: int
@@ -133,11 +135,10 @@ def validate(instance: Instance) -> None:
     range and above the one before, weight sign; then global coverage of the
     universe.  The checks run vectorized over the flat arrays, and the
     ordered per-set scan runs only to name the first violation.  Success is
-    memoized, with masks and the weights as integers over their common
-    denominator.
+    memoized as the weights, integers over their common denominator.
     """
     memo = instance.__dict__
-    if "_view" in memo:
+    if "_int_weights" in memo:
         return
     m = instance.m
     if m < 1:
@@ -160,7 +161,7 @@ def validate(instance: Instance) -> None:
         raise UnionNotUniverse(
             f"element {missing} is covered by no set", missing_element=missing
         )
-    memo["_view"] = (_masks(indptr, elements), tuple(weights), denom)
+    memo["_int_weights"] = (tuple(weights), denom)
 
 
 def _raise_first_violation(instance: Instance) -> None:
@@ -191,7 +192,7 @@ def _raise_first_violation(instance: Instance) -> None:
 
 
 def _arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, list]:
-    """(indptr, elements, weights): the parser's, or the sets' flattened once."""
+    """(indptr, elements, weights): a parser's or generator's, or the sets' flattened once."""
     memo = instance.__dict__
     if "_csr" not in memo:
         sets = instance.sets
@@ -260,13 +261,24 @@ def _masks(indptr: np.ndarray, elements: np.ndarray) -> list[int]:
 def element_masks(instance: Instance) -> list[int]:
     """Per-set bitmasks with bit (e-1) set for each element e.
 
-    A validated instance hands out the masks validation built; every call
-    returns a fresh list the caller may mutate.
+    Built from the flat arrays on the first call; every call returns a
+    fresh list the caller may mutate.
     """
     memo = instance.__dict__
-    if "_view" in memo:
-        return list(memo["_view"][0])
-    return _masks(*_arrays(instance)[:2])
+    if "_masks" not in memo:
+        memo["_masks"] = _masks(*_arrays(instance)[:2])
+    return list(memo["_masks"])
+
+
+def _by_element(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """(holders, starts): holders[starts[e - 1]:starts[e]] are the sets
+    holding element e, ascending; one stable argsort of a validated
+    instance's flat elements."""
+    indptr, elements, _ = _arrays(instance)
+    # the set of each entry in element-major order, in few numpy calls:
+    # on small instances each costs 5-25 us when cold (after a gc pass)
+    holders = indptr[1:].searchsorted(np.argsort(elements, kind="stable"), "right")
+    return holders, np.bincount(elements, minlength=instance.m + 1).cumsum()
 
 
 def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
@@ -274,13 +286,10 @@ def element_sets(instance: Instance) -> tuple[tuple[int, ...], ...]:
     validate(instance)
     holders = instance.__dict__.get("_holders")
     if holders is None:
-        indptr, elements, _ = _arrays(instance)
-        lists = [[] for _ in range(instance.m)]
-        values = elements.tolist()
-        for i, (a, b) in enumerate(pairwise(indptr.tolist())):
-            for e in values[a:b]:
-                lists[e - 1].append(i)
-        holders = instance.__dict__["_holders"] = tuple(map(tuple, lists))
+        flat, starts = _by_element(instance)
+        flat = flat.tolist()
+        holders = instance.__dict__["_holders"] = tuple(
+            tuple(flat[a:b]) for a, b in pairwise(starts.tolist()))
     return holders
 
 
@@ -297,15 +306,11 @@ def _set_loads(instance: Instance, values) -> np.ndarray:
 def _element_coverage(instance: Instance, values) -> np.ndarray:
     """Per element, the sum of values[i] over the sets i holding it.
 
-    Exact for Python ints, like _set_loads.  The element-major order is one
-    stable argsort of the flat elements; every element of a validated
+    Exact for Python ints, like _set_loads; every element of a validated
     instance has a holder.
     """
-    indptr, elements, _ = _arrays(instance)
-    owners = np.arange(indptr.size - 1).repeat(np.diff(indptr))
-    starts = _sizes_to_indptr(np.bincount(elements, minlength=instance.m + 1)[1:])[:-1]
-    return np.add.reduceat(np.array(values, object)[owners[np.argsort(elements, kind="stable")]],
-                           starts)
+    holders, starts = _by_element(instance)
+    return np.add.reduceat(np.array(values, object)[holders], starts[:-1])
 
 
 def set_sizes(instance: Instance) -> list[int]:
@@ -313,19 +318,13 @@ def set_sizes(instance: Instance) -> list[int]:
     return np.diff(_arrays(instance)[0]).tolist()
 
 
-def _validated_weights(instance: Instance) -> tuple[tuple[int, ...], int]:
-    """The weights as integers over their common denominator; validates first."""
-    validate(instance)
-    _, weights, denom = instance.__dict__["_view"]
-    return weights, denom
-
-
 def require_positive_weights(instance: Instance) -> tuple[tuple[int, ...], int]:
     """The validated weights as integers over their common denominator.
 
     Raises NonPositiveWeight for the first weight <= 0.
     """
-    weights, denom = _validated_weights(instance)
+    validate(instance)
+    weights, denom = instance.__dict__["_int_weights"]
     if 0 in weights:  # validation rejected negative weights
         i = weights.index(0)
         raise NonPositiveWeight(f"set {i} has non-positive weight {_arrays(instance)[2][i]}")
@@ -352,7 +351,8 @@ def is_cover(instance: Instance, set_indices) -> bool:
 
 def cover_weight(instance: Instance, set_indices) -> Fraction:
     """The total weight of the chosen sets; validates the instance."""
-    weights, denom = _validated_weights(instance)
+    validate(instance)
+    weights, denom = instance.__dict__["_int_weights"]
     return Fraction(sum(weights[i] for i in set_indices), denom)
 
 
@@ -502,7 +502,8 @@ def _sizes_to_indptr(sizes) -> np.ndarray:
 
 
 def _parsed(m, indptr, elements, weights, name) -> Instance:
-    """A parsed instance: its sets stay flat arrays until .sets is read."""
+    """An instance held as flat arrays (a parser's or a generator's): its
+    sets stay flat arrays until .sets is read."""
     instance = Instance.__new__(Instance)
     vars(instance).update(m=m, name=name, _csr=(indptr, elements, weights))
     return instance

@@ -61,7 +61,7 @@ import numpy as np
 from .errors import LengthMismatch, NonOptimalLp, NumericalFailure
 from .greedy import GreedyTrace
 from .instance import (Instance, _arrays, _element_coverage, _over_lcm, _set_loads, element_sets,
-                       require_positive_weights)
+                       require_positive_weights, validate)
 
 DEFAULT_TOL = 1e-9
 BLAND_STREAK = 40
@@ -417,7 +417,8 @@ def check_fractional_cover(instance: Instance, x, tol: float = DEFAULT_TOL) -> b
         raise LengthMismatch(f"expected {instance.n} coefficients, got {len(x)}")
     if any(xi < -tol for xi in x):
         return False
-    return all(sum(x[i] for i in holders) >= 1 - tol for holders in element_sets(instance))
+    validate(instance)
+    return bool((_element_coverage(instance, x) >= 1 - tol).all())
 
 
 def _over_lp_objective(weight, lp: LpOutcome):

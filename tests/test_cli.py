@@ -18,19 +18,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _validate_in_grandchild(path):
-    """`cover validate path` under default warning filters: exit code, stdout,
-    stderr and peak RSS in KiB.  The CLI runs as a grandchild, so
-    RUSAGE_CHILDREN holds its peak alone."""
+def _cli_in_grandchild(*argv):
+    """`cover *argv` under default warning filters: exit code, stdout, stderr
+    and peak RSS in KiB.  The CLI runs as a grandchild, so RUSAGE_CHILDREN
+    holds its peak alone."""
     probe = ("import resource, subprocess, sys\n"
-             "p = subprocess.run([sys.executable, '-m', 'setcoverlab.cli', 'validate',"
-             " sys.argv[1]], capture_output=True, text=True)\n"
+             "p = subprocess.run([sys.executable, '-m', 'setcoverlab.cli', *sys.argv[1:]],"
+             " capture_output=True, text=True)\n"
              "print(p.returncode, p.stdout, p.stderr,"
              " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, sep='|')\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    proc = subprocess.run([sys.executable, "-c", probe, str(path)],
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)],
                           capture_output=True, text=True, env=env)
     return proc.stdout.rstrip("\n").split("|")
+
+
+def _validate_in_grandchild(path):
+    """`cover validate path` in a grandchild; see _cli_in_grandchild."""
+    return _cli_in_grandchild("validate", path)
 
 
 @pytest.fixture
@@ -224,6 +229,22 @@ class TestValidateAndConvert:
         path.write_text(f"scp 1\n{n} {n}\n" + "".join(f"1 1 {e}\n" for e in range(1, n + 1)))
         code, out, err, peak_kb = _validate_in_grandchild(path)
         assert (code, out, err) == ("0", f"ok: m={n} n={n}\n", "")
+        assert int(peak_kb) < 64 * 1024
+
+    def test_far_singletons_validate_and_convert_build_no_masks(self, tmp_path):
+        # 40,000 singleton sets, a 389 KB file: their masks alone would hold
+        # about 100 MB, and validate built them until it only checked
+        n = 40_000
+        path = tmp_path / "singletons.scp"
+        text = f"scp 1\n{n} {n}\n" + "".join(f"1 1 {e}\n" for e in range(1, n + 1))
+        path.write_text(text)
+        code, out, err, peak_kb = _validate_in_grandchild(path)
+        assert (code, out, err) == ("0", f"ok: m={n} n={n}\n", "")
+        assert int(peak_kb) < 64 * 1024
+        copy = tmp_path / "copy.scp"
+        code, out, err, peak_kb = _cli_in_grandchild("convert", path, "-o", copy)
+        assert (code, out, err) == ("0", "", "")
+        assert copy.read_text() == text
         assert int(peak_kb) < 64 * 1024
 
     def test_non_number_element_under_default_warnings(self, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from setcoverlab import (
     gen_gf2,
     gen_random,
     greedy,
+    make_instance,
     validate,
     write_native,
 )
@@ -223,6 +225,33 @@ def _corpus():
         lo, hi = SPANS[seed % 4]
         yield RandomSpec(m=m, n=n, density=density, weight_lo=Fraction(lo),
                          weight_hi=Fraction(hi), seed=seed)
+
+
+class TestFlatArrays:
+    """Generated instances hold flat arrays and build their sets on first read."""
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda k=k: gen_gf2(k), id=f"gf2_{k}") for k in range(2, 7)),
+        pytest.param(lambda: gen_class_cs(SequenceSpec((1,))), id="cs1"),
+        pytest.param(lambda: gen_class_cs(SequenceSpec((3, 1, 2)), Fraction(1, 3)), id="cs312"),
+        *(pytest.param(lambda m=m, n=n, d=d, hi=hi, seed=seed: gen_random(RandomSpec(
+            m=m, n=n, density=d, weight_lo=Fraction(1, 2), weight_hi=hi, seed=seed)),
+            id=f"rnd{m}x{n}_s{seed}")
+          for m, n, d, hi, seed in ((1, 1, 1.0, Fraction(3), 0), (30, 7, 0.01, Fraction(3), 1),
+                                    (12, 40, 0.3, Fraction(10), 2),
+                                    (200, 150, 0.02, Fraction(5, 2), 3))),
+    ])
+    def test_sets_built_on_first_read_match_make_instance(self, make):
+        inst = make()
+        assert sorted(vars(inst)) == ["_csr", "m", "name"]
+        text = write_native(inst)
+        greedy(inst)
+        assert "sets" not in vars(inst)
+        built = make_instance(inst.m, [(e.elements, e.weight) for e in make().sets], inst.name)
+        assert text == write_native(built)
+        assert inst == built and hash(inst) == hash(built) and repr(inst) == repr(built)
+        assert pickle.dumps(inst) == pickle.dumps(built)
+        assert all(type(e) is int for entry in inst.sets for e in entry.elements)
 
 
 class TestGoldenBytes:

@@ -209,9 +209,10 @@ class TestMemo:
         # G-only path (greedy, bound report) builds no SetEntry
         inst = parse(text)
         bound_report(inst, greedy(inst))
-        assert sorted(vars(inst)) == ["_csr", "_view", "m", "name"]
+        assert sorted(vars(inst)) == ["_csr", "_int_weights", "_masks", "m", "name"]
         indptr, elements, weights = vars(inst)["_csr"]
-        masks, int_weights, _ = vars(inst)["_view"]
+        masks = element_masks(inst)
+        int_weights, _ = vars(inst)["_int_weights"]
         assert all(type(v) is int for v in (*masks, *int_weights))
         arrays = [a for v in vars(inst).values() if isinstance(v, tuple)
                   for a in v if isinstance(a, np.ndarray)]

@@ -302,7 +302,9 @@ class TestCertifyAgainstFrozen:
         parsed = parse_native(write_native(inst))
         out = solve_lp(parsed)
         assert out.exact_objective is not None and out == solve_lp(inst)
+        assert write_native(parsed) == write_native(inst)
         assert "sets" not in vars(parsed) and "_holders" not in vars(parsed)
+        assert "_masks" not in vars(parsed)
 
 
 @st.composite
@@ -459,7 +461,27 @@ class TestRelaxationProperties:
             assert out.objective <= float(sum(x)) + 1e-9
 
 
+def plain_cover_check(instance, x, tol):
+    """check_fractional_cover as a per-holder sum, element by element."""
+    if any(xi < -tol for xi in x):
+        return False
+    return all(sum(x[i] for i, entry in enumerate(instance.sets) if e in entry.elements)
+               >= 1 - tol for e in range(1, instance.m + 1))
+
+
 class TestFractionalCoverCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), inst=small_instances(),
+           tol=st.sampled_from([0.0, DEFAULT_TOL, 1e-3]))
+    def test_matches_a_plain_sum(self, data, inst, tol):
+        # x_i near 0 or 1/k, so that an element's coverage often lands on 1
+        # or within tol of it
+        shift = (st.floats(-2 * tol, 2 * tol) if tol
+                 else st.sampled_from([0.0, 2.0**-53, -(2.0**-53), 2.0**-52]))
+        near = st.builds(lambda k, d: (1 / k if k else 0.0) + d, st.integers(0, 7), shift)
+        x = data.draw(st.lists(near, min_size=inst.n, max_size=inst.n))
+        assert check_fractional_cover(inst, x, tol) is plain_cover_check(inst, x, tol)
+
     def test_uniform_gf2(self):
         inst = gen_gf2(2)
         assert check_fractional_cover(inst, [Fraction(1, 2)] * 3, tol=0)
