@@ -20,17 +20,21 @@ Two file formats are supported:
   then for each of the m rows a count c_j followed by c_j 1-based column
   indices.  Rows are elements and columns are sets; parsing transposes.
 
-Both parsers read an ASCII file in one numpy scan of its bytes (_scan): the
-token spans, and the value of each plain token (1 to 18 ASCII digits).  A
-walk over the count tokens alone (n sets, or m rows) places the weights,
-and a mask takes the elements (for OR-Library, transposed by a stable
-argsort).  Any other text (not ASCII, a count or an element that is not
-plain, a malformed token, a repeated element) goes through the token walk,
-which builds the instance token by token or raises the first error, with
-its message, line and column.  Every instance is read as flat arrays and
-weights (_arrays): a parsed or generated one holds them and builds its
-SetEntry tuple only when .sets is first read; one built from SetEntry
-tuples flattens them once.  Each view is built from the arrays once, on
+Both parsers read an ASCII file in a numpy scan of its bytes (_scan), block
+by block of SCAN_BLOCK bytes cut after a separator, so the scan's arrays
+per byte and per token stay block-sized.  It keeps the value of each
+plain token (1 to 18 ASCII digits, read eight at a time) and, for the
+other tokens only, their spans, with p and q read the same way for a
+"p/q".  A walk over the count tokens alone (n sets, or m rows) places the
+weights, one Fraction per distinct value, and a mask takes the elements
+(for OR-Library, transposed by one in-place sort).  Any other text (not
+ASCII, a count or an element that is not plain, a malformed token, a
+repeated element) goes through the token walk, which builds the instance
+token by token or raises the first error, with its message, line and
+column.  Every instance is read as flat arrays and weights (_arrays): a
+parsed or generated one holds them and builds its SetEntry tuple only
+when .sets is first read; one built from SetEntry tuples flattens them
+once.  Each view is built from the arrays once, on
 first use, by its owner: validate() only checks them and keeps the integer
 weights, element_masks() builds the bitmasks, and element_sets() the
 holders, in the element-major order (_by_element) the LP's sums also use.
@@ -409,53 +413,149 @@ def decode_text(data: bytes) -> str:
 _SEPARATOR = bytes(b in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f " for b in range(256))
 _OTHER = bytes(not (_SEPARATOR[b] or 48 <= b <= 57) for b in range(256))
 _PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: every plain token fits in int64
+# _KEEP[j][k]: for a run of k digits, a mask of the low nibbles of its bytes
+# in the word (8 bytes) that ends 8 * j bytes before the run does
+_KEEP = tuple(np.array([0x0F0F0F0F0F0F0F0F << 8 * (8 - min(k - 8 * j, 8)) & 2**64 - 1
+                        if k > 8 * j else 0 for k in range(_PLAIN_DIGITS + 1)], np.uint64)
+              for j in range(3))
+SCAN_BLOCK = 1 << 16  # bytes of text per block of the scan
 
 
-def _scan(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(starts, ends, values) of the tokens of an ASCII text; None if it is not ASCII.
+def _blocks(text: str):
+    """(offset, bytes, separators) of each block of an ASCII text, in order.
+
+    A block is SCAN_BLOCK bytes cut just after its last separator, so no
+    token spans two; it is longer only to end a token longer than that.
+    The last block is the rest of the text, empty for an empty text.
+    """
+    at, size = 0, SCAN_BLOCK
+    while at + size < len(text):
+        raw = text[at:at + size].encode("ascii")
+        seps = raw.translate(_SEPARATOR)
+        cut = seps.rfind(1) + 1
+        if not cut:  # one token: widen the block to its end
+            size *= 2
+            continue
+        yield at, raw[:cut], seps[:cut]
+        at, size = at + cut, SCAN_BLOCK
+    raw = text[at:].encode("ascii")
+    yield at, raw, raw.translate(_SEPARATOR)
+
+
+def _scan(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(values, odd) for the tokens of an ASCII text; None if it is not ASCII.
 
     The tokens are those of str.split().  values holds the integer of each
-    plain token (1 to 18 ASCII digits), and -1 for every other token.
+    plain token (1 to 18 ASCII digits), and -1 for every other token.  odd
+    has a column for each token that is not plain, in order: its index,
+    its start and end in the text, and the p and q of a "p/q" whose only
+    byte that is no digit is the "/", each -1 unless it is 1 to 18 digits.
+    The text is scanned in blocks (_blocks): the arrays per byte and per
+    token of one block are freed before the next, so the scan holds little
+    besides its result.
     """
     if not text.isascii():
         return None
-    raw = f" {text} ".encode("ascii")  # byte i + 1 is text[i]
-    sep = np.frombuffer(raw.translate(_SEPARATOR), bool)
+    values, odd = [], []
+    count = 0  # the tokens of the blocks before
+    for offset, raw, seps in _blocks(text):
+        block, spans = _scan_block(raw, seps)
+        if offset:
+            spans[0] += count
+            spans[1:3] += offset
+        count += block.size
+        values.append(block)
+        odd.append(spans)
+    if len(values) == 1:
+        return values[0], odd[0]
+    return np.concatenate(values), np.concatenate(odd, axis=1)
+
+
+def _scan_block(raw: bytes, seps: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """_scan's (values, odd) for one block, with token indices and spans
+    counted from its start."""
+    sep = np.frombuffer(b"\x01" + seps + b"\x01", bool)  # byte i + 1 is raw[i]
     edges = (sep[1:] != sep[:-1]).nonzero()[0]
     starts, ends = edges[::2], edges[1::2]
-    size = np.minimum(ends - starts, _PLAIN_DIGITS + 1)  # of a plain token, or 0 or 19
-    other = np.frombuffer(raw.translate(_OTHER), bool).nonzero()[0] - 1
-    size[starts.searchsorted(other, "right") - 1] = 0
-    values = np.empty(starts.size, np.int64)
-    values.fill(-1)
-    digits = np.frombuffer(raw, np.uint8, offset=1)
-    present = np.bincount(size)[1:_PLAIN_DIGITS + 1].nonzero()[0] + 1  # the lengths found
-    for k in present.tolist():
-        at = (size == k).nonzero()[0]
-        pos = starts[at]
-        value = digits[pos].astype(np.int64)
-        for j in range(1, k):
-            value = value * 10 + digits[pos + j]
-        values[at] = value - 48 * (10**k - 1) // 9  # each digit was read as its byte, "0" = 48
-    return starts, ends, values
+    size = ends - starts
+    other = np.frombuffer(raw.translate(_OTHER), bool).nonzero()[0]
+    token = ends.searchsorted(other, "right")  # the token of each such byte
+    size[token] = 0
+    ratio = None
+    if b"/" in raw:
+        # a "p/q" token whose only byte that is no digit is the "/": p and q
+        # are read as two more runs of digits, after the tokens
+        slash = ((np.bincount(token)[token] == 1) & (np.frombuffer(raw, np.uint8)[other] == 47)
+                 ).nonzero()[0]
+        pos, ratio = other[slash], token[slash]
+        last = ends[ratio]
+        size = np.concatenate([size, pos - starts[ratio], last - pos - 1])
+        ends = np.concatenate([ends, pos, last])
+    size[size > _PLAIN_DIGITS] = 0  # a run of 0 digits, or of more than 18, is not read
+    values = _decode(raw, ends, size)
+    tokens = values[:starts.size]
+    at = (tokens < 0).nonzero()[0]
+    odd = np.full((5, at.size), -1, np.int64)
+    odd[0] = at
+    odd[1] = starts[at]
+    odd[2] = ends[at]
+    if ratio is not None:
+        odd[3:, at.searchsorted(ratio)] = values[starts.size:].reshape(2, -1)
+    return tokens, odd
 
 
-def _weights(text: str, starts, ends, values, at) -> list[Fraction]:
-    """The weights in tokens `at`, each distinct token worked out once: a
-    plain token by its value, a plain ASCII "p/q" by int(), any other by
-    parse_weight."""
-    first, last = memoryview(starts), memoryview(ends)
+def _decode(raw: bytes, ends: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The integer of each run of size[i] ASCII digits that ends just before
+    raw[ends[i]], or -1 where size[i] is 0; no size is past 18.
+
+    Eight digits at a time, in a few calls for any mix of lengths: the
+    eight bytes before a run's end are loaded as one little-endian word,
+    the bytes left of the run are masked off, and three multiply-shift
+    steps fold the digits into their value (Lemire's SWAR parse of eight
+    digits, as in simdjson).
+    """
+    words = np.ndarray((len(raw) + 1,), "<u8", b"\0" * 8 + raw, 0, (1,))  # word i ends at raw[i]
+    values = _fold(words[ends] & _KEEP[0][size])
+    for j in (1, 2):  # the runs of more than 8, then of more than 16 digits
+        long = (size > 8 * j).nonzero()[0]
+        if not long.size:
+            break
+        values[long] += _fold(words[ends[long] - 8 * j] & _KEEP[j][size[long]]) * 10 ** (8 * j)
+    values = values.view(np.int64)
+    values[size == 0] = -1
+    return values
+
+
+def _fold(word: np.ndarray) -> np.ndarray:
+    """The value of the eight decimal digits in the bytes of each word, the
+    first in the lowest byte."""
+    word = (word * 2561) >> 8  # 10 * 2**8 + 1: each byte pair, as 0..99
+    word = ((word & 0x00FF00FF00FF00FF) * 6553601) >> 16  # 100 * 2**16 + 1: 0..9999
+    return ((word & 0x0000FFFF0000FFFF) * 42949672960001) >> 32  # 10000 * 2**32 + 1
+
+
+def _weights(text: str, values, odd, at) -> list[Fraction]:
+    """The weights in tokens `at`, each distinct one worked out once: a plain
+    token or a "p/q" from the integers the scan read, any other by
+    parse_weight on its text."""
+    first, last, num, den = map(memoryview, odd[1:])
     value = {}
     weights = []
-    for i, v in zip(at.tolist(), values[at].tolist()):
-        key = v if v >= 0 else text[first[i]:last[i]]
+    # col is the scan's column of a token that is not plain
+    for v, col in zip(values[at].tolist(), odd[0].searchsorted(at).tolist()):
+        if v >= 0:
+            key = v
+        else:
+            p, q = num[col], den[col]
+            key = (p, q) if p >= 0 <= q else text[first[col]:last[col]]
         w = value.get(key)
         if w is None:
-            if v >= 0:
-                w = Fraction(v)
+            if type(key) is int:
+                w = Fraction(key)
+            elif type(key) is tuple:
+                w = Fraction(*key)
             else:
-                p, slash, q = key.partition("/")
-                w = Fraction(int(p), int(q)) if p.isdigit() and q.isdigit() else parse_weight(key)
+                w = parse_weight(key)
             value[key] = w
         weights.append(w)
     return weights
@@ -577,19 +677,23 @@ def _read_native(text: str, name: str | None) -> Instance | None:
     scan = _scan(text)
     if scan is None:
         return None
-    starts, ends, values = scan
+    values, odd = scan
     try:
-        if text[:ends[1]].split() != [NATIVE_MAGIC, NATIVE_VERSION]:
-            return None
-        m, n = values[2:4].tolist()
-    except (IndexError, ValueError):
+        version, m, n = values[1:4].tolist()
+        index, start, end = odd[:3, 0].tolist()
+    except (ValueError, IndexError):  # fewer than four tokens, or every one plain
+        return None
+    # the magic is token 0, and the version "1" is a plain 1 that no zero
+    # leads: the byte before the first "1" past the magic is a separator
+    if (index != 0 or text[start:end] != NATIVE_MAGIC or version != int(NATIVE_VERSION)
+            or not text[text.index(NATIVE_VERSION, end) - 1].isspace()):
         return None
     records = _records(values, 4, n, lead=1, least=0) if m >= 0 and n >= 0 else None
     if records is None:
         return None
     elements, indptr, first = records
     try:
-        weights = _weights(text, starts, ends, values, first)
+        weights = _weights(text, values, odd, first)
     except (ValueError, ZeroDivisionError):
         return None
     if _unsorted(indptr, elements):  # each set is sorted; a repeated element is an error
@@ -660,7 +764,7 @@ def _read_orlib(text: str, name: str | None) -> Instance | None:
     scan = _scan(text)
     if scan is None:
         return None
-    starts, ends, values = scan
+    values, odd = scan
     m, n = values[:2].tolist() if values.size >= 2 else (0, 0)
     if m < 1 or n < 1 or values.size < 2 + n:
         return None
@@ -669,16 +773,22 @@ def _read_orlib(text: str, name: str | None) -> Instance | None:
         return None
     cols, rows_at, _ = records
     try:
-        costs = _weights(text, starts, ends, values, np.arange(2, 2 + n))
+        costs = _weights(text, values, odd, np.arange(2, 2 + n))
     except (ValueError, ZeroDivisionError):
         return None
+    del scan, values, odd  # the transpose below needs the room, not the tokens
     if not 1 <= int(cols.min()) <= int(cols.max()) <= n:
         return None
     cols -= 1
-    # rows ascend, so a stable sort by column lists each column's rows in order
-    rows = np.arange(1, m + 1).repeat(rows_at[1:] - rows_at[:-1])
-    elements = rows[np.argsort(cols, kind="stable")]
     indptr = _sizes_to_indptr(np.bincount(cols, minlength=n))
+    # the key column * m + row - 1 of each entry, sorted in place, lists each
+    # column's rows in order; m and n are at most the token count, so it
+    # fits int64
+    cols *= m
+    cols += np.arange(m).repeat(rows_at[1:] - rows_at[:-1])
+    cols.sort()
+    elements = np.remainder(cols, m, out=cols)
+    elements += 1
     if _unsorted(indptr, elements):  # a row lists a column twice
         return None
     return _parsed(m, indptr, elements, costs, name)

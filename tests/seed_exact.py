@@ -5,7 +5,8 @@ This search reaches a cover once through each of its holders of every
 branching element, and cuts a node by the incumbent only after it is
 popped.  Its weight, cover and status define the exact solver's contract
 under both tie rules; its node counts do not.  The root dual it prunes
-by is frozen here too (_feasible_dual, a walk over each set's elements).
+by is frozen here too (_feasible_dual, a walk over each set's elements),
+and so is _mask_sum, the dual sum over a mask's bits.
 Do not edit: the differential test compares against exactly this
 behaviour.
 """
@@ -23,7 +24,6 @@ from setcoverlab.exact import (
     STATUS_OPTIMAL,
     ExactResult,
     SolveBudget,
-    _mask_sum,
 )
 from setcoverlab.greedy import greedy
 from setcoverlab.instance import (
@@ -44,6 +44,16 @@ def _feasible_dual(instance, y, weights, dw):
     if load * dw > weight * dy:
         return [v * weight for v in ys], load * dw
     return ys, dy
+
+
+def _mask_sum(values, mask):
+    """Sum of values[b] over the set bits b of mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += values[low.bit_length() - 1]
+        mask ^= low
+    return total
 
 
 def _search(instance, weights, denom, budget, use_lp_bound, bounded):

@@ -1,6 +1,8 @@
 import dataclasses
 import pickle
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from setcoverlab.errors import (
     UnionNotUniverse,
 )
 from setcoverlab.exact import exact_opt
-from setcoverlab.generators import RandomSpec, gen_random
+from setcoverlab import instance
+from setcoverlab.generators import RandomSpec, gen_gf2, gen_random
 from setcoverlab.greedy import greedy
 from setcoverlab.instance import (
     detect_format,
@@ -408,6 +411,46 @@ class TestOrlib:
     def test_detect_format(self):
         assert detect_format(self.ORLIB) == "orlib"
         assert detect_format("scp 1\n1 1\n1 1 1") == "native"
+
+
+def orlib_text(inst):
+    """The OR-Library text of an instance, one row per line."""
+    rows = [[] for _ in range(inst.m)]
+    for j, entry in enumerate(inst.sets, start=1):
+        for e in entry.elements:
+            rows[e - 1].append(str(j))
+    return "\n".join([f"{inst.m} {inst.n}", " ".join(format_weight(e.weight) for e in inst.sets),
+                      *(" ".join([str(len(row)), *row]) for row in rows)]) + "\n"
+
+
+@pytest.fixture(scope="class")
+def multi_block_texts():
+    """gf2(10)'s native text (2.1 MB) and a random OR-Library text (0.8 MB)
+    with p/q costs, each with its parser."""
+    spec = RandomSpec(m=4000, n=1000, density=0.05, weight_lo=Fraction(1),
+                      weight_hi=Fraction(10), seed=3)
+    return [(write_native(gen_gf2(10)), parse_native), (orlib_text(gen_random(spec)), parse_orlib)]
+
+
+class TestBlockScan:
+    def test_any_block_size_reads_the_same_instance(self, multi_block_texts):
+        for text, parse in multi_block_texts:
+            assert len(text) > 10 * instance.SCAN_BLOCK
+            whole = parse(text)
+            with mock.patch.object(instance, "SCAN_BLOCK", 4096):
+                assert parse(text) == whole
+
+    def test_parse_memory_is_linear_in_the_text(self, multi_block_texts):
+        # the whole-text scan peaked at 19x the text on both; the result
+        # alone is about 2x (an int64 per element)
+        for text, parse in multi_block_texts:
+            tracemalloc.start()
+            try:
+                parse(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * len(text)
 
 
 class TestWeightScalars:

@@ -10,12 +10,14 @@ purpose and the line/column search sees tabs, blank lines and CR/LF.
 
 import string
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seed_parsers
+from setcoverlab import instance
 from setcoverlab.errors import ScpError
 from setcoverlab.instance import Instance, format_weight, parse_native, parse_orlib
 
@@ -122,11 +124,134 @@ def render(draw, toks):
     return lead + "".join(parts)
 
 
+def respell(draw, toks):
+    """Respell a few drawn tokens: an integer zero-padded to 18 digits or
+    past them, a weight as a decimal or as an unreduced or zero-led p/q,
+    the version as "01".  Only the version's respelling changes a value."""
+    toks = list(toks)
+    for i in draw(st.lists(st.integers(0, len(toks) - 1), max_size=4)):
+        tok, role = toks[i]
+        if role == "weight":
+            w = Fraction(tok)
+            p, q = w.numerator, w.denominator
+            forms = [f"{2 * p}/{2 * q}", f"{p:0>18}/{q}", f"{p}/{q:0>19}",
+                     f"{p * 10**18}/{q * 10**18}"]
+            if 10**6 % q == 0:
+                forms.append(f"{p * 10**6 // q}e-6")
+            toks[i] = (draw(st.sampled_from(forms)), role)
+        elif tok == "1" and role == "head":
+            toks[i] = ("01", role)
+        elif tok.isdigit():
+            toks[i] = (tok.zfill(draw(st.sampled_from((18, 19, 25)))), role)
+    return toks
+
+
 @st.composite
-def texts(draw, fmt):
+def texts(draw, fmt, respelled=False):
     m, sets = draw(raw_instances())
     toks = native_tokens(m, sets) if fmt == "native" else orlib_tokens(m, sets)
+    if respelled:
+        toks = respell(draw, toks)
     return render(draw, mutate(draw, toks, len(sets)))
+
+
+PINNED = [
+    # a duplicate comes before a malformed token in the same set: the
+    # duplicate is the first error in reading order
+    ("scp 1\n3 1\n1 4 1 1 x 2\n", "native"),
+    ("scp 1\n3 1\n1 4 1 x 1 2\n", "native"),
+    ("scp 1\n3 2\n1 2 1 1\n1 1 3\n", "native"),
+    ("scp 1\n3 1\n1 5 1 2 3\n", "native"),
+    ("scp 1\n3 1\n1 -2 1 2\n", "native"),
+    ("", "native"),
+    ("2 2\n1 1\n3 1 1 x\n1 2\n", "orlib"),
+    ("2 2\n1 1\n2 3 1\n1 2\n", "orlib"),
+    ("2 2\n1 1\n2 1 3\n1 2\n", "orlib"),
+    ("2 2\n1 1\n1 1\n1 2\n9", "orlib"),
+    ("0 2\n", "orlib"),
+    # numpy saturates int64 silently: the element and m are past it
+    ("scp 1\n100000000000000000000 1\n1 1 99999999999999999999\n", "native"),
+    ("scp 1\n3 1\n1 1 99999999999999999999\n", "native"),
+    ("scp 1\n3 1\n1 1 -99999999999999999999\n", "native"),
+    # tokens int() reads and numpy does not, or reads otherwise
+    ("scp 1\n5 1\n1 5 1 2 3 4 +5\n", "native"),
+    ("scp 1\n1000 1\n1 1 1_000\n", "native"),
+    ("scp 1\n3 1\n1 3 1 2 \u0663\n", "native"),
+    ("scp 1\n16 1\n1 1 0x10\n", "native"),
+    ("scp 1\n2 1\n1 2 1 010\n", "native"),
+    ("scp 1\n2 1\n1 2 1 -\n", "native"),
+    ("scp 1\n2 1\n1 2 - 2\n", "native"),
+    ("scp 1\n3 1\n1 3 1 -2 3\n", "native"),
+    ("2 2\n1 1\n1 1\n1 +2\n", "orlib"),
+    ("2 2\n1 1\n1 1\n1 +\n", "orlib"),
+    # a separator str.split() knows and str.splitlines() breaks lines at
+    ("scp 1\n2 1\n1 2 1\x1c2\n", "native"),
+    ("scp 1\n2 1\n1 2 1\x1cx\n", "native"),
+    # weights
+    ("scp 1\n1 1\n3/-4 1 1\n", "native"),
+    ("scp 1\n1 1\n1/0 1 1\n", "native"),
+    ("scp 1\n1 2\n1e3 1 1\n2.5 1 1\n", "native"),
+    ("scp 1\n1 2\n-1 1 1\n6/4 1 1\n", "native"),
+    ("1 2\n1e3 2.5\n2 2 1\n", "orlib"),
+    ("1 1\n1/0\n1 1\n", "orlib"),
+    # set shapes: unsorted, a duplicate, empty
+    ("scp 1\n3 1\n1 3 3 1 2\n", "native"),
+    ("scp 1\n3 1\n1 3 1 2 1\n", "native"),
+    ("scp 1\n1 2\n1 0\n1 1 1\n", "native"),
+    ("scp 1\n1 2\n1 1 1\n1 0\n", "native"),
+    # OR-Library: a column listed twice in a row, column 0, an unused column
+    ("2 2\n1 1\n2 1 1\n1 2\n", "orlib"),
+    ("2 2\n1 1\n2 2 1\n2 2 1\n", "orlib"),
+    ("2 2\n1 1\n1 0\n1 2\n", "orlib"),
+    ("2 3\n1 1 1\n1 1\n1 2\n", "orlib"),
+    # every ASCII separator of str.split(), in a valid text and before an error
+    *((f"scp 1{sep}2 1{sep}1 2 1{sep}2{sep}", "native")
+      for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r\n", "\r")),
+    *((f"scp 1{sep}2 1{sep}1 2 1{sep}x{sep}", "native")
+      for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r\n", "\r")),
+    *((f"2 2{sep}1 1{sep}1 1{sep}1 x", "orlib") for sep in ("\x0b", "\x1f", "\r\n")),
+    # control bytes str.split() keeps inside a token
+    ("scp 1\n2 1\n1 2 1 2\x00\n", "native"),
+    ("scp 1\n2 1\n1\x07 2 1 2\n", "native"),
+    ("scp\x7f 1\n2 1\n1 2 1 2\n", "native"),
+    ("scp 1\n2 1\n1 2\x07 1 2\n", "native"),
+    ("2 1\n1\n1 1\x00\n1 1\n", "orlib"),
+    ("2 1\n1\x7f\n1 1\n1 1\n", "orlib"),
+    # non-ASCII separators: a valid text, and an error past a line break
+    ("scp 1\n2 1\n1 2 1\xa02\n", "native"),
+    ("scp 1\u20282 1\u20281 2 1 2\n", "native"),
+    ("scp 1\u20282 1\u20281 2 1 x\n", "native"),
+    ("scp 1\xa02 1\n1 2 1\xa0x\n", "native"),
+    ("2 1\u20281\u20281 1\u20281 x\n", "orlib"),
+    # 18 digits are read by the scan, 19 by the walk
+    ("scp 1\n999999999999999999 1\n1 1 999999999999999999\n", "native"),
+    ("scp 1\n1000000000000000000 1\n1 1 1000000000000000000\n", "native"),
+    ("scp 1\n3 1\n1 3 1 2 123456789012345678\n", "native"),
+    ("scp 1\n3 1\n1 3 1 2 1234567890123456789\n", "native"),
+    ("scp 1\n1 1\n999999999999999999 1 1\n", "native"),
+    ("scp 1\n1 1\n9999999999999999999/3 1 1\n", "native"),
+    ("2 1\n1\n1 1\n1 000000000000000001\n", "orlib"),
+    ("2 1\n1\n1 1\n1 0000000000000000001\n", "orlib"),
+    # leading zeros
+    ("scp 1\n0003 1\n01 3 001 02 3\n", "native"),
+    ("scp 1\n3 1\n1 03 1 2 03\n", "native"),
+    ("scp 1\n2 1\n002/004 2 1 2\n", "native"),
+    ("02 1\n01\n1 01\n01 001\n", "orlib"),
+    # the scan reads p and q only in a "p/q" whose only non-digit is the "/"
+    ("scp 1\n1 1\n/2 1 1\n", "native"),
+    ("scp 1\n1 1\n2/ 1 1\n", "native"),
+    ("scp 1\n1 1\n1/2/3 1 1\n", "native"),
+    ("scp 1\n1 1\n1.5/2 1 1\n", "native"),
+    ("scp 1\n1 1\n0/5 1 1\n", "native"),
+    ("scp 1\n1 2\n7/2 1 1\n14/4 1 1\n", "native"),
+    ("scp 1\n1 1\n123456789012345678/3 1 1\n", "native"),
+    ("scp 1\n1 1\n3/1234567890123456789 1 1\n", "native"),
+    ("1 1\n3/2\n1 1\n", "orlib"),
+    # runs of 9 to 18 digits take a second and a third word of the scan
+    ("scp 1\n123456789 1\n1 1 123456789\n", "native"),
+    ("scp 1\n3 1\n1 3 1 2 00000000000000003\n", "native"),
+    ("scp 1\n1 1\n12345678901234567/123456789 1 1\n", "native"),
+]
 
 
 class TestAgainstFrozenParsers:
@@ -146,91 +271,32 @@ class TestAgainstFrozenParsers:
         assert_same(text, "native")
         assert_same(text, "orlib")
 
-    @pytest.mark.parametrize("text, fmt", [
-        # a duplicate comes before a malformed token in the same set: the
-        # duplicate is the first error in reading order
-        ("scp 1\n3 1\n1 4 1 1 x 2\n", "native"),
-        ("scp 1\n3 1\n1 4 1 x 1 2\n", "native"),
-        ("scp 1\n3 2\n1 2 1 1\n1 1 3\n", "native"),
-        ("scp 1\n3 1\n1 5 1 2 3\n", "native"),
-        ("scp 1\n3 1\n1 -2 1 2\n", "native"),
-        ("", "native"),
-        ("2 2\n1 1\n3 1 1 x\n1 2\n", "orlib"),
-        ("2 2\n1 1\n2 3 1\n1 2\n", "orlib"),
-        ("2 2\n1 1\n2 1 3\n1 2\n", "orlib"),
-        ("2 2\n1 1\n1 1\n1 2\n9", "orlib"),
-        ("0 2\n", "orlib"),
-        # numpy saturates int64 silently: the element and m are past it
-        ("scp 1\n100000000000000000000 1\n1 1 99999999999999999999\n", "native"),
-        ("scp 1\n3 1\n1 1 99999999999999999999\n", "native"),
-        ("scp 1\n3 1\n1 1 -99999999999999999999\n", "native"),
-        # tokens int() reads and numpy does not, or reads otherwise
-        ("scp 1\n5 1\n1 5 1 2 3 4 +5\n", "native"),
-        ("scp 1\n1000 1\n1 1 1_000\n", "native"),
-        ("scp 1\n3 1\n1 3 1 2 \u0663\n", "native"),
-        ("scp 1\n16 1\n1 1 0x10\n", "native"),
-        ("scp 1\n2 1\n1 2 1 010\n", "native"),
-        ("scp 1\n2 1\n1 2 1 -\n", "native"),
-        ("scp 1\n2 1\n1 2 - 2\n", "native"),
-        ("scp 1\n3 1\n1 3 1 -2 3\n", "native"),
-        ("2 2\n1 1\n1 1\n1 +2\n", "orlib"),
-        ("2 2\n1 1\n1 1\n1 +\n", "orlib"),
-        # a separator str.split() knows and str.splitlines() breaks lines at
-        ("scp 1\n2 1\n1 2 1\x1c2\n", "native"),
-        ("scp 1\n2 1\n1 2 1\x1cx\n", "native"),
-        # weights
-        ("scp 1\n1 1\n3/-4 1 1\n", "native"),
-        ("scp 1\n1 1\n1/0 1 1\n", "native"),
-        ("scp 1\n1 2\n1e3 1 1\n2.5 1 1\n", "native"),
-        ("scp 1\n1 2\n-1 1 1\n6/4 1 1\n", "native"),
-        ("1 2\n1e3 2.5\n2 2 1\n", "orlib"),
-        ("1 1\n1/0\n1 1\n", "orlib"),
-        # set shapes: unsorted, a duplicate, empty
-        ("scp 1\n3 1\n1 3 3 1 2\n", "native"),
-        ("scp 1\n3 1\n1 3 1 2 1\n", "native"),
-        ("scp 1\n1 2\n1 0\n1 1 1\n", "native"),
-        ("scp 1\n1 2\n1 1 1\n1 0\n", "native"),
-        # OR-Library: a column listed twice in a row, column 0, an unused column
-        ("2 2\n1 1\n2 1 1\n1 2\n", "orlib"),
-        ("2 2\n1 1\n2 2 1\n2 2 1\n", "orlib"),
-        ("2 2\n1 1\n1 0\n1 2\n", "orlib"),
-        ("2 3\n1 1 1\n1 1\n1 2\n", "orlib"),
-        # every ASCII separator of str.split(), in a valid text and before an error
-        *((f"scp 1{sep}2 1{sep}1 2 1{sep}2{sep}", "native")
-          for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r\n", "\r")),
-        *((f"scp 1{sep}2 1{sep}1 2 1{sep}x{sep}", "native")
-          for sep in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r\n", "\r")),
-        *((f"2 2{sep}1 1{sep}1 1{sep}1 x", "orlib") for sep in ("\x0b", "\x1f", "\r\n")),
-        # control bytes str.split() keeps inside a token
-        ("scp 1\n2 1\n1 2 1 2\x00\n", "native"),
-        ("scp 1\n2 1\n1\x07 2 1 2\n", "native"),
-        ("scp\x7f 1\n2 1\n1 2 1 2\n", "native"),
-        ("scp 1\n2 1\n1 2\x07 1 2\n", "native"),
-        ("2 1\n1\n1 1\x00\n1 1\n", "orlib"),
-        ("2 1\n1\x7f\n1 1\n1 1\n", "orlib"),
-        # non-ASCII separators: a valid text, and an error past a line break
-        ("scp 1\n2 1\n1 2 1\xa02\n", "native"),
-        ("scp 1\u20282 1\u20281 2 1 2\n", "native"),
-        ("scp 1\u20282 1\u20281 2 1 x\n", "native"),
-        ("scp 1\xa02 1\n1 2 1\xa0x\n", "native"),
-        ("2 1\u20281\u20281 1\u20281 x\n", "orlib"),
-        # 18 digits are read by the scan, 19 by the walk
-        ("scp 1\n999999999999999999 1\n1 1 999999999999999999\n", "native"),
-        ("scp 1\n1000000000000000000 1\n1 1 1000000000000000000\n", "native"),
-        ("scp 1\n3 1\n1 3 1 2 123456789012345678\n", "native"),
-        ("scp 1\n3 1\n1 3 1 2 1234567890123456789\n", "native"),
-        ("scp 1\n1 1\n999999999999999999 1 1\n", "native"),
-        ("scp 1\n1 1\n9999999999999999999/3 1 1\n", "native"),
-        ("2 1\n1\n1 1\n1 000000000000000001\n", "orlib"),
-        ("2 1\n1\n1 1\n1 0000000000000000001\n", "orlib"),
-        # leading zeros
-        ("scp 1\n0003 1\n01 3 001 02 3\n", "native"),
-        ("scp 1\n3 1\n1 03 1 2 03\n", "native"),
-        ("scp 1\n2 1\n002/004 2 1 2\n", "native"),
-        ("02 1\n01\n1 01\n01 001\n", "orlib"),
-    ])
+    @pytest.mark.parametrize("text, fmt", PINNED)
     def test_pinned_cases(self, text, fmt):
         assert_same(text, fmt)
+
+
+@pytest.mark.parametrize("block", [1, 3, 16])
+class TestAcrossBlocks:
+    """The same comparisons with the byte scan cut into blocks of a few
+    bytes, so that cuts fall before, inside and after every kind of token."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts("native", respelled=True))
+    def test_native(self, block, text):
+        with mock.patch.object(instance, "SCAN_BLOCK", block):
+            assert_same(text, "native")
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts("orlib", respelled=True))
+    def test_orlib(self, block, text):
+        with mock.patch.object(instance, "SCAN_BLOCK", block):
+            assert_same(text, "orlib")
+
+    @pytest.mark.parametrize("text, fmt", PINNED)
+    def test_pinned_cases(self, block, text, fmt):
+        with mock.patch.object(instance, "SCAN_BLOCK", block):
+            assert_same(text, fmt)
 
 
 # Pieces of arbitrary input: number characters, letters, the native magic
