@@ -10,17 +10,21 @@ harmonic guarantee H(m); the gap Delta = H(m) - G is nonnegative and
 vanishes exactly when every iteration covers a single element.  Rearranged,
 G also yields the lower bound w(Gr)/G on the optimal cover weight, which
 bound_report states as opt_lower; the exact solver does not prune with it.
+
+H(j) is summed by binary splitting and memoized per j, so its cost grows
+with j alone; exact values print in full, past the int digit limit too.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import threading
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
-from operator import sub
+from operator import index, sub
 
 from .errors import (
     ArgumentTooSmall,
@@ -35,18 +39,28 @@ SLAVIK_LOWER_SHIFT = 0.31
 SLAVIK_UPPER_SHIFT = 0.78
 
 
-_HARMONIC = [Fraction(0)]  # H(0), H(1), ...: extended on demand, never recursively
-_HARMONIC_LOCK = threading.Lock()
-
-
+@cache
 def harmonic(j: int) -> Fraction:
-    """Exact j-th harmonic number sum_{k=1..j} 1/k."""
+    """Exact j-th harmonic number sum_{k=1..j} 1/k, by binary splitting."""
     if j < 1:
         raise NonPositiveArgument(f"harmonic needs j >= 1, got {j}")
-    with _HARMONIC_LOCK:
-        for k in range(len(_HARMONIC), j + 1):
-            _HARMONIC.append(_HARMONIC[-1] + Fraction(1, k))
-        return _HARMONIC[j]
+    return Fraction(*_reciprocal_sum(1, index(j) + 1))  # Python ints: no int64 overflow
+
+
+def _reciprocal_sum(a: int, b: int) -> tuple[int, int]:
+    """(p, q) with p/q = sum_{k=a..b-1} 1/k and q = lcm(a..b-1); b > a.
+
+    The range is halved down to single terms (Haible & Papanikolaou 1998),
+    and each half-sum is kept over the lcm of its range, not the product,
+    so that the caller's one Fraction has little left to reduce.
+    """
+    if b - a == 1:
+        return 1, a
+    mid = (a + b) // 2
+    p1, q1 = _reciprocal_sum(a, mid)
+    p2, q2 = _reciprocal_sum(mid, b)
+    q = math.lcm(q1, q2)
+    return p1 * (q // q1) + p2 * (q // q2), q
 
 
 def g_from_counts(s, m: int) -> Fraction:
@@ -70,20 +84,12 @@ def g_of(trace: GreedyTrace) -> Fraction:
 
 
 def delta_of(trace: GreedyTrace) -> Fraction:
-    """Gap Delta = H(m) - G via its double-sum closed form.
+    """Gap Delta = H(m) - G, nonnegative and 0 exactly when every s_k is 1.
 
-    Computed as sum_k sum_{i=m_k+1}^{m_{k-1}} (1/i - 1/m_{k-1}), which the
-    tests check against harmonic(m) - g_of(trace) for exact agreement.
+    G comes first, so that a malformed trace raises InvalidTrace.
     """
-    check_trace_shape(trace)
-    total = Fraction(0)
-    for k in range(len(trace.s)):
-        m_prev = trace.residuals[k]
-        m_next = trace.residuals[k + 1]
-        inv_prev = Fraction(1, m_prev)
-        for i in range(m_next + 1, m_prev + 1):
-            total += Fraction(1, i) - inv_prev
-    return total
+    g = g_of(trace)
+    return harmonic(trace.residuals[0]) - g
 
 
 def slavik_bounds(m: int) -> tuple[float, float]:
@@ -177,23 +183,12 @@ def _approx(v: Fraction) -> str:
         return "inf" if v > 0 else "-inf"
 
 
-_DIGITS_PER_CHUNK = 600  # below the lowest int digit limit CPython allows (640)
-_CHUNK = 10**_DIGITS_PER_CHUNK
-
-
 def _decimal(n: int) -> str:
-    """str(n), also past the int digit limit: then chunk by chunk, with divmod."""
+    """str(n), also past the int digit limit: then through Decimal, which has none."""
     try:
         return str(n)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        pass
-    chunks = []
-    rest = abs(n)
-    while rest:
-        rest, chunk = divmod(rest, _CHUNK)
-        chunks.append(chunk)
-    head = f"{'-' if n < 0 else ''}{chunks.pop()}"
-    return head + "".join(f"{c:0{_DIGITS_PER_CHUNK}d}" for c in reversed(chunks))
+        return str(Decimal(n))
 
 
 def _scalar(v) -> str:

@@ -22,7 +22,8 @@ Two file formats are supported:
 
 Both parsers read an ASCII file in a numpy scan of its bytes (_scan), block
 by block of SCAN_BLOCK bytes cut after a separator, so the scan's arrays
-per byte and per token stay block-sized.  It keeps the value of each
+per byte and per token stay block-sized (a longer token that no read can
+take keeps its span alone).  It keeps the value of each
 plain token (1 to 18 ASCII digits, read eight at a time) and, for the
 other tokens only, their spans, with p and q read the same way for a
 "p/q".  A walk over the count tokens alone (n sets, or m rows) places the
@@ -43,6 +44,7 @@ holders, in the element-major order (_by_element) the LP's sums also use.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -408,11 +410,14 @@ def decode_text(data: bytes) -> str:
 # ---------------------------------------------------------------------------
 # bulk reads shared by both parsers
 
-# bytes.translate tables: 1 for a byte str.split() separates at, and 1 for
-# a byte that is neither such a separator nor a digit
-_SEPARATOR = bytes(b in b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f " for b in range(256))
+# the ASCII bytes str.split() separates at; bytes.translate tables: 1 for
+# such a separator, and 1 for a byte that is neither a separator nor a digit
+_SEPARATORS = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_SEPARATOR = bytes(chr(b) in _SEPARATORS for b in range(256))
 _OTHER = bytes(not (_SEPARATOR[b] or 48 <= b <= 57) for b in range(256))
+_NEXT_SEPARATOR = re.compile(f"[{re.escape(_SEPARATORS)}]")
 _PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: every plain token fits in int64
+_LONGEST_READ = 2 * _PLAIN_DIGITS + 1  # a "p/q"; no longer token is plain or read as one
 # _KEEP[j][k]: for a run of k digits, a mask of the low nibbles of its bytes
 # in the word (8 bytes) that ends 8 * j bytes before the run does
 _KEEP = tuple(np.array([0x0F0F0F0F0F0F0F0F << 8 * (8 - min(k - 8 * j, 8)) & 2**64 - 1
@@ -422,24 +427,34 @@ SCAN_BLOCK = 1 << 16  # bytes of text per block of the scan
 
 
 def _blocks(text: str):
-    """(offset, bytes, separators) of each block of an ASCII text, in order.
+    """(offset, values, odd) of each block of an ASCII text, in order: the
+    block's _scan_block, with token indices and spans counted from its start.
 
     A block is SCAN_BLOCK bytes cut just after its last separator, so no
-    token spans two; it is longer only to end a token longer than that.
-    The last block is the rest of the text, empty for an empty text.
+    token spans two; it is longer only to end a token longer than that.  A
+    token longer than both SCAN_BLOCK and _LONGEST_READ is one block with
+    no arrays per byte: one token that is not plain, its span, and no p/q.
+    The last block is the rest of the text, which may be empty.
     """
-    at, size = 0, SCAN_BLOCK
-    while at + size < len(text):
-        raw = text[at:at + size].encode("ascii")
+    at = 0
+    while at + SCAN_BLOCK < len(text):
+        raw = text[at:at + SCAN_BLOCK].encode("ascii")
         seps = raw.translate(_SEPARATOR)
         cut = seps.rfind(1) + 1
-        if not cut:  # one token: widen the block to its end
-            size *= 2
-            continue
-        yield at, raw[:cut], seps[:cut]
-        at, size = at + cut, SCAN_BLOCK
+        if not cut:  # one token, longer than the block, starts at `at`
+            after = _NEXT_SEPARATOR.search(text, at + SCAN_BLOCK)
+            cut = (after.start() if after else len(text)) - at
+            if cut > max(SCAN_BLOCK, _LONGEST_READ):
+                span = np.array([[0], [0], [cut], [-1], [-1]], np.int64)  # as _scan_block's odd
+                yield at, np.full(1, -1, np.int64), span
+                at += cut
+                continue
+            raw = text[at:at + cut].encode("ascii")
+            seps = raw.translate(_SEPARATOR)
+        yield at, *_scan_block(raw[:cut], seps[:cut])
+        at += cut
     raw = text[at:].encode("ascii")
-    yield at, raw, raw.translate(_SEPARATOR)
+    yield at, *_scan_block(raw, raw.translate(_SEPARATOR))
 
 
 def _scan(text: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -458,8 +473,7 @@ def _scan(text: str) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     values, odd = [], []
     count = 0  # the tokens of the blocks before
-    for offset, raw, seps in _blocks(text):
-        block, spans = _scan_block(raw, seps)
+    for offset, block, spans in _blocks(text):
         if offset:
             spans[0] += count
             spans[1:3] += offset
@@ -650,7 +664,8 @@ class _Tokens:
         try:
             return convert(tok)
         except (ValueError, ZeroDivisionError):
-            raise self.error(f"expected {what}, got {tok!r}") from None
+            pass  # raised below, once the message of this error is freed
+        raise self.error(f"expected {what}, got {tok!r}")
 
     def end(self) -> None:
         if self.pos < len(self.items):

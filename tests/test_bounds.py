@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +69,7 @@ class TestHarmonic:
     def test_matches_brute_sum(self):
         for j in range(1, 60):
             assert harmonic(j) == brute_harmonic(j)
+        assert harmonic(np.int64(300)) == brute_harmonic(300)
 
     def test_non_positive(self):
         with pytest.raises(NonPositiveArgument):
@@ -80,10 +84,24 @@ class TestHarmonic:
         )
         assert Fraction(proc.stdout.strip()) == brute_harmonic(5000)
 
-    def test_extends_from_the_largest_cached_value(self):
+    def test_calls_in_any_order(self):
         assert harmonic(700) == brute_harmonic(700)
         assert harmonic(650) == brute_harmonic(650)
         assert harmonic(701) == harmonic(700) + Fraction(1, 701)
+
+    def test_concurrent_calls(self):
+        harmonic.cache_clear()  # so the threads race to compute and to store
+        js = [*range(1, 301), *range(1, 301, 7), *range(300, 0, -13)] * 2
+        random.Random(5).shuffle(js)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(harmonic, js, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        brute = {j: brute_harmonic(j) for j in set(js)}
+        assert all(h == brute[j] for j, h in zip(js, results))
 
 
 class TestG:
@@ -120,7 +138,7 @@ class TestDelta:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 14), st.randoms())
-    def test_double_sum_equals_closed_form(self, m, rnd):
+    def test_equals_the_oracle_h_minus_g(self, m, rnd):
         parts = []
         left = m
         while left:
@@ -128,8 +146,13 @@ class TestDelta:
             parts.append(p)
             left -= p
         tr = synthetic_trace(tuple(parts), m)
-        assert delta_of(tr) == harmonic(m) - g_of(tr)
+        assert delta_of(tr) == brute_harmonic(m) - brute_g(parts, m)
         assert delta_of(tr) >= 0
+
+    def test_malformed_trace(self):
+        tr = dataclasses.replace(synthetic_trace((2, 1), 3), s=(2, 2))
+        with pytest.raises(InvalidTrace):
+            delta_of(tr)
 
     def test_zero_iff_all_ones(self):
         for s in ((1, 1, 1), (2, 1), (1, 2), (3,)):

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,36 @@ class TestBoundsLargeM:
                 fields = dict(zip(header.split(","), row.split(",")))
             assert fields["H_m"] == fields["H_m_bar"] == expected, fmt
             assert fields["G"] == "1 (~1.000000)", fmt
+
+    def test_bounds_at_m_100000_in_bounded_time_and_memory(self, tmp_path):
+        # a table of every H(j) up to m took 9.6 s and 1.9 GB on this 589 KB file
+        # (2-core x86-64 host)
+        m = 100_000
+        path = tmp_path / "one-set.scp"
+        path.write_text(f"scp 1\n{m} 1\n1 {m} " + " ".join(map(str, range(1, m + 1))) + "\n")
+        start = time.perf_counter()
+        code, out, err, peak_kb = _cli_in_grandchild("bounds", path)
+        seconds = time.perf_counter() - start
+        assert (code, err) == ("0", "")
+        assert seconds < 6
+        assert int(peak_kb) < 250 * 1024  # ru_maxrss is in KiB on Linux
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert fields["H_m"] == fields["H_m_bar"]
+        assert fields["G"] == "1 (~1.000000)"
+        exact, approx = fields["H_m"].split(" ")
+        assert approx == "(~12.090146)"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # p and q have about 43,000 digits each
+        try:
+            p, q = map(int, exact.split("/"))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        # p/q is H(m) in lowest terms: checked modulo two primes above m,
+        # where each 1/k is a modular inverse
+        assert math.gcd(p, q) == 1
+        for prime in (2**31 - 1, 2**61 - 1):
+            h = sum(pow(k, -1, prime) for k in range(1, m + 1)) % prime
+            assert p * pow(q, -1, prime) % prime == h
 
 
 class TestGen:

@@ -452,6 +452,27 @@ class TestBlockScan:
                 tracemalloc.stop()
             assert peak < 6 * len(text)
 
+    @pytest.mark.parametrize("text, parse", [
+        ("scp 1\n1 1\n1 1 " + "a" * (4 << 20), parse_native),  # the last token
+        ("scp 1\n1 1\n" + "a" * (4 << 20) + " 1 1\n", parse_native),  # a weight
+        ("1 1\n" + "a" * (4 << 20) + "\n1 1\n", parse_orlib),  # a cost
+    ])
+    def test_long_token_memory_is_linear_in_the_text(self, text, parse):
+        # a 4 MB token of letters cost the scan two int64 per byte: 20x the text
+        frozen = getattr(seed_parsers, parse.__name__)
+        with pytest.raises(ScpSyntaxError) as expected:
+            frozen(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScpSyntaxError) as raised:
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * len(text)
+        assert ((str(raised.value), raised.value.line, raised.value.column)
+                == (str(expected.value), expected.value.line, expected.value.column))
+
 
 class TestWeightScalars:
     @pytest.mark.parametrize("token,value", [

@@ -194,6 +194,13 @@ PINNED = [
     ("scp 1\n1 2\n-1 1 1\n6/4 1 1\n", "native"),
     ("1 2\n1e3 2.5\n2 2 1\n", "orlib"),
     ("1 1\n1/0\n1 1\n", "orlib"),
+    # tokens longer than a "p/q" of two plain runs (37 bytes)
+    ("scp 1\n1 1\n" + "1" * 40 + " 1 1\n", "native"),
+    ("scp 1\n1 1\n" + "7" * 19 + "/" + "3" * 20 + " 1 1\n", "native"),
+    ("scp 1\n1 1\n0." + "5" * 40 + " 1 1\n", "native"),
+    ("scp 1\n1 1\n1 1 " + "x" * 40 + "\n", "native"),
+    ("scp 1\n1 1\n1 1 " + "0" * 39 + "1", "native"),
+    ("1 1\n" + "2" * 40 + "\n1 1\n", "orlib"),
     # set shapes: unsorted, a duplicate, empty
     ("scp 1\n3 1\n1 3 3 1 2\n", "native"),
     ("scp 1\n3 1\n1 3 1 2 1\n", "native"),
