@@ -20,25 +20,23 @@ Two file formats are supported:
   then for each of the m rows a count c_j followed by c_j 1-based column
   indices.  Rows are elements and columns are sets; parsing transposes.
 
-Both parsers read an ASCII file in a numpy scan of its bytes (_scan), block
-by block of SCAN_BLOCK bytes cut after a separator, so the scan's arrays
-per byte and per token stay block-sized (a longer token that no read can
-take keeps its span alone).  It keeps the value of each
-plain token (1 to 18 ASCII digits, read eight at a time) and, for the
-other tokens only, their spans, with p and q read the same way for a
-"p/q".  A walk over the count tokens alone (n sets, or m rows) places the
-weights, one Fraction per distinct value, and a mask takes the elements
-(for OR-Library, transposed by one in-place sort).  Any other text (not
-ASCII, a count or an element that is not plain, a malformed token, a
-repeated element) goes through the token walk, which builds the instance
-token by token or raises the first error, with its message, line and
-column.  Every instance is read as flat arrays and weights (_arrays): a
-parsed or generated one holds them and builds its SetEntry tuple only
-when .sets is first read; one built from SetEntry tuples flattens them
-once.  Each view is built from the arrays once, on
-first use, by its owner: validate() only checks them and keeps the integer
-weights, element_masks() builds the bitmasks, and element_sets() the
-holders, in the element-major order (_by_element) the LP's sums also use.
+Each format has one reader, a numpy scan of an ASCII stand-in of the text
+(_Scan) in blocks of SCAN_BLOCK bytes cut after a separator, so its arrays
+per byte and per token stay block-sized.  It keeps the value of each plain
+token (1 to 18 ASCII digits, read eight at a time) and the spans of the
+others, with p and q of a "p/q" read the same way.  A walk over the count
+tokens places the weights, one Fraction per distinct value, and a mask takes
+the elements (OR-Library's transposed by one in-place sort); int() and
+parse_weight read the tokens that are not plain.  The reader raises the
+first fault its checks find in reading order, with its line and column.
+
+Every instance is read as flat arrays and weights (_arrays): a parsed or
+generated one holds them and builds its SetEntry tuple only when .sets is
+first read; one built from SetEntry tuples flattens them once.  Each view is
+built from the arrays once, on first use, by its owner: validate() only
+checks them and keeps the integer weights, element_masks() builds the
+bitmasks, and element_sets() the holders, in the element-major order
+(_by_element) the LP's sums also use.
 """
 
 from __future__ import annotations
@@ -46,11 +44,12 @@ from __future__ import annotations
 import math
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, pairwise
 from numbers import Integral
-from operator import lt
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -154,7 +153,7 @@ def validate(instance: Instance) -> None:
     indptr, elements, weights = _arrays(instance)
     weights, denom = _over_lcm(weights)
     if not (indptr[1:] > indptr[:-1]).all() or int(elements.min()) < 1 \
-            or int(elements.max()) > m or min(weights) < 0 or _unsorted(indptr, elements):
+            or int(elements.max()) > m or min(weights) < 0 or _falls(indptr, elements).any():
         _raise_first_violation(instance)
     # flags for 1..min(m, entries + 1), never m of them: fewer entries
     # than m leave a gap at or below entries + 1
@@ -224,12 +223,12 @@ def _flatten(sets) -> tuple[np.ndarray, np.ndarray]:
                                 for e in ids), np.int64, len(ids))
 
 
-def _unsorted(indptr: np.ndarray, elements: np.ndarray) -> bool:
-    """True if some set's elements do not strictly increase."""
-    falls = np.zeros(elements.size + 1, bool)  # falls[i]: element i is not above element i - 1
+def _falls(indptr: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """falls[i]: element i is not above element i - 1 of its set; one more entry, False."""
+    falls = np.zeros(elements.size + 1, bool)
     np.less_equal(elements[1:], elements[:-1], out=falls[1:-1])
     falls[indptr] = False  # the first element of each set
-    return bool(falls.any())
+    return falls
 
 
 def _masks(indptr: np.ndarray, elements: np.ndarray) -> list[int]:
@@ -345,7 +344,8 @@ def _over_lcm(values) -> tuple[list[int], int]:
 
 
 def is_cover(instance: Instance, set_indices) -> bool:
-    """True iff the union of the chosen sets equals {1..m}."""
+    """True iff the union of the chosen sets equals {1..m}; validates the instance."""
+    validate(instance)
     masks = element_masks(instance)
     union = 0
     for i in set_indices:
@@ -374,19 +374,26 @@ def make_cover(instance: Instance, set_indices) -> Cover:
 # weight scalars
 
 
+_DIGIT_RUN = re.compile(r"\d[\d_]*")  # digits, and the "_" int() takes between them
+
+
 def parse_weight(token: str) -> Fraction:
     """Parse a weight token: decimal ("5", "3.5", "1e3") or rational ("7/2").
 
-    An exponent past sys.get_int_max_str_digits() is refused, as int()
-    refuses that many digits: 10**exponent would take seconds to build.
+    A run of digits past sys.get_int_max_str_digits() is refused at once, as
+    int() refuses it (Fraction builds 10**len(digits) of a fraction first);
+    so is an exponent past it, since 10**exponent would take seconds to build.
     """
-    if "e" in token or "E" in token:
-        limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    if limit and len(token) > limit and any(
+            len(run) - run.count("_") > limit for run in _DIGIT_RUN.findall(token)):
+        raise ValueError(f"a run of digits is past the {limit}-digit limit")
+    if limit and ("e" in token or "E" in token):
         try:
             exponent = int(token.lower().rpartition("e")[2])
         except ValueError:
             exponent = 0  # not a number's exponent: Fraction rejects the literal
-        if limit and abs(exponent) > limit:
+        if abs(exponent) > limit:
             raise ValueError(f"exponent of {token!r} is past the {limit}-digit limit")
     return Fraction(token)
 
@@ -408,14 +415,19 @@ def decode_text(data: bytes) -> str:
 
 
 # ---------------------------------------------------------------------------
-# bulk reads shared by both parsers
+# the byte scan both parsers read with
 
-# the ASCII bytes str.split() separates at; bytes.translate tables: 1 for
-# such a separator, and 1 for a byte that is neither a separator nor a digit
+# the ASCII bytes str.split() separates at, and those str.splitlines() breaks
+# lines at; bytes.translate tables: 1 for such a separator, and 1 for a byte
+# that is neither a separator nor a digit
 _SEPARATORS = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e"
 _SEPARATOR = bytes(chr(b) in _SEPARATORS for b in range(256))
 _OTHER = bytes(not (_SEPARATOR[b] or 48 <= b <= 57) for b in range(256))
 _NEXT_SEPARATOR = re.compile(f"[{re.escape(_SEPARATORS)}]")
+_TOKEN = re.compile(f"[^{re.escape(_SEPARATORS)}]+")
+# the characters past ASCII str.isspace() holds for; the first three break lines
+_WIDE_SPACE = re.compile("[\x85\u2028\u2029\xa0\u1680\u2000-\u200a\u202f\u205f\u3000]")
 _PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: every plain token fits in int64
 _LONGEST_READ = 2 * _PLAIN_DIGITS + 1  # a "p/q"; no longer token is plain or read as one
 # _KEEP[j][k]: for a run of k digits, a mask of the low nibbles of its bytes
@@ -457,23 +469,22 @@ def _blocks(text: str):
     yield at, *_scan_block(raw, raw.translate(_SEPARATOR))
 
 
-def _scan(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(values, odd) for the tokens of an ASCII text; None if it is not ASCII.
+def _scan(text: str) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """(values, odd, blocks) for the tokens of an ASCII text.
 
     The tokens are those of str.split().  values holds the integer of each
     plain token (1 to 18 ASCII digits), and -1 for every other token.  odd
     has a column for each token that is not plain, in order: its index,
     its start and end in the text, and the p and q of a "p/q" whose only
     byte that is no digit is the "/", each -1 unless it is 1 to 18 digits.
-    The text is scanned in blocks (_blocks): the arrays per byte and per
-    token of one block are freed before the next, so the scan holds little
-    besides its result.
+    The text is scanned in blocks (_blocks), whose first tokens and offsets
+    are listed in blocks: the arrays per byte and per token of one block are
+    freed before the next, so the scan holds little besides its result.
     """
-    if not text.isascii():
-        return None
-    values, odd = [], []
+    values, odd, blocks = [], [], []
     count = 0  # the tokens of the blocks before
     for offset, block, spans in _blocks(text):
+        blocks.append((count, offset))
         if offset:
             spans[0] += count
             spans[1:3] += offset
@@ -481,8 +492,8 @@ def _scan(text: str) -> tuple[np.ndarray, np.ndarray] | None:
         values.append(block)
         odd.append(spans)
     if len(values) == 1:
-        return values[0], odd[0]
-    return np.concatenate(values), np.concatenate(odd, axis=1)
+        return values[0], odd[0], blocks
+    return np.concatenate(values), np.concatenate(odd, axis=1), blocks
 
 
 def _scan_block(raw: bytes, seps: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -549,9 +560,9 @@ def _fold(word: np.ndarray) -> np.ndarray:
 
 
 def _weights(text: str, values, odd, at) -> list[Fraction]:
-    """The weights in tokens `at`, each distinct one worked out once: a plain
-    token or a "p/q" from the integers the scan read, any other by
-    parse_weight on its text."""
+    """The weights in tokens `at`, up to the first that does not parse: each
+    distinct one worked out once, a plain token or a "p/q" from the integers
+    the scan read, any other by parse_weight on its text."""
     first, last, num, den = map(memoryview, odd[1:])
     value = {}
     weights = []
@@ -564,49 +575,14 @@ def _weights(text: str, values, odd, at) -> list[Fraction]:
             key = (p, q) if p >= 0 <= q else text[first[col]:last[col]]
         w = value.get(key)
         if w is None:
-            if type(key) is int:
-                w = Fraction(key)
-            elif type(key) is tuple:
-                w = Fraction(*key)
-            else:
-                w = parse_weight(key)
+            try:
+                w = (Fraction(key) if type(key) is int else Fraction(*key) if type(key) is tuple
+                     else parse_weight(key))
+            except (ValueError, ZeroDivisionError):
+                break
             value[key] = w
         weights.append(w)
     return weights
-
-
-def _records(values: np.ndarray, at: int, count: int, lead: int, least: int):
-    """(members, indptr, firsts) of `count` records from token `at` to the end.
-
-    A record is `lead` tokens, a plain count c >= `least` and c plain member
-    tokens; firsts holds the first token of each record.  The counts are
-    walked through a memoryview, which gives Python ints.  None when the
-    tokens do not have that shape.
-    """
-    tokens = memoryview(values)
-    sizes = []
-    end = at
-    try:
-        for _ in range(count):
-            c = tokens[end + lead]
-            if c < least:
-                return None
-            sizes.append(c)
-            end += lead + 1 + c
-    except IndexError:
-        return None
-    if end != len(tokens):
-        return None
-    indptr = _sizes_to_indptr(sizes)
-    firsts = indptr[:-1] + np.arange(at, at + (lead + 1) * count, lead + 1)
-    member = np.ones(len(tokens), bool)
-    member[:at] = False
-    for j in range(lead + 1):
-        member[firsts + j] = False
-    members = values[member]
-    if members.size and members.min() < 0:
-        return None
-    return members, indptr, firsts
 
 
 def _sizes_to_indptr(sizes) -> np.ndarray:
@@ -629,48 +605,133 @@ def _entries(indptr, elements, weights) -> tuple[SetEntry, ...]:
                  for k, w in zip(np.diff(indptr).tolist(), weights))
 
 
-class _Tokens:
-    """Whitespace token stream for the token walks; positions are worked out
-    only for the error raised."""
+class _Scan:
+    """A text's tokens as _scan reads them from an ASCII stand-in with the
+    text's length, tokens and line breaks (past ASCII, a space that breaks
+    lines reads as "\\x0b", which no "\\r" pairs with, any other space as " "
+    and any other character as "?"), and what naming a fault needs: a
+    token's text, from the text itself, and its line and column."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.items = text.split()
-        self.pos = 0
+        self.text = self.ascii = text
+        if not text.isascii():
+            raw = bytearray(text, "ascii", "replace")  # one "?" per character past ASCII
+            for space in _WIDE_SPACE.finditer(text):
+                raw[space.start()] = 11 if space.group() in "\x85\u2028\u2029" else 32
+            self.ascii = raw.decode("ascii")
+            del raw  # the scan needs the room
+        self.values, self.odd, self.blocks = _scan(self.ascii)
 
-    def error(self, message: str, index: int | None = None) -> ScpSyntaxError:
-        """An error at token `index` (default: the last read), located by a re-scan."""
-        index = self.pos - 1 if index is None else index
-        count = 0
-        for ln, line in enumerate(self.text.splitlines(), start=1):
-            col = 1
-            for piece in line.split():
-                col = line.index(piece, col - 1) + 1
-                if count == index:
-                    return ScpSyntaxError(message, ln, col)
-                count += 1
-                col += len(piece)
-        return ScpSyntaxError(message, 1, 1)
+    def span(self, i: int) -> tuple[int, int]:
+        """The start and end of token i, found from the start of its block."""
+        first, at = self.blocks[bisect_right(self.blocks, (i, math.inf)) - 1]
+        return next(islice(_TOKEN.finditer(self.ascii, at), i - first, None)).span()
 
-    def next(self, what: str) -> str:
-        if self.pos >= len(self.items):
-            raise self.error(f"unexpected end of input, expected {what}",
-                             len(self.items) - 1)
-        self.pos += 1
-        return self.items[self.pos - 1]
+    def token(self, i: int, what: str = "") -> str:
+        """The text of token i; past the last, raises the end of input, expected `what`."""
+        if i >= self.values.size:
+            raise self.expected(i, what)
+        return self.text[slice(*self.span(i))]
 
-    def next_value(self, what: str, convert=int):
-        tok = self.next(what)
+    def number(self, i: int, what: str = "") -> int | None:
+        """int() of token i, which is `what`: if it is missing or int() refuses
+        it, raises the error, or returns None if no `what` is given."""
         try:
-            return convert(tok)
-        except (ValueError, ZeroDivisionError):
-            pass  # raised below, once the message of this error is freed
-        raise self.error(f"expected {what}, got {tok!r}")
+            value = int(self.values[i])
+            return value if value >= 0 else int(self.token(i))  # not plain: int() of its text
+        except (IndexError, ValueError):
+            if what:
+                raise self.expected(i, what) from None
+            return None
 
-    def end(self) -> None:
-        if self.pos < len(self.items):
-            tok = self.next("end of input")
-            raise self.error(f"trailing token {tok!r}")
+    def error(self, message: str, i: int) -> ScpSyntaxError:
+        """The error `message` at token i."""
+        start, text = self.span(i)[0], self.ascii
+        line = sum(text.count(c, 0, start) for c in _LINE_BREAKS) - text.count("\r\n", 0, start)
+        column = start - max(text.rfind(c, 0, start) for c in _LINE_BREAKS)
+        return ScpSyntaxError(message, line + 1, column)
+
+    def expected(self, i: int, what: str) -> ScpSyntaxError:
+        """The error of token i, which is not `what`, or just past the last, of the end of input."""
+        if i < self.values.size:
+            return self.error(f"expected {what}, got {self.token(i)!r}", i)
+        message = f"unexpected end of input, expected {what}"
+        return self.error(message, i - 1) if i else ScpSyntaxError(message, 1, 1)
+
+    def records(self, at: int, count: int, lead: int, least: int, role, small):
+        """(members, indptr, heads, faults) of `count` records from token `at`:
+        `lead` tokens, a count c >= `least` and c members.
+
+        The counts are walked through a memoryview, which gives Python ints,
+        up to the first fault (a count, the end of input, a token past the
+        records).  members holds int() of the members walked up to the first
+        int() refuses (in an object array if one is past int64); heads, the
+        first token of each record walked or whose count faults; faults,
+        (token, error) of the walk's fault and of that member.  `role(r, k)`
+        names token k of record r; `small(r, i)` is the error for count token i below `least`."""
+        tokens = memoryview(self.values)
+        size = len(tokens)
+        sizes, faults, end = [], [], at
+        try:
+            for _ in range(count):
+                c = tokens[end + lead]
+                if c < least:  # not plain, or below least
+                    i, r = end + lead, len(sizes)
+                    c = self.number(i)
+                    if c is None or c < least:
+                        faults.append((i, small(r, i) if c is not None
+                                       else self.expected(i, role(r, lead))))
+                        break
+                sizes.append(c)
+                end += lead + 1 + c
+        except IndexError:  # the tokens end in a record
+            pass
+        if not faults:
+            if end > size:  # in the members of the last record walked
+                sizes[-1] -= end - size
+                end = size
+                r = len(sizes) - 1
+                faults.append((size, self.expected(size, role(r, lead + 1 + sizes[r]))))
+            elif len(sizes) < count:  # before a record's count
+                faults.append((size, self.expected(size, role(len(sizes), size - end))))
+            elif end < size:
+                faults.append((end, self.error(f"trailing token {self.token(end)!r}", end)))
+        indptr = _sizes_to_indptr(sizes)
+        heads = indptr[:-1] + np.arange(at, at + (lead + 1) * len(sizes), lead + 1)
+        member = np.zeros(size, bool)
+        member[at:end] = True
+        for j in range(lead + 1):
+            member[heads + j] = False
+        if end < size and len(sizes) < count:
+            heads = np.append(heads, end)
+        members = self.values[member]
+        if members.size and members.min() < 0:  # int() of those that are not plain
+            index, first, last = map(memoryview, self.odd[:3])
+            cols = member[self.odd[0]].nonzero()[0]
+            for col, spot in zip(memoryview(cols), memoryview((members < 0).nonzero()[0])):
+                try:
+                    value = int(self.text[first[col]:last[col]])
+                except ValueError:
+                    i = index[col]
+                    r = int(heads.searchsorted(i, "right")) - 1
+                    faults.append((i, self.expected(i, role(r, i - int(heads[r])))))
+                    members, indptr = members[:spot], np.minimum(indptr, spot)
+                    break
+                if members.dtype != object and not -2**63 <= value < 2**63:
+                    members = members.astype(object)
+                members[spot] = value
+        return members, indptr, heads, faults
+
+    def repeat(self, i: int, count: int) -> tuple[int, int]:
+        """(token, int()) of the first of the `count` tokens after token i
+        whose int() is that of one before it; there is one."""
+        seen = set()
+        for j, token in enumerate(islice(_TOKEN.finditer(self.ascii, self.span(i)[1]), count),
+                                  i + 1):
+            value = int(self.text[token.start():token.end()])
+            if value in seen:
+                return j, value
+            seen.add(value)
 
 
 # ---------------------------------------------------------------------------
@@ -679,73 +740,38 @@ class _Tokens:
 
 def parse_native(text: str, name: str | None = None) -> Instance:
     """Parse the native "scp 1" format; the result is validated."""
-    instance = _read_native(text, name)
-    if instance is None:
-        instance = _walk_native(text, name)
+    scan = _Scan(text)
+    magic = scan.token(0, "format magic")
+    if magic != NATIVE_MAGIC:
+        raise scan.error(f"expected {NATIVE_MAGIC!r} header, got {magic!r}", 0)
+    version = scan.token(1, "format version")
+    if version != NATIVE_VERSION:
+        raise scan.error(f"unsupported version {version!r}", 1)
+    m = scan.number(2, "universe size m")
+    n = scan.number(3, "set count n")
+    elements, indptr, heads, faults = scan.records(
+        4, n, 1, 0, lambda r, k: f"element {k - 2} of set {r}" if k > 1
+        else (f"weight of set {r}", f"cardinality of set {r}")[k],
+        lambda r, i: scan.error(f"negative cardinality for set {r}", i))
+    weights = _weights(text, scan.values, scan.odd, heads)
+    if len(weights) < len(heads):
+        i = int(heads[len(weights)])
+        faults.append((i, scan.expected(i, f"weight of set {len(weights)}")))
+    if _falls(indptr, elements).any():  # each set is sorted; a repeated element is a fault
+        owner = np.arange(indptr.size - 1).repeat(np.diff(indptr))
+        elements = elements[np.lexsort((elements, owner))]
+        if _falls(indptr, elements).any():
+            r = int(indptr.searchsorted(_falls(indptr, elements).argmax(), "right")) - 1
+            i, e = scan.repeat(int(heads[r]) + 1, int(indptr[r + 1] - indptr[r]))
+            faults.append((i, scan.error(f"duplicate element {e} in set {r}", i)))
+    if faults:  # the first in reading order; of two at one token, the one found first
+        raise min(faults, key=itemgetter(0))[1]
+    del scan  # validate needs the room, not the tokens
+    instance = (Instance(m=m, sets=_entries(indptr, elements, weights), name=name)
+                if elements.dtype == object  # an id past int64, which validate names
+                else _parsed(m, indptr, elements, weights, name))
     validate(instance)
     return instance
-
-
-def _read_native(text: str, name: str | None) -> Instance | None:
-    """The bulk read; None when the text is not ASCII, a token is out of
-    place or not plain, a weight does not parse or a set repeats an element."""
-    scan = _scan(text)
-    if scan is None:
-        return None
-    values, odd = scan
-    try:
-        version, m, n = values[1:4].tolist()
-        index, start, end = odd[:3, 0].tolist()
-    except (ValueError, IndexError):  # fewer than four tokens, or every one plain
-        return None
-    # the magic is token 0, and the version "1" is a plain 1 that no zero
-    # leads: the byte before the first "1" past the magic is a separator
-    if (index != 0 or text[start:end] != NATIVE_MAGIC or version != int(NATIVE_VERSION)
-            or not text[text.index(NATIVE_VERSION, end) - 1].isspace()):
-        return None
-    records = _records(values, 4, n, lead=1, least=0) if m >= 0 and n >= 0 else None
-    if records is None:
-        return None
-    elements, indptr, first = records
-    try:
-        weights = _weights(text, values, odd, first)
-    except (ValueError, ZeroDivisionError):
-        return None
-    if _unsorted(indptr, elements):  # each set is sorted; a repeated element is an error
-        owner = np.arange(n).repeat(indptr[1:] - indptr[:-1])
-        elements = elements[np.lexsort((elements, owner))]
-        if _unsorted(indptr, elements):
-            return None
-    return _parsed(m, indptr, elements, weights, name)
-
-
-def _walk_native(text: str, name: str | None) -> Instance:
-    """Read a text the bulk read did not take token by token, or raise its
-    first error."""
-    toks = _Tokens(text)
-    magic = toks.next("format magic")
-    if magic != NATIVE_MAGIC:
-        raise toks.error(f"expected {NATIVE_MAGIC!r} header, got {magic!r}")
-    version = toks.next("format version")
-    if version != NATIVE_VERSION:
-        raise toks.error(f"unsupported version {version!r}")
-    m = toks.next_value("universe size m")
-    n = toks.next_value("set count n")
-    sets = []
-    for i in range(n):
-        w = toks.next_value(f"weight of set {i}", parse_weight)
-        k = toks.next_value(f"cardinality of set {i}")
-        if k < 0:
-            raise toks.error(f"negative cardinality for set {i}")
-        elements = set()
-        for j in range(k):
-            e = toks.next_value(f"element {j} of set {i}")
-            if e in elements:
-                raise toks.error(f"duplicate element {e} in set {i}")
-            elements.add(e)
-        sets.append(SetEntry(tuple(sorted(elements)), w))
-    toks.end()
-    return Instance(m=m, sets=tuple(sets), name=name)
 
 
 def write_native(instance: Instance) -> str:
@@ -765,79 +791,46 @@ def write_native(instance: Instance) -> str:
 
 def parse_orlib(text: str, name: str | None = None) -> Instance:
     """Parse the OR-Library set-covering format into a set-major Instance."""
-    instance = _read_orlib(text, name)
-    if instance is None:
-        instance = _walk_orlib(text, name)
-    validate(instance)
-    return instance
-
-
-def _read_orlib(text: str, name: str | None) -> Instance | None:
-    """The bulk read; None when the text is not ASCII, a token is out of
-    place or not plain, a cost does not parse, a column index is out of
-    range or repeated in a row, or a row is uncovered."""
-    scan = _scan(text)
-    if scan is None:
-        return None
-    values, odd = scan
-    m, n = values[:2].tolist() if values.size >= 2 else (0, 0)
-    if m < 1 or n < 1 or values.size < 2 + n:
-        return None
-    records = _records(values, 2 + n, m, lead=0, least=1)
-    if records is None:
-        return None
-    cols, rows_at, _ = records
-    try:
-        costs = _weights(text, values, odd, np.arange(2, 2 + n))
-    except (ValueError, ZeroDivisionError):
-        return None
-    del scan, values, odd  # the transpose below needs the room, not the tokens
-    if not 1 <= int(cols.min()) <= int(cols.max()) <= n:
-        return None
-    cols -= 1
-    indptr = _sizes_to_indptr(np.bincount(cols, minlength=n))
-    # the key column * m + row - 1 of each entry, sorted in place, lists each
-    # column's rows in order; m and n are at most the token count, so it
-    # fits int64
-    cols *= m
-    cols += np.arange(m).repeat(rows_at[1:] - rows_at[:-1])
-    cols.sort()
-    elements = np.remainder(cols, m, out=cols)
-    elements += 1
-    if _unsorted(indptr, elements):  # a row lists a column twice
-        return None
-    return _parsed(m, indptr, elements, costs, name)
-
-
-def _walk_orlib(text: str, name: str | None) -> Instance:
-    """Read a text the bulk read did not take token by token, or raise its
-    first error."""
-    toks = _Tokens(text)
-    m = toks.next_value("row count m")
-    n = toks.next_value("column count n")
+    scan = _Scan(text)
+    m = scan.number(0, "row count m")
+    n = scan.number(1, "column count n")
     if m < 1 or n < 1:
         raise ScpSyntaxError("m and n must be positive")
-    costs = [toks.next_value(f"cost of column {i}", parse_weight) for i in range(n)]
-    columns = [[] for _ in range(n)]
-    for row in range(1, m + 1):
-        c = toks.next_value(f"cover count of row {row}")
-        if c < 1:
-            raise UnionNotUniverse(
-                f"element {row} is covered by no column", missing_element=row
-            )
-        seen = set()
-        for j in range(c):
-            col_idx = toks.next_value(f"column {j} covering row {row}")
-            if not 1 <= col_idx <= n:
-                raise toks.error(f"column index {col_idx} outside 1..{n}")
-            if col_idx in seen:
-                raise toks.error(f"row {row} lists column {col_idx} twice")
-            seen.add(col_idx)
-            columns[col_idx - 1].append(row)
-    toks.end()
-    # rows ascend, so each column lists its rows in order
-    return Instance(m=m, sets=tuple(SetEntry(tuple(rows), w) for rows, w in zip(columns, costs)),
-                    name=name)
+    first = min(2 + n, scan.values.size)  # the first row's count, if no cost is missing
+    cols, rows_at, _, faults = scan.records(
+        first, m, 0, 1,
+        lambda r, k: f"column {k - 1} covering row {r + 1}" if k else f"cover count of row {r + 1}",
+        lambda r, i: UnionNotUniverse(f"element {r + 1} is covered by no column",
+                                      missing_element=r + 1))
+    costs = _weights(text, scan.values, scan.odd, np.arange(2, first))
+    if len(costs) < n:  # its fault comes before any row's
+        raise scan.expected(2 + len(costs), f"cost of column {len(costs)}")
+    scan.values = scan.odd = None  # the transpose needs the room, not the tokens
+    if cols.size and not 1 <= cols.min() <= cols.max() <= n:  # the first out of range
+        at = int(((cols < 1) | (cols > n)).argmax())
+        i = 2 + n + at + int(rows_at.searchsorted(at, "right"))  # past m, n, costs and counts
+        faults.append((i, scan.error(f"column index {cols[at]} outside 1..{n}", i)))
+        cols = np.asarray(cols[:at], np.int64)  # the columns before it are transposed
+        rows_at = np.minimum(rows_at, at)
+    rows = rows_at.size - 1  # m, unless a fault cut the rows short
+    cols -= 1
+    indptr = _sizes_to_indptr(np.bincount(cols, minlength=n))
+    # the key column * rows + row - 1 of each entry, sorted in place, lists each
+    # column's rows in order; rows and n are at most the token count: it fits int64
+    cols *= rows
+    cols += np.arange(rows).repeat(rows_at[1:] - rows_at[:-1])
+    cols.sort()
+    elements = np.remainder(cols, rows, out=cols)
+    elements += 1
+    if _falls(indptr, elements).any():  # a row lists a column twice
+        r = int(elements[_falls(indptr, elements)[:-1]].min()) - 1
+        i, col = scan.repeat(2 + n + r + int(rows_at[r]), int(rows_at[r + 1] - rows_at[r]))
+        faults.append((i, scan.error(f"row {r + 1} lists column {col} twice", i)))
+    if faults:  # the first in reading order; of two at one token, the one found first
+        raise min(faults, key=itemgetter(0))[1]
+    instance = _parsed(m, indptr, elements, costs, name)
+    validate(instance)
+    return instance
 
 
 def detect_format(text: str) -> str:

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -316,6 +317,18 @@ class TestIsCover:
         with pytest.raises(InvalidInstance, match="do not cover"):
             make_cover(gf2_k2(), [0])
 
+    @pytest.mark.parametrize("elements, message", [
+        ((0, 1, 2, 3), "set 0 contains element 0 outside 1..3"),
+        ((1, 2, 3, 4), "set 0 contains element 4 outside 1..3"),
+    ])
+    @pytest.mark.parametrize("check", [is_cover, make_cover])
+    def test_an_invalid_instance_raises_what_validate_raises(self, check, elements, message):
+        # the masks alone raised a bare ValueError for element 0, and a set
+        # over 1..4 covered 1..3
+        inst = Instance(m=3, sets=(SetEntry(elements, Fraction(1)),))
+        with pytest.raises(ElementOutOfRange, match=message):
+            check(inst, [0])
+
 
 class TestNativeFormat:
     def test_parse_basic(self):
@@ -442,11 +455,22 @@ class TestBlockScan:
 
     def test_parse_memory_is_linear_in_the_text(self, multi_block_texts):
         # the whole-text scan peaked at 19x the text on both; the result
-        # alone is about 2x (an int64 per element)
-        for text, parse in multi_block_texts:
+        # alone is about 2x (an int64 per element).  One "+" token, one
+        # U+3000 or a trailing token sent a text through a token walk, which
+        # peaked at 20-24x
+        (native, _), (orlib, _) = multi_block_texts
+        texts = [*multi_block_texts,
+                 (native.replace(" 1023\n", " +1023\n", 1), parse_native),
+                 (native.replace(" ", "\u3000", 1), parse_native),
+                 (orlib + "x\n", parse_orlib)]
+        for text, parse in texts:
             tracemalloc.start()
             try:
-                parse(text)
+                if text.endswith("x\n"):
+                    with pytest.raises(ScpSyntaxError, match="trailing token 'x'"):
+                        parse(text)
+                else:
+                    parse(text)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -474,6 +498,19 @@ class TestBlockScan:
                 == (str(expected.value), expected.value.line, expected.value.column))
 
 
+class TestStandIn:
+    def test_spaces_past_ascii_are_those_of_str_methods(self):
+        # the stand-in's table: the separators of str.split() past ASCII,
+        # and which of them str.splitlines() breaks lines at
+        wide = [chr(c) for c in range(128, sys.maxunicode + 1) if chr(c).isspace()]
+        assert [c for c in wide if instance._WIDE_SPACE.fullmatch(c)] == wide
+        assert sum(1 for _ in instance._WIDE_SPACE.finditer("".join(wide))) == len(wide)
+        breaks = [c for c in wide if len(f"a{c}b".splitlines()) == 2]
+        assert breaks == ["\x85", "\u2028", "\u2029"]
+        ascii_breaks = [chr(c) for c in range(128) if len(f"a{chr(c)}b".splitlines()) == 2]
+        assert sorted(ascii_breaks) == sorted(instance._LINE_BREAKS)
+
+
 class TestWeightScalars:
     @pytest.mark.parametrize("token,value", [
         ("5", Fraction(5)),
@@ -490,6 +527,27 @@ class TestWeightScalars:
     def test_exponent_past_the_digit_limit(self, token):
         with pytest.raises(ValueError, match="past the 4300-digit limit"):
             parse_weight(token)
+
+    @pytest.mark.parametrize("form", ["{}", "-{}.5", "0.{}", "1/{}", "{}/3", "1.{}e-2"])
+    @pytest.mark.parametrize("underscores", [False, True])
+    def test_digit_runs_at_the_limit_are_taken_as_fraction_takes_them(self, form, underscores):
+        limit = sys.get_int_max_str_digits()
+        for digits in (limit - 1, limit, limit + 1):
+            run = "_".join("7" * digits) if underscores else "7" * digits
+            token = form.format(run)
+            try:
+                expected = Fraction(token)
+            except ValueError:
+                with pytest.raises(ValueError, match="a run of digits is past"):
+                    parse_weight(token)
+            else:
+                assert digits <= limit
+                assert parse_weight(token) == expected
+
+    def test_long_fraction_is_refused_before_it_is_built(self):
+        # Fraction builds 10**len(digits) before int() refuses the digits
+        with pytest.raises(ValueError, match="a run of digits is past the 4300-digit limit"):
+            parse_weight("1." + "0" * 2**20)
 
     def test_format(self):
         assert format_weight(Fraction(5)) == "5"

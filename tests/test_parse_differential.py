@@ -23,7 +23,15 @@ from setcoverlab.instance import Instance, format_weight, parse_native, parse_or
 
 SEPARATORS = (" ", " ", " ", "  ", "\t", "\n", "\n\n", " \n\t", "\r\n", "\x0c",
               # the other ASCII bytes str.split() separates at
-              "\r", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f")
+              "\r", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f",
+              # spaces past ASCII; the last three break lines, and no "\r" pairs with them
+              "\xa0", "\u3000", "\x85", "\u2028", "\r\x85")
+# tokens the scan does not read as plain: int() reads some of them, none is a
+# number to numpy, and "\xe9" is a letter past ASCII
+ODD_TOKENS = ("+2", "1_0", "\u0661", "\u0663", "\u0662\u0663", "+", "_", "\xe9",
+              "99999999999999999999", "-99999999999999999999", "0000000000000000001")
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
 
 
 def _outcome(parse, text):
@@ -78,16 +86,36 @@ def _pick(draw, toks, roles):
     return draw(st.sampled_from(at)) if at else None
 
 
+def unplain(draw, tok):
+    """An integer token respelled as int() still reads it and the scan does
+    not: with a "+", with "_" between its digits, or in Arabic-Indic digits."""
+    forms = ["+" + tok, tok.translate(ARABIC_INDIC)]
+    if len(tok) > 1:
+        forms.append(tok[0] + "_" + tok[1:])
+    return draw(st.sampled_from(forms))
+
+
 def mutate(draw, toks, n):
     """Apply one drawn mutation to the token list; returns a new list."""
     toks = list(toks)
     kind = draw(st.sampled_from(("none", "non-integer", "duplicate", "negative count",
                                  "truncate", "trailing", "column range",
-                                 "duplicate then malformed")))
+                                 "duplicate then malformed", "odd token", "unplain")))
     if kind == "non-integer":
         i = _pick(draw, toks, ("m", "n", "count", "member", "weight"))
-        toks[i] = (draw(st.sampled_from(("x", "1.5", "2/0", "--3", "1e3", "0x1"))),
+        toks[i] = (draw(st.sampled_from(("x", "1.5", "2/0", "--3", "1e3", "0x1", "+", "_1",
+                                         "1_", "1__0", "+-1", "\u0663x"))),
                    toks[i][1])
+    elif kind == "odd token":
+        i = draw(st.integers(0, len(toks) - 1))
+        toks[i] = (draw(st.sampled_from(ODD_TOKENS)), toks[i][1])
+    elif kind == "unplain":  # a few of m, n, the counts and the members, maybe before an "x"
+        at = [i for i, (_, role) in enumerate(toks) if role not in ("head", "weight")]
+        for i in draw(st.lists(st.sampled_from(at), min_size=1, max_size=4)):
+            toks[i] = (unplain(draw, toks[i][0]), toks[i][1])
+        i = _pick(draw, toks, ("member",))
+        if draw(st.booleans()):
+            toks[i] = ("x", toks[i][1])
     elif kind == "duplicate":
         i = _pick(draw, toks, ("member",))
         role = toks[i][1]
@@ -126,8 +154,9 @@ def render(draw, toks):
 
 def respell(draw, toks):
     """Respell a few drawn tokens: an integer zero-padded to 18 digits or
-    past them, a weight as a decimal or as an unreduced or zero-led p/q,
-    the version as "01".  Only the version's respelling changes a value."""
+    past them, or as unplain() spells it, a weight as a decimal, as an
+    unreduced or zero-led p/q or with a "+", the version as "01".  Only
+    the version's respelling changes a value."""
     toks = list(toks)
     for i in draw(st.lists(st.integers(0, len(toks) - 1), max_size=4)):
         tok, role = toks[i]
@@ -135,14 +164,15 @@ def respell(draw, toks):
             w = Fraction(tok)
             p, q = w.numerator, w.denominator
             forms = [f"{2 * p}/{2 * q}", f"{p:0>18}/{q}", f"{p}/{q:0>19}",
-                     f"{p * 10**18}/{q * 10**18}"]
+                     f"{p * 10**18}/{q * 10**18}", f"+{p}/{q}"]
             if 10**6 % q == 0:
                 forms.append(f"{p * 10**6 // q}e-6")
             toks[i] = (draw(st.sampled_from(forms)), role)
         elif tok == "1" and role == "head":
             toks[i] = ("01", role)
         elif tok.isdigit():
-            toks[i] = (tok.zfill(draw(st.sampled_from((18, 19, 25)))), role)
+            toks[i] = (draw(st.sampled_from((tok.zfill(18), tok.zfill(19), tok.zfill(25),
+                                             unplain(draw, tok)))), role)
     return toks
 
 
@@ -258,6 +288,42 @@ PINNED = [
     ("scp 1\n123456789 1\n1 1 123456789\n", "native"),
     ("scp 1\n3 1\n1 3 1 2 00000000000000003\n", "native"),
     ("scp 1\n1 1\n12345678901234567/123456789 1 1\n", "native"),
+    # U+0085 and U+2028 right after "\r": two line breaks, not one
+    ("scp 1\r\x852 1\r\u20281 2 1 2\n", "native"),
+    ("scp 1\r\x852 1\r\u20281 2 1 x\n", "native"),
+    ("scp 1\n2 1\r\x85\r\u2028\r\n1 2 1 x\n", "native"),
+    ("2 1\r\x851\r\u20281 1\r\x851 x\n", "orlib"),
+    # U+3000 and U+00A0 as separators, in a valid text and before an error
+    ("scp\u30001\n2\xa01\n1 2 1\u30002\n", "native"),
+    ("scp\u30001\n2\xa01\n1 2 1\u3000x\n", "native"),
+    ("scp 1\n2 1\n1 2 1\xa0\u3000 2 2\n", "native"),
+    ("2\u30001\n1\n1\xa01\n1\u30001\n", "orlib"),
+    ("2\u30001\n1\n1\xa01\n1\u3000x\n", "orlib"),
+    # a bad token after a character past ASCII on its line: columns count characters
+    ("scp 1\n2 1\n1 2 1\u3000\u3000x\n", "native"),
+    ("scp 1\n2 1\n1 2 \u0661 2 \xe9t\xe9\n", "native"),
+    ("scp 1\n2 1\n1 3 1 \xe9 x\n", "native"),
+    ("scp 1\n2 1\n\u0661 2 1 2 x\n", "native"),
+    ("2 1\n1\n1 1\n1 \u0661 x\n", "orlib"),
+    # a Unicode digit and a "+" as m, n and a count, which int() reads
+    ("scp 1\n\u0663 1\n1 3 1 2 3\n", "native"),
+    ("scp 1\n3 \u0661\n1 3 1 2 3\n", "native"),
+    ("scp 1\n3 1\n1 \u0663 1 2 3\n", "native"),
+    ("scp 1\n+3 1\n1 3 1 2 3\n", "native"),
+    ("scp 1\n3 +1\n1 3 1 2 3\n", "native"),
+    ("scp 1\n3 1\n1 +3 1 2 3\n", "native"),
+    ("scp 1\n3 1\n1 +3 1 2\n", "native"),
+    ("\u0662 1\n1\n1 1\n1 1\n", "orlib"),
+    ("2 +1\n1\n+1 1\n\u0661 1\n", "orlib"),
+    ("2 1\n1\n\u0662 1 1\n1 1\n", "orlib"),
+    # members past one int() refuses are not read, and repeat nothing
+    ("scp 1\n9 2\n1 1 x\n1 2 +3 +4\n", "native"),
+    ("scp 1\n9 2\n1 3 +1 x 1\n1 2 +3 +4\n", "native"),
+    ("3 2\n1 1\n1 x\n2 +1 +2\n1 1\n", "orlib"),
+    # OR-Library column ids past int64
+    ("2 2\n1 1\n1 99999999999999999999\n1 2\n", "orlib"),
+    ("2 2\n1 1\n2 1 -99999999999999999999\n1 2\n", "orlib"),
+    ("2 2\n1 1\n2 1 1\n1 99999999999999999999\n", "orlib"),
 ]
 
 
@@ -273,7 +339,8 @@ class TestAgainstFrozenParsers:
         assert_same(text, "orlib")
 
     @settings(max_examples=150, deadline=None)
-    @given(st.text(alphabet=" \n\t\r\x0b\x1c scp0123-/x", max_size=40))
+    @given(st.text(alphabet=" \n\t\r\x0b\x1c\u2028scp0123-/x+_\u0663\xe9\xa0\u3000\x85",
+                   max_size=40))
     def test_arbitrary_text(self, text):
         assert_same(text, "native")
         assert_same(text, "orlib")
