@@ -38,14 +38,10 @@ snapped value is limit_denominator's, most often confirmed by an integer
 test on a float continued fraction's convergent instead of computed.  The
 check reads only the instance's flat arrays: each element's coverage and
 each set's load are bulk sums over Python ints (object arrays).  When
-that fails, the pair is rounded once more onto the denominators Cramer's
-rule allows for the final basis B (|det B|, times the weights' common
-denominator for the dual) and checked the same way.  That rounding is only
-right while |det B| times the float error (about 1e-14) stays well under
-1/2, so bases with larger determinants, from about 1e13 up, go uncertified
-even below the 2**53 cut-off; an exact basis solve would certify them.
-When certification succeeds the outcome carries the exact rational
-objective, solution and dual.
+that fails, the final basis's vertex is solved exactly, in integers, on
+its k x k core (Bareiss 1968), and the same check judges it.  When
+certification succeeds the outcome carries the exact rational objective,
+solution and dual.
 """
 
 from __future__ import annotations
@@ -85,7 +81,7 @@ class LpStats:
     cleanup_pivots: int = 0  # dual pivots that repaired the rhs after a refactorization
     refactorizations: int = 0
     perturbed: bool = False  # a degeneracy streak perturbed the rhs
-    certificate: str | None = None  # "snap", "det", or None when uncertified
+    certificate: str | None = None  # "snap", "det" (the basis core solved exactly), or None
 
 
 @dataclass(frozen=True)
@@ -216,7 +212,7 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
     within DEFAULT_TOL on a freshly refactorized tableau of the true
     weights, "iteration-limit" when the pivot budget ran out first.
     """
-    dw = require_positive_weights(instance)[1]
+    weights, dw = require_positive_weights(instance)
     m, n = instance.m, instance.n
     if max_iterations is None:
         max_iterations = 100 * (m + n) + 1000
@@ -308,7 +304,7 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
         exact = certify_pair(instance, *pair)
         certificate = "snap"
         if exact is None:
-            pair = _snap_to_det(_columns(d, basis), x, y, dw)
+            pair = _core_pair(d, basis, nonbasic, weights, dw)
             exact = pair and certify_pair(instance, *pair)
             certificate = "det" if exact is not None else None
         if exact is not None:
@@ -363,28 +359,42 @@ def _nearest(v: float) -> Fraction:
     return Fraction(v).limit_denominator(limit)
 
 
-def _snap_to_det(b_mat, x, y, dw):
-    """Candidate pair on the denominators Cramer's rule gives the basis B.
+def _core_pair(d, basis, nonbasic, weights, dw):
+    """The final basis's exact vertex (x, y), or None when its core is singular.
 
-    With D = |det B|, every multiplier in x = pi has a denominator dividing
-    D, and every dual value in y = B^-1 w one dividing D*dw (dw: the
-    weights' common denominator).  Returns x and y rounded onto those grids
-    for certify_pair to decide, or None when B is singular or D reaches
-    2**53, where floats stop holding every integer.  The rounding lands on
-    the true values only while D times the float error (about 1e-14) is
-    well under 1/2, so from D near 1e13 on the check usually fails and the
-    LP goes uncertified, also below 2**53.
+    The basis is all slack columns but a 0/1 core C = D[T, S] of the tight
+    sets T (nonbasic slacks) and basic elements S.  So C y_S = w_T (w the
+    integer weights, over dw), C^T x_T = 1, and every other x and y is 0.
     """
-    sign, logdet = np.linalg.slogdet(b_mat)
-    d = round(math.exp(logdet)) if sign and logdet < 53 * math.log(2) else 0
-    if d == 0:
+    n, m = d.shape
+    tight, elements = nonbasic[nonbasic >= m] - m, basis[basis < m]
+    core = d[np.ix_(tight, elements)].astype(np.int64)
+    y_core = _solve_integer(core, [weights[i] for i in tight], dw)
+    if y_core is None:  # then C^T is singular too
         return None
-    return _round_onto(x, d), _round_onto(y, d * dw)
+    x, y = np.full(n, Fraction(0), object), np.full(m, Fraction(0), object)
+    x[tight], y[elements] = _solve_integer(core.T, [1] * tight.size, 1), y_core
+    return x.tolist(), y.tolist()
 
 
-def _round_onto(values, den: int) -> list[Fraction]:
-    """Each value rounded, exactly, to the nearest multiple of 1/den."""
-    return [Fraction(round(Fraction(float(v)) * den), den) for v in values]
+def _solve_integer(c, b, den):
+    """z/den for the exact solution z of c z = b, or None when c is singular.
+
+    Fraction-free Gauss-Jordan elimination over Python ints (Bareiss 1968):
+    every entry stays a minor of [c | b], so each division is exact.
+    """
+    a = np.column_stack([c.astype(object), np.array(b, object)])
+    prev = 1
+    for j in range(len(b)):
+        rows = np.flatnonzero(a[j:, j]) + j
+        if rows.size == 0:
+            return None
+        a[[j, rows[0]]] = a[[rows[0], j]]
+        pivot, row = a[j, j], a[j, j + 1:].copy()
+        a[:, j + 1:] = (pivot * a[:, j + 1:] - np.multiply.outer(a[:, j], row)) // prev
+        a[j, j + 1:] = row
+        prev = pivot
+    return [Fraction(z, prev * den) for z in a[:, -1]]
 
 
 def certify_pair(instance: Instance, x, y):

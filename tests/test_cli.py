@@ -10,8 +10,10 @@ import pytest
 
 from setcoverlab import cli, errors
 from setcoverlab.cli import main
+from setcoverlab.instance import write_native
 
 from oracle import brute_harmonic
+from test_lp import wide_lp
 
 
 def run_cli(capsys, *argv):
@@ -360,6 +362,14 @@ class TestLpExact:
         assert code == 0
         assert "objective=3.500000000" in out
         assert "exact_objective=7/2" in out
+
+    def test_lp_certifies_a_wide_instance(self, capsys, tmp_path):
+        # snapping finds no small denominators here; the basis core certifies
+        path = tmp_path / "wide150.scp"
+        path.write_text(write_native(wide_lp(150, 0)))
+        code, out, _ = run_cli(capsys, "lp", str(path))
+        assert code == 0
+        assert "exact_objective=" in out
 
     def test_lp_csv(self, capsys, tmp_path):
         path = tmp_path / "g2.scp"

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -134,7 +135,7 @@ class TestAgainstScipy:
             assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
 
     def test_basis_certificate_matches_snapped_one(self, monkeypatch):
-        # force the determinant fallback, which rounds onto det(B)
+        # force the fallback, the exact solve of the final basis core
         snapped = [solve_lp(gen_gf2(k)).exact_objective for k in (2, 3, 4)]
         snapped += [solve_lp(rnd(seed, m=12, n=20)).exact_objective for seed in range(6)]
         monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
@@ -262,10 +263,10 @@ class TestCertificateCheck:
         by_basis = solve_lp(inst)
         monkeypatch.undo()
 
-        def no_fallback(b_mat, x, y, dw):
+        def no_fallback(d, basis, nonbasic, weights, dw):
             raise AssertionError("snapping did not certify")
 
-        monkeypatch.setattr(lp_mod, "_snap_to_det", no_fallback)
+        monkeypatch.setattr(lp_mod, "_core_pair", no_fallback)
         out = solve_lp(inst)
         assert out.exact_objective == by_basis.exact_objective == Fraction(35411, 1000)
         assert out.exact_x == by_basis.exact_x
@@ -365,8 +366,17 @@ def assert_r_at_most_g(instance, lp_objective):
         assert greedy_lp_slack(instance, lp_objective, tie) >= 0
 
 
+def wide_lp(m, seed):
+    """m elements, 10m sets of 8 drawn elements (fewer after repeats) with
+    weights 1..10, and one weight-100 singleton per element."""
+    rng = np.random.default_rng(seed)
+    sets = [(rng.integers(1, m + 1, 8).tolist(), int(rng.integers(1, 11))) for _ in range(10 * m)]
+    return make_instance(m, sets + [([e], 100) for e in range(1, m + 1)])
+
+
 class TestDeterminantFallback:
-    """The pair rounded onto det(B) certifies where snapping cannot."""
+    """The final basis's core, solved exactly over det C, certifies where
+    snapping cannot."""
 
     @pytest.mark.parametrize("shape, objective", [
         ((150, 300, 0.04, 0), Fraction(1450761971, 17270000)),
@@ -377,18 +387,37 @@ class TestDeterminantFallback:
     def test_certifies_past_the_snapping_limit(self, shape, objective):
         inst = random_lp(*shape)
         out, pairs = solver_pairs(inst)
-        assert len(pairs) == 2  # the snapped pair failed, the determinant pair passed
+        assert len(pairs) == 2  # the snapped pair failed, the core's pair passed
         assert out.exact_objective == objective
         assert (out.exact_x, out.y) == tuple(map(tuple, pairs[-1]))
         assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
         assert_r_at_most_g(inst, out.exact_objective)
 
-    def test_no_candidate_when_det_is_beyond_float_integers(self, monkeypatch):
-        # gf2(8)'s final basis has |det B| = 2**769
+    def test_certifies_gf2_6_without_snapping(self, monkeypatch):
         monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
-        out, pairs = solver_pairs(gen_gf2(8))
-        assert out.status == STATUS_OPTIMAL and out.exact_objective is None
-        assert len(pairs) == 1
+        out, pairs = solver_pairs(gen_gf2(6))
+        assert out.exact_objective == Fraction(63, 32) and out.stats.certificate == "det"
+        assert len(pairs) == 2
+
+    def test_singular_core_gives_no_pair(self):
+        # both sets tight, both elements basic: the core [[1, 1], [1, 1]]
+        d = np.ones((2, 2))
+        assert lp_mod._core_pair(d, np.array([0, 1]), np.array([2, 3]), (1, 1), 1) is None
+
+    @pytest.mark.slow
+    def test_certifies_the_wide_and_sparse_lps(self):
+        instances = [wide_lp(m, seed) for m in (150, 200, 300) for seed in range(3)]
+        instances += [random_lp(300, 1000, 0.02, seed) for seed in range(3)]
+        solve_s = 0.0
+        for inst in instances:
+            start = time.perf_counter()
+            out = solve_lp(inst)
+            solve_s += time.perf_counter() - start
+            assert out.status == STATUS_OPTIMAL and out.exact_objective is not None
+            assert out.stats.certificate == "det"
+            assert float(out.exact_objective) == pytest.approx(scipy_objective(inst), abs=1e-9)
+            assert_r_at_most_g(inst, out.exact_objective)
+        assert solve_s < 120  # about 30 s on 2 cores
 
 
 class TestPivotRules:
