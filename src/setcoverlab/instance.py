@@ -231,12 +231,17 @@ def _falls(indptr: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return falls
 
 
+MASK_BLOCK = 1 << 16  # span bytes packed at a time by _masks
+
+
 def _masks(indptr: np.ndarray, elements: np.ndarray) -> list[int]:
     """Per-set bitmasks, each packed over its own byte span and shifted into place.
 
-    The buffer holds one byte per set plus the bytes of the spans, so a
-    far singleton costs no more than the mask it becomes.  When no set is
-    empty and no element is past 64, each mask is one word, ORed in place.
+    The spans are packed by np.packbits from one bool per bit, a block of
+    sets at a time, so the bools stay near 8 x MASK_BLOCK (or one set's
+    span) while the packed bytes hold only the spans: a far singleton
+    costs no more than the mask it becomes.  When no set is empty and no
+    element is past 64, each mask is one word, ORed in place.
     """
     pos = elements - 1
     if pos.size and pos.min() < 0:
@@ -246,19 +251,22 @@ def _masks(indptr: np.ndarray, elements: np.ndarray) -> list[int]:
     if pos.size and pos.max() < 64 and full.all():  # one word per mask: OR each set's bits
         return np.bitwise_or.reduceat(np.left_shift(np.uint64(1), pos.astype(np.uint64)),
                                       indptr[:-1]).tolist()
-    bits = np.left_shift(np.uint8(1), pos.astype(np.uint8) & 7)
-    pos >>= 3  # now the byte of each element within its mask
-    lo = np.zeros(sizes.size, np.int64)
+    lo = np.zeros(sizes.size, np.int64)  # each span's first byte
     width = np.zeros(sizes.size, np.int64)  # empty sets span no bytes
     starts = indptr[:-1][full]
-    lo[full] = np.minimum.reduceat(pos, starts)
-    width[full] = np.maximum.reduceat(pos, starts) - lo[full] + 1
+    lo[full] = np.minimum.reduceat(pos, starts) >> 3
+    width[full] = (np.maximum.reduceat(pos, starts) >> 3) - lo[full] + 1
     offset = _sizes_to_indptr(width)
-    pos += (offset[:-1] - lo).repeat(sizes)  # now the byte within the buffer
-    packed = np.zeros(int(offset[-1]), np.uint8)
-    np.bitwise_or.at(packed, pos, bits)
-    raw = packed.tobytes()
+    pos += ((offset[:-1] - lo) << 3).repeat(sizes)  # now the bit within the buffer
     bounds = offset.tolist()
+    # a block ends at the last set whose span ends in each MASK_BLOCK of bytes
+    cuts = [0, *(np.flatnonzero(np.diff(offset[1:] // MASK_BLOCK)) + 1).tolist(), sizes.size]
+    packed = np.empty(bounds[-1], np.uint8)
+    for a, b in zip(cuts, cuts[1:]):
+        bits = np.zeros(8 * (bounds[b] - bounds[a]), bool)
+        bits[pos[indptr[a]:indptr[b]] - 8 * bounds[a]] = True
+        packed[bounds[a]:bounds[b]] = np.packbits(bits, bitorder="little")
+    raw = packed.tobytes()
     return [int.from_bytes(raw[a:b], "little") << shift
             for a, b, shift in zip(bounds, bounds[1:], (lo << 3).tolist())]
 

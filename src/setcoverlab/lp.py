@@ -5,8 +5,8 @@ We run a tableau simplex on the dual packing program (max 1.y subject to
 per-set loads <= w, y >= 0), whose slack basis is immediately feasible, so
 no two-phase start is needed.  The tableau is condensed (Tucker's form):
 its n rows are the basic variables and its m columns the nonbasic ones,
-plus the rhs column and the reduced-cost row, so the n x n identity block
-of the basic columns is never stored or updated.  Two label arrays map
+plus the rhs, delta's image (below) and the reduced-cost row, so the
+n x n identity block of the basic columns is never stored or updated.  Two label arrays map
 rows and column slots to variables (y_e is label e-1, set i's slack label
 m+i); at a pivot the leaving variable takes the entering one's slot.
 Pricing is Dantzig's.  The first time BLAND_STREAK degenerate pivots
@@ -17,31 +17,34 @@ the perturbation, switches to it until the objective moves again.  Every
 rule, and both ratio tests, break ties by the lowest variable label,
 never by slot.  An LP that never stalls pivots exactly as plain Dantzig.
 
-The tableau is rebuilt from the original data, always on the true
-weights, only where the answer is decided: when no column prices in, and
-once at an iteration limit while the rhs is still perturbed.  So drift and
-delta never decide termination, and every pivot before that rebuild is
-elementwise numpy work, independent of the BLAS thread count.  After every
-rebuild, dual-simplex pivots (the most negative rhs leaves, the dual ratio
-test picks the entering column) repair any rhs that dropping delta, or
-drift, left below -DEFAULT_TOL; optimality is declared only on a rebuilt
-tableau with no pivot since.  x is read off that tableau's reduced-cost
-row: a nonbasic slack's reduced cost is -x_i, and x_i = 0 for a basic one.
-Each outcome's stats count the Bland, repair and refactorization steps and
-name the certificate path.
+When no column prices in, the vertex of the true weights is read off the
+tableau as it stands: x from the reduced-cost row (a nonbasic slack's
+reduced cost is -x_i, and x_i = 0 for a basic one), y from the rhs less
+the perturbation's image, one more column that takes delta with the rhs
+and goes through every pivot.  That pair is snapped to small rationals
+and checked in integers over common denominators: feasibility of both
+sides and equal objectives prove optimality by weak duality.  If it
+certifies, the solve ends without a rebuild, so a certifiable LP runs
+elementwise numpy alone and makes no BLAS call.  Otherwise the tableau is
+rebuilt from the original data on the true weights, dual-simplex pivots
+(the most negative rhs leaves, the dual ratio test picks the entering
+column) repair any rhs that dropping delta, or drift, left below
+-DEFAULT_TOL, and the check runs again once no column prices in.  So
+optimality is declared on an exact certificate, or on a rebuilt tableau
+with no pivot since; drift and delta never decide it, and every pivot
+before a rebuild is independent of the BLAS thread count.  At an
+iteration limit while delta is in, the tableau is rebuilt once to report
+the true weights' vertex.  Stats count the Bland, repair and
+refactorization steps and name the certificate path.
 
-Because the float tableau can drift, the solver then tries to certify the
-result exactly: the float primal/dual pair is snapped to small rationals
-and checked in integer arithmetic over common denominators (feasibility of
-both sides plus equal objectives proves optimality by weak duality).  A
-snapped value is limit_denominator's, most often confirmed by an integer
-test on a float continued fraction's convergent instead of computed.  The
-check reads only the instance's flat arrays: each element's coverage and
-each set's load are bulk sums over Python ints (object arrays).  When
-that fails, the final basis's vertex is solved exactly, in integers, on
-its k x k core (Bareiss 1968), and the same check judges it.  When
-certification succeeds the outcome carries the exact rational objective,
-solution and dual.
+A snapped value is limit_denominator's, most often confirmed by an
+integer test on a float continued fraction's convergent instead of
+computed.  The check reads only the instance's flat arrays: each
+element's coverage and each set's load are bulk sums over Python ints
+(object arrays).  When the rebuilt tableau's pair fails too, the final
+basis's vertex is solved exactly, in integers, on its k x k core
+(Bareiss 1968), and the same check judges it.  A certified outcome
+carries the exact rational objective, solution and dual.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ class LpStats:
     """What one solve did: its pivot kinds, refactorizations and certificate path."""
     bland_pivots: int = 0  # pivots priced by Bland's rule (the fallback)
     cleanup_pivots: int = 0  # dual pivots that repaired the rhs after a refactorization
-    refactorizations: int = 0
+    refactorizations: int = 0  # the drifted vertex failed its check, or a limit came with delta in
     perturbed: bool = False  # a degeneracy streak perturbed the rhs
     certificate: str | None = None  # "snap", "det" (the basis core solved exactly), or None
 
@@ -126,7 +129,7 @@ def _refactorize(d, w, basis, nonbasic):
     reinversion in a revised simplex.  The same solve gives the reduced-cost
     row c_N - c_B B^-1 N, with minus the objective in the rhs slot: c_B is 1
     on the rows of basic y_e and 0 on basic slacks, so c_B B^-1 [N | w] is
-    the sum of those rows.
+    the sum of those rows.  The perturbation's image column comes back 0.
     """
     m = d.shape[1]
     try:
@@ -135,7 +138,7 @@ def _refactorize(d, w, basis, nonbasic):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular basis during refactorization: {exc}")
     obj = np.append((nonbasic < m).astype(float), 0.0) - body[basis < m].sum(axis=0)
-    return np.vstack([body, obj])
+    return np.pad(np.vstack([body, obj]), ((0, 0), (0, 1)))
 
 
 def _pivot(t, basis, nonbasic, leave, enter):
@@ -180,7 +183,7 @@ def _dual_pivot(t, basis, nonbasic):
     dual ratio test (reduced cost over the row's negative entry), so every
     reduced cost stays nonpositive.  None when no rhs is below -DEFAULT_TOL.
     """
-    n, m = t.shape[0] - 1, t.shape[1] - 1
+    n, m = t.shape[0] - 1, nonbasic.size
     rhs = t[:n, m]
     leave = int(rhs.argmin())
     if rhs[leave] >= -DEFAULT_TOL:
@@ -192,6 +195,18 @@ def _dual_pivot(t, basis, nonbasic):
         raise NumericalFailure("covering LP appears infeasible; corrupt tableau")
     ratios = t[n, slots] / row[slots]
     return leave, _lowest_label(slots[ratios <= ratios.min() + DEFAULT_TOL], nonbasic)
+
+
+def _vertex(t, basis, nonbasic):
+    """The float vertex (x, y) of the true weights on the condensed tableau t."""
+    n, m = basis.size, nonbasic.size
+    slacks = np.flatnonzero(nonbasic >= m)  # their reduced costs are -x; basic ones' x is 0
+    x = np.zeros(n)
+    x[nonbasic[slacks] - m] = np.maximum(-t[n, slacks], 0.0)
+    y = np.zeros(m)
+    structural = np.flatnonzero(basis < m)
+    y[basis[structural]] = t[structural, m] - t[structural, m + 1]
+    return x, y
 
 
 def _float_weights(instance: Instance) -> list[float]:
@@ -208,9 +223,10 @@ def _float_weights(instance: Instance) -> list[float]:
 def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutcome:
     """Minimize the covering LP; returns the best vertex found.
 
-    status is "optimal" when the simplex reached reduced-cost optimality
-    within DEFAULT_TOL on a freshly refactorized tableau of the true
-    weights, "iteration-limit" when the pivot budget ran out first.
+    status is "optimal" when no column prices in within DEFAULT_TOL and
+    either the vertex of the true weights certifies exactly or the tableau
+    was just refactorized on them, "iteration-limit" when the pivot budget
+    ran out first.
     """
     weights, dw = require_positive_weights(instance)
     m, n = instance.m, instance.n
@@ -221,8 +237,9 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
     w = np.array(_float_weights(instance))
     basis = np.arange(m, m + n)  # row -> variable label
     nonbasic = np.arange(m)  # slot -> variable label
-    # the slack basis is the identity: the start tableau is [D | w] over [1 | -0]
-    t = np.empty((n + 1, m + 1))
+    # the slack basis is the identity: the start tableau is [D | w | 0] over
+    # [1 | -0 | 0], the last column the perturbation's image
+    t = np.zeros((n + 1, m + 2))
     t[:n, :m] = d
     t[:n, m] = w
     t[n, :m] = 1.0
@@ -230,6 +247,7 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
     iterations = streak = 0
     bland_pivots = cleanup_pivots = refactorizations = 0
     bland = perturbed = shifted = repair = False
+    exact = None
     fresh = True  # no pivot since the tableau was built from the data
     while True:
         step = _dual_pivot(t, basis, nonbasic) if repair else None
@@ -239,7 +257,11 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
         else:
             enter = _entering(t[n, :m], nonbasic, bland)
             if enter < 0:
-                if fresh:
+                x, y = _vertex(t, basis, nonbasic)
+                snapped = _snap(np.concatenate([x, y]).tolist())
+                pair = (snapped[:n], snapped[n:])
+                exact = certify_pair(instance, *pair)
+                if exact is not None or fresh:
                     status = STATUS_OPTIMAL
                     break
                 # decide on the true weights: the rebuild drops the drift and
@@ -279,38 +301,27 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
         else:
             # delta: positive and distinct per row (a golden-ratio sequence),
             # so the ratio tests on the shifted rhs rarely tie
-            t[:n, m] += PERTURBATION * w.mean() * (1.0 + np.modf(np.arange(1, n + 1) * GOLDEN)[0])
+            t[:n, m:] += (PERTURBATION * w.mean()
+                          * (1.0 + np.modf(np.arange(1, n + 1) * GOLDEN)[0]))[:, None]
             perturbed = shifted = True
             streak = 0
 
-    if shifted:  # report the vertex of the true weights
-        t = _refactorize(d, w, basis, nonbasic)
-        refactorizations += 1
-    # the nonbasic slacks' reduced costs are -x; the basic ones' are 0
-    slacks = np.flatnonzero(nonbasic >= m)
-    x = np.zeros(n)
-    x[nonbasic[slacks] - m] = np.maximum(-t[n, slacks], 0.0)
+    certificate = "snap" if exact is not None else None
+    if status == STATUS_ITERATION_LIMIT:
+        if shifted:  # report the vertex of the true weights
+            t = _refactorize(d, w, basis, nonbasic)
+            refactorizations += 1
+        x, y = _vertex(t, basis, nonbasic)
+    elif exact is None:
+        pair = _core_pair(d, basis, nonbasic, weights, dw)
+        exact = pair and certify_pair(instance, *pair)
+        certificate = "det" if exact is not None else None
     objective = float(sum(wi * xi for wi, xi in zip(w, x)))
-    y = np.zeros(m)
-    structural = np.flatnonzero(basis < m)
-    y[basis[structural]] = t[structural, m]
-
-    exact_obj = None
-    exact_x = None
-    certificate = None
-    if status == STATUS_OPTIMAL:
-        snapped = _snap(np.concatenate([x, y]).tolist())
-        pair = (snapped[:n], snapped[n:])
-        exact = certify_pair(instance, *pair)
-        certificate = "snap"
-        if exact is None:
-            pair = _core_pair(d, basis, nonbasic, weights, dw)
-            exact = pair and certify_pair(instance, *pair)
-            certificate = "det" if exact is not None else None
-        if exact is not None:
-            exact_x, exact_obj = exact
-            objective = float(exact_obj)
-            x, y = exact_x, pair[1]
+    exact_obj = exact_x = None
+    if exact is not None:
+        exact_x, exact_obj = exact
+        objective = float(exact_obj)
+        x, y = exact_x, pair[1]
 
     stats = LpStats(bland_pivots=bland_pivots, cleanup_pivots=cleanup_pivots,
                     refactorizations=refactorizations, perturbed=perturbed,

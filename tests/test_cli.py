@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from setcoverlab import cli, errors
+from setcoverlab import lp as lp_mod
 from setcoverlab.cli import main
 from setcoverlab.instance import write_native
 
@@ -406,6 +408,8 @@ class TestLpExact:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
+        # a pair that never certifies sends the solve on to the refactorization
+        monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
         code, out, err = run_cli(capsys, "lp", cs_file)
         assert code == 5 and out == ""
         assert err.startswith("solver error: singular basis during refactorization")

@@ -287,6 +287,15 @@ class TestMemo:
         with pytest.raises(ValueError):
             element_masks(Instance(m=m, sets=(SetEntry((0, 1), Fraction(1)),)))
 
+    @pytest.mark.parametrize("block", [1, 3, 8, 40])
+    def test_masks_packed_a_block_at_a_time(self, monkeypatch, block):
+        # spans of 1 to 38 bytes, cut into blocks that end inside, at or past a set
+        inst = gen_random(RandomSpec(m=300, n=30, density=0.2, weight_lo=Fraction(1),
+                                     weight_hi=Fraction(4), seed=block))
+        monkeypatch.setattr(instance, "MASK_BLOCK", block)
+        expected = [sum(1 << (e - 1) for e in entry.elements) for entry in inst.sets]
+        assert element_masks(inst) == expected
+
     def test_masks_and_incidence(self):
         inst = gf2_k2()  # {1,3} {2,3} {1,2}
         assert element_masks(inst) == [0b101, 0b110, 0b011]

@@ -98,7 +98,7 @@ class TestSolveExamples:
 
     @pytest.mark.slow
     def test_gf2_family_objective_up_to_k10(self):
-        # thousands of dense pivots, with one refactorization at the end
+        # thousands of dense pivots; the drifted vertex certifies, so no refactorization
         for k in (7, 8, 9, 10):
             inst = gen_gf2(k)
             out = solve_lp(inst)
@@ -387,7 +387,8 @@ class TestDeterminantFallback:
     def test_certifies_past_the_snapping_limit(self, shape, objective):
         inst = random_lp(*shape)
         out, pairs = solver_pairs(inst)
-        assert len(pairs) == 2  # the snapped pair failed, the core's pair passed
+        # the drifted and the rebuilt snapped pairs failed, the core's pair passed
+        assert len(pairs) == 3
         assert out.exact_objective == objective
         assert (out.exact_x, out.y) == tuple(map(tuple, pairs[-1]))
         assert out.objective == pytest.approx(scipy_objective(inst), abs=1e-6)
@@ -397,7 +398,7 @@ class TestDeterminantFallback:
         monkeypatch.setattr(lp_mod, "_snap", lambda values: [Fraction(-1)] * len(values))
         out, pairs = solver_pairs(gen_gf2(6))
         assert out.exact_objective == Fraction(63, 32) and out.stats.certificate == "det"
-        assert len(pairs) == 2
+        assert len(pairs) == 3
 
     def test_singular_core_gives_no_pair(self):
         # both sets tight, both elements basic: the core [[1, 1], [1, 1]]
@@ -418,6 +419,34 @@ class TestDeterminantFallback:
             assert float(out.exact_objective) == pytest.approx(scipy_objective(inst), abs=1e-9)
             assert_r_at_most_g(inst, out.exact_objective)
         assert solve_s < 120  # about 30 s on 2 cores
+
+
+class TestCertifyBeforeRebuild:
+    """A drifted vertex that certifies ends the solve: no refactorization,
+    so no LAPACK call."""
+
+    # gf2's stalls perturb the rhs, so its y is read net of delta's image
+    @pytest.mark.parametrize("inst, objective, perturbed", [
+        (gen_gf2(6), Fraction(63, 32), True),
+        (gen_gf2(7), Fraction(127, 64), True),
+        (gen_gf2(8), Fraction(255, 128), True),
+        (random_lp(42, 30, 5 / 30, 3), Fraction(80239, 2000), False),
+    ], ids=["gf2-6", "gf2-7", "gf2-8", "rnd42x30"])
+    def test_certifies_without_solving_the_basis(self, monkeypatch, inst, objective, perturbed):
+        def refused(*args):
+            raise AssertionError("np.linalg.solve was called")
+
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        out = solve_lp(inst)
+        assert (out.status, out.exact_objective) == (STATUS_OPTIMAL, objective)
+        assert out.stats.certificate == "snap" and out.stats.refactorizations == 0
+        assert out.stats.perturbed == perturbed
+
+    def test_drifted_vertex_that_fails_refactorizes(self):
+        out, pairs = solver_pairs(random_lp(54, 48, 0.5, 1111, weight_hi=1))
+        assert out.exact_objective == Fraction(1418063, 676761)
+        assert out.stats.refactorizations >= 1 and out.stats.certificate == "snap"
+        assert len(pairs) == 2  # the drifted pair failed, the rebuilt one passed
 
 
 class TestPivotRules:
@@ -636,8 +665,9 @@ class TestDegeneracy:
 
     @pytest.mark.slow
     def test_pivot_path_does_not_depend_on_blas_threads(self):
-        # the tableau is rebuilt only once no column prices in, so the
-        # thread count of OpenBLAS's solve cannot steer gf2(9)'s pivots
+        # gf2(9)'s drifted vertex certifies, so the solve never rebuilds the
+        # tableau and makes no BLAS call: the thread count of OpenBLAS cannot
+        # steer its pivots.  Only the pivots after a rebuild could depend on it
         script = ("from setcoverlab import gen_gf2, solve_lp; "
                   "out = solve_lp(gen_gf2(9)); print(out.iterations, out.exact_x, out.y)")
         runs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
