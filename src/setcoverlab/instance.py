@@ -28,7 +28,10 @@ others, with p and q of a "p/q" read the same way.  A walk over the count
 tokens places the weights, one Fraction per distinct value, and a mask takes
 the elements (OR-Library's transposed by one in-place sort); int() and
 parse_weight read the tokens that are not plain.  The reader raises the
-first fault its checks find in reading order, with its line and column.
+first fault its checks find in reading order, with its line and column;
+it checks the header (magic, version, m and n; OR-Library's m and n) on
+the first block, before it scans the rest, since no fault can come before
+a header token's.  write_native writes the ids in blocks too (_id_text).
 
 Every instance is read as flat arrays and weights (_arrays): a parsed or
 generated one holds them and builds its SetEntry tuple only when .sets is
@@ -477,36 +480,9 @@ def _blocks(text: str):
     yield at, *_scan_block(raw, raw.translate(_SEPARATOR))
 
 
-def _scan(text: str) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """(values, odd, blocks) for the tokens of an ASCII text.
-
-    The tokens are those of str.split().  values holds the integer of each
-    plain token (1 to 18 ASCII digits), and -1 for every other token.  odd
-    has a column for each token that is not plain, in order: its index,
-    its start and end in the text, and the p and q of a "p/q" whose only
-    byte that is no digit is the "/", each -1 unless it is 1 to 18 digits.
-    The text is scanned in blocks (_blocks), whose first tokens and offsets
-    are listed in blocks: the arrays per byte and per token of one block are
-    freed before the next, so the scan holds little besides its result.
-    """
-    values, odd, blocks = [], [], []
-    count = 0  # the tokens of the blocks before
-    for offset, block, spans in _blocks(text):
-        blocks.append((count, offset))
-        if offset:
-            spans[0] += count
-            spans[1:3] += offset
-        count += block.size
-        values.append(block)
-        odd.append(spans)
-    if len(values) == 1:
-        return values[0], odd[0], blocks
-    return np.concatenate(values), np.concatenate(odd, axis=1), blocks
-
-
 def _scan_block(raw: bytes, seps: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """_scan's (values, odd) for one block, with token indices and spans
-    counted from its start."""
+    """_Scan.read's (values, odd) for one block, with token indices and
+    spans counted from its start."""
     sep = np.frombuffer(b"\x01" + seps + b"\x01", bool)  # byte i + 1 is raw[i]
     edges = (sep[1:] != sep[:-1]).nonzero()[0]
     starts, ends = edges[::2], edges[1::2]
@@ -614,13 +590,13 @@ def _entries(indptr, elements, weights) -> tuple[SetEntry, ...]:
 
 
 class _Scan:
-    """A text's tokens as _scan reads them from an ASCII stand-in with the
+    """A text's tokens as read() scans them from an ASCII stand-in with the
     text's length, tokens and line breaks (past ASCII, a space that breaks
     lines reads as "\\x0b", which no "\\r" pairs with, any other space as " "
     and any other character as "?"), and what naming a fault needs: a
     token's text, from the text itself, and its line and column."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, head: int):
         self.text = self.ascii = text
         if not text.isascii():
             raw = bytearray(text, "ascii", "replace")  # one "?" per character past ASCII
@@ -628,7 +604,37 @@ class _Scan:
                 raw[space.start()] = 11 if space.group() in "\x85\u2028\u2029" else 32
             self.ascii = raw.decode("ascii")
             del raw  # the scan needs the room
-        self.values, self.odd, self.blocks = _scan(self.ascii)
+        self.blocks = []
+        self._rest = _blocks(self.ascii)
+        self.read(head)
+
+    def read(self, tokens: float = math.inf) -> None:
+        """Scan on until `tokens` tokens are read, or to the end of the text.
+
+        values holds the integer of each plain token (1 to 18 ASCII digits), and
+        -1 for every other token.  odd has a column for each token that is not
+        plain, in order: its index, its start and end in the text, and the p and
+        q of a "p/q" whose only byte that is no digit is the "/", each -1 unless
+        it is 1 to 18 digits.  blocks lists the first token and offset of each
+        block (_blocks): the arrays per byte and per token of one block are freed
+        before the next, so the scan holds little besides its result.
+        """
+        values, odd = ([self.values], [self.odd]) if self.blocks else ([], [])
+        count = values[0].size if values else 0  # the tokens of the blocks before
+        for offset, block, spans in self._rest:
+            self.blocks.append((count, offset))
+            if offset:
+                spans[0] += count
+                spans[1:3] += offset
+            count += block.size
+            values.append(block)
+            odd.append(spans)
+            if count >= tokens:
+                break
+        if len(values) == 1:
+            self.values, self.odd = values[0], odd[0]
+        else:
+            self.values, self.odd = np.concatenate(values), np.concatenate(odd, axis=1)
 
     def span(self, i: int) -> tuple[int, int]:
         """The start and end of token i, found from the start of its block."""
@@ -748,7 +754,7 @@ class _Scan:
 
 def parse_native(text: str, name: str | None = None) -> Instance:
     """Parse the native "scp 1" format; the result is validated."""
-    scan = _Scan(text)
+    scan = _Scan(text, 4)  # the header alone first: a fault in it comes before any other
     magic = scan.token(0, "format magic")
     if magic != NATIVE_MAGIC:
         raise scan.error(f"expected {NATIVE_MAGIC!r} header, got {magic!r}", 0)
@@ -757,6 +763,7 @@ def parse_native(text: str, name: str | None = None) -> Instance:
         raise scan.error(f"unsupported version {version!r}", 1)
     m = scan.number(2, "universe size m")
     n = scan.number(3, "set count n")
+    scan.read()
     elements, indptr, heads, faults = scan.records(
         4, n, 1, 0, lambda r, k: f"element {k - 2} of set {r}" if k > 1
         else (f"weight of set {r}", f"cardinality of set {r}")[k],
@@ -782,15 +789,61 @@ def parse_native(text: str, name: str | None = None) -> Instance:
     return instance
 
 
+WRITE_BLOCK = 1 << 14  # ids written at a time by write_native
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # an id has one digit more per power up to it
+
+
 def write_native(instance: Instance) -> str:
-    """Emit the native format; inverse of parse_native on valid instances."""
+    """Emit the native format; inverse of parse_native on valid instances.
+
+    The ids are written WRITE_BLOCK at a time (_id_text), a line break
+    after each set's last one; each set's line is its weight, its size
+    and its run of the block's text, cut out at its first id.  A set's run
+    may span blocks: its line then ends in the next.
+    """
     validate(instance)
-    lines = [f"{NATIVE_MAGIC} {NATIVE_VERSION}", f"{instance.m} {instance.n}"]
     indptr, elements, weights = _arrays(instance)
-    for (a, b), weight in zip(pairwise(indptr.tolist()), weights):  # one set's ints at a time
-        ids = map(str, elements[a:b].tolist())
-        lines.append(" ".join([format_weight(weight), str(b - a), *ids]))
-    return "\n".join(lines) + "\n"
+    sizes = np.diff(indptr).tolist()
+    firsts, lasts = indptr[:-1], indptr[1:] - 1  # each set's first and last id
+    out = [f"{NATIVE_MAGIC} {NATIVE_VERSION}\n{instance.m} {instance.n}\n"]
+    for lo in range(0, elements.size, WRITE_BLOCK):
+        hi = min(lo + WRITE_BLOCK, elements.size)
+        i, j = lasts.searchsorted((lo, hi))
+        text, offsets = _id_text(elements[lo:hi], lasts[i:j] - lo)
+        a, b = firsts.searchsorted((lo, hi)).tolist()  # the sets that start in the block
+        cuts = [*offsets[firsts[a:b] - lo].tolist(), len(text)]
+        out.append("".join([text[:cuts[0]], *(
+            f"{format_weight(weight)} {size} {text[x:y]}"
+            for weight, size, x, y in zip(weights[a:b], sizes[a:b], cuts, cuts[1:]))]))
+    return "".join(out)
+
+
+def _id_text(ids: np.ndarray, breaks: np.ndarray) -> tuple[str, np.ndarray]:
+    """Positive int64 ids in decimal, each followed by a space, or by a line
+    break at the indices in breaks; and the offset of each id, then the end.
+
+    An id's digits are one plus the powers of ten up to it.  They are
+    written into one byte buffer from the end of each id, by repeated
+    division by 10 of the ids that have digits left.
+    """
+    offsets = np.zeros(ids.size + 1, np.int64)
+    width = offsets[1:]
+    width += 2  # a digit and the separator
+    for ten in _TENS[:_TENS.searchsorted(ids.max(), "right")]:
+        width += ids >= ten
+    offsets.cumsum(out=offsets)
+    buf = np.full(int(offsets[-1]), ord(" "), np.uint8)
+    buf[offsets[breaks + 1] - 1] = ord("\n")
+    at, rest = offsets[1:] - 2, ids  # each id's lowest digit not yet written
+    while rest.size:
+        quotient = rest // 10  # a few times faster than np.divmod
+        digit = (rest - 10 * quotient).astype(np.uint8)
+        digit += ord("0")
+        buf[at] = digit
+        at -= 1
+        live = quotient > 0
+        rest, at = (quotient, at) if live.all() else (quotient[live], at[live])
+    return buf.tobytes().decode("ascii"), offsets
 
 
 # ---------------------------------------------------------------------------
@@ -799,11 +852,12 @@ def write_native(instance: Instance) -> str:
 
 def parse_orlib(text: str, name: str | None = None) -> Instance:
     """Parse the OR-Library set-covering format into a set-major Instance."""
-    scan = _Scan(text)
+    scan = _Scan(text, 2)  # m and n first, as from parse_native
     m = scan.number(0, "row count m")
     n = scan.number(1, "column count n")
     if m < 1 or n < 1:
         raise ScpSyntaxError("m and n must be positive")
+    scan.read()
     first = min(2 + n, scan.values.size)  # the first row's count, if no cost is missing
     cols, rows_at, _, faults = scan.records(
         first, m, 0, 1,

@@ -22,7 +22,7 @@ from setcoverlab import (
     write_native,
 )
 from setcoverlab.errors import EpsilonOutOfRange, KOutOfRange
-from setcoverlab.generators import DRAW_BLOCK, WEIGHT_GRID
+from setcoverlab.generators import DRAW_BLOCK, NUMPY_DRAWS, WEIGHT_GRID
 
 
 class TestClassCs:
@@ -286,7 +286,28 @@ class TestBlockReplay:
             # two blocks of element rows
             RandomSpec(m=DRAW_BLOCK // 1000 + 38, n=1000, density=Fraction(1, 7),
                        weight_lo=Fraction(1), weight_hi=Fraction(1), seed=4),
+            # the same two draws on the density through numpy's MT19937
+            RandomSpec(m=128, n=128, density=first, weight_lo=Fraction(1),
+                       weight_hi=Fraction(2), seed=3),
+            RandomSpec(m=128, n=128, density=Fraction(first) + Fraction(1, 2**54),
+                       weight_lo=Fraction(1), weight_hi=Fraction(2), seed=3),
+            # density 1 hits every draw
+            RandomSpec(m=200, n=100, density=1.0, weight_lo=Fraction(1, 2),
+                       weight_hi=Fraction(5, 2), seed=19),
+            # n > DRAW_BLOCK: a block per element row; a quarter of the sets are
+            # empty, and with no weights drawn their picks check the rng state
+            RandomSpec(m=2, n=DRAW_BLOCK + 5, density=0.5, weight_lo=Fraction(1, 2),
+                       weight_hi=Fraction(1, 2), seed=19),
         ]
+        # m * n one below NUMPY_DRAWS, at it and one above: the getrandbits
+        # replay, then numpy's MT19937, which hands the state back; seeds past
+        # 32 bits and negative ones, Fraction and float densities
+        crossover = ((129, 127), (128, 128), (145, 113))
+        assert [m * n - NUMPY_DRAWS for m, n in crossover] == [-1, 0, 1]
+        specs += [RandomSpec(m=m, n=n, density=density, weight_lo=Fraction(1),
+                             weight_hi=Fraction(3), seed=seed)
+                  for m, n in crossover for seed in (0, 2**32, 2**64 + 5, -1, -(2**40))
+                  for density in (Fraction(1, 7), 0.05)]
         specs += [RandomSpec(m=1 + s % 40, n=1 + s % 13, density=(s % 10 + 1) / 10,
                              weight_lo=Fraction(1), weight_hi=Fraction(3), seed=s)
                   for s in range(40)]
@@ -294,6 +315,20 @@ class TestBlockReplay:
             # the weights come after the patches, so they also check the rng state
             got = [(e.elements, e.weight) for e in gen_random(spec).sets]
             assert got == _reference_random(spec)
+
+    @pytest.mark.parametrize("m, n, loaded", [(129, 127, False), (128, 128, True)])
+    def test_numpy_random_is_imported_only_from_the_crossover_on(self, m, n, loaded):
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from setcoverlab import RandomSpec, gen_random\n"
+            f"gen_random(RandomSpec(m={m}, n={n}, density=0.1, weight_lo=Fraction(1),"
+            " weight_hi=Fraction(2), seed=1))\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split() == [str(loaded)]
 
     def test_weights_match_the_fraction_addition(self):
         # each weight is built as one Fraction; _reference_random adds

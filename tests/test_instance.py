@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seed_parsers
+import seed_writer
 from setcoverlab import (
     Cover,
     Instance,
@@ -394,6 +395,77 @@ class TestNativeFormat:
         assert (exc.value.line, exc.value.column) == (2, 3)
 
 
+def _writer_cases(small=False):
+    """(name, instance) for the block writer, with p/q and integer weights;
+    small ones for blocks of a few ids."""
+    if not small:
+        edges = [e for k in range(1, 7) for e in (10**k - 1, 10**k)]  # 9, 10, ..., 10**6
+        m = 10**6
+        yield "edges", instance._parsed(
+            m, np.array([0, m, m + len(edges), m + len(edges) + 1, m + len(edges) + 2]),
+            np.array([*range(1, m + 1), *edges, 1, m]),
+            [Fraction(7, 3), Fraction(5), Fraction(10**20 + 1, 3), Fraction(1, 10**6)], "edges")
+    yield "m1", make_instance(1, [((1,), Fraction(1, 2))])
+    yield "m1_twice", make_instance(1, [((1,), 3), ((1,), Fraction(9, 4))])
+    # one set per id, then the universe: a line break after every id
+    m = 300 if small else 40_000
+    yield "singletons", make_instance(
+        m, [((e,), Fraction(e, 7)) for e in range(1, m + 1)] + [(range(1, m + 1), 2)])
+    m = 1200 if small else 90_000
+    yield "far_singletons", make_instance(
+        m, [((m,), 4), ((1,), Fraction(3, 2)), (range(1, m + 1), 1), ((m // 2 + 7,), 6)])
+    yield "gf2", gen_gf2(5 if small else 8)
+    for seed, (m, n, density) in enumerate([(3000, 700, 0.01), (5, 3000, 0.3), (60, 40, 0.2)]):
+        if small:
+            m, n = min(m, 60), min(n, 40)
+        yield f"random{seed}", gen_random(RandomSpec(
+            m=m, n=n, density=density, weight_lo=Fraction(1, 3), weight_hi=Fraction(7), seed=seed))
+
+
+WRITER_CASES = [name for name, _ in _writer_cases(small=True)] + ["edges"]
+
+
+@pytest.fixture(scope="module")
+def writer_cases():
+    return dict(_writer_cases())
+
+
+class TestBlockWriter:
+    """write_native against the frozen per-set writer, byte for byte."""
+
+    @pytest.mark.parametrize("name", WRITER_CASES)
+    def test_same_bytes_as_the_per_set_writer(self, writer_cases, name):
+        inst = writer_cases[name]
+        assert write_native(inst) == seed_writer.write_native(inst)
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_any_block_size_writes_the_same_bytes(self, block):
+        # every set starts or ends inside a block, or spans several
+        cases = [inst for _, inst in _writer_cases(small=True)]
+        expected = [seed_writer.write_native(inst) for inst in cases]
+        with mock.patch.object(instance, "WRITE_BLOCK", block):
+            assert [write_native(inst) for inst in cases] == expected
+
+    def test_ids_at_every_power_of_ten(self):
+        ids = [e for k in range(1, 19) for e in (10**k - 1, 10**k)] + [2**63 - 1]
+        breaks = np.array([0, 5, 18, len(ids) - 1])
+        text, offsets = instance._id_text(np.array(ids, np.int64), breaks)
+        seps = [("\n" if i in breaks else " ") for i in range(len(ids))]
+        assert text == "".join(f"{e}{sep}" for e, sep in zip(ids, seps))
+        assert offsets.tolist() == [0, *np.cumsum([len(str(e)) + 1 for e in ids]).tolist()]
+
+    def test_memory_bound(self):
+        # the per-set writer peaked at 6.0 MB on gf2(10), a 2.1 MB text
+        inst = gen_gf2(10)
+        tracemalloc.start()
+        try:
+            write_native(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+
 class TestOrlib:
     ORLIB = "3 2\n1 1\n1 1\n1 2\n2 1 2\n"
 
@@ -492,19 +564,37 @@ class TestBlockScan:
     ])
     def test_long_token_memory_is_linear_in_the_text(self, text, parse):
         # a 4 MB token of letters cost the scan two int64 per byte: 20x the text
-        frozen = getattr(seed_parsers, parse.__name__)
-        with pytest.raises(ScpSyntaxError) as expected:
-            frozen(text)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ScpSyntaxError) as raised:
-                parse(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * len(text)
-        assert ((str(raised.value), raised.value.line, raised.value.column)
-                == (str(expected.value), expected.value.line, expected.value.column))
+        _assert_frozen_error_in_linear_memory(text, parse)
+
+    @pytest.mark.parametrize("text, parse", [
+        ("x " * (1 << 20), parse_native),
+        ("scp 2\n" + "x " * (1 << 20), parse_native),
+        ("scp 1\n3 y\n" + "x " * (1 << 20), parse_native),
+        ("scp 1\n3", parse_native),
+        ("x " * (1 << 20), parse_orlib),
+        ("0 4\n" + "x " * (1 << 20), parse_orlib),
+    ], ids=["magic", "version", "n", "end", "orlib_m", "orlib_zero"])
+    def test_a_bad_header_is_raised_before_the_scan(self, text, parse):
+        # the scan of the whole text ran first: 2 MB of one-letter tokens, five
+        # int64 each besides one, peaked at 48x the text
+        _assert_frozen_error_in_linear_memory(text, parse)
+
+
+def _assert_frozen_error_in_linear_memory(text, parse):
+    """parse raises on text what the frozen parser raises, peaking below 6x the text."""
+    frozen = getattr(seed_parsers, parse.__name__)
+    with pytest.raises(ScpSyntaxError) as expected:
+        frozen(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScpSyntaxError) as raised:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * max(len(text), 4096)
+    assert ((str(raised.value), raised.value.line, raised.value.column)
+            == (str(expected.value), expected.value.line, expected.value.column))
 
 
 class TestStandIn:
