@@ -17,7 +17,6 @@ with j alone; exact values print in full, past the int digit limit too.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, fields
 from decimal import Decimal
@@ -213,9 +212,5 @@ def report_to_kv(report: BoundReport) -> str:
 
 
 def report_to_csv(report: BoundReport) -> str:
-    out = io.StringIO()
-    out.write(",".join(_REPORT_FIELDS) + "\n")
-    out.write(",".join(
-        _scalar(getattr(report, k)).replace(",", ";") for k in _REPORT_FIELDS
-    ) + "\n")
-    return out.getvalue()
+    row = ",".join(_scalar(getattr(report, k)).replace(",", ";") for k in _REPORT_FIELDS)
+    return ",".join(_REPORT_FIELDS) + "\n" + row + "\n"

@@ -145,8 +145,12 @@ def _fraction(flag: str, text: str) -> Fraction:
 
 def _cmd_gen(args) -> int:
     if args.family == "cs":
-        s = tuple(int(p) for p in args.s.split(","))
-        instance = gen_class_cs(SequenceSpec(s), _fraction("--eps", args.eps))
+        try:  # int() and SequenceSpec refuse a malformed value: name its flag
+            spec = SequenceSpec(tuple(int(p) for p in args.s.split(",")))
+        except ValueError:
+            raise ValueError(f"--s {args.s}: not a comma-separated list of positive integers") \
+                from None
+        instance = gen_class_cs(spec, _fraction("--eps", args.eps))
     elif args.family == "gf2":
         instance = gen_gf2(args.k)
     else:

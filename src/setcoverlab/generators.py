@@ -1,7 +1,7 @@
 """Instance generators: sequence classes, the GF(2) family, seeded random.
 
-Each generator builds the flat arrays (indptr, elements, weights) that a
-parser builds, so no SetEntry exists until .sets is read.
+Each generator builds the flat arrays and integer weights a parser builds,
+so no SetEntry and no Fraction of a weight exists until .sets is read.
 
 gen_class_cs builds, for a covering sequence s, an instance on which the
 greedy algorithm (lowest-index ties) reproduces s exactly: disjoint blocks
@@ -102,10 +102,11 @@ def gen_class_cs(spec: SequenceSpec,
     label = "cs_" + "_".join(str(p) for p in s)
     universe = np.arange(1, m + 1)
     if len(s) == 1:
-        return _parsed(m, np.array([0, m]), universe, [Fraction(m)], label)
-    # the blocks tile 1..m in order, then A = 1..m again
-    weights = [Fraction(p) for p in s[:-1]] + [Fraction(s[-1] + 1), Fraction(m) + epsilon]
-    return _parsed(m, _sizes_to_indptr([*s, m]), np.tile(universe, 2), weights, label)
+        return _parsed(m, np.array([0, m]), universe, ((m,), 1), label)
+    # the blocks tile 1..m in order, then A = 1..m again at m + p/q, over q
+    p, q = epsilon.as_integer_ratio()
+    weights = [part * q for part in s[:-1]] + [(s[-1] + 1) * q, m * q + p]
+    return _parsed(m, _sizes_to_indptr([*s, m]), np.tile(universe, 2), (weights, q), label)
 
 
 def gen_gf2(k: int) -> Instance:
@@ -123,8 +124,8 @@ def gen_gf2(k: int) -> Instance:
         for shift in (8, 4, 2, 1):  # fold the parity of k <= 12 bits into bit 0
             p ^= p >> shift
         members[lo - 1:hi - 1] = (np.nonzero(p & 1)[1] + 1).reshape(hi - lo, half)
-    return _parsed(m, np.arange(0, m * half + 1, half), members.reshape(-1),
-                   [Fraction(1) for _ in range(m)], f"gf2_{k}")
+    return _parsed(m, np.arange(0, m * half + 1, half), members.reshape(-1), ((1,) * m, 1),
+                   f"gf2_{k}")
 
 
 def _mt19937(rng: random.Random):
@@ -192,8 +193,8 @@ def gen_random(spec: RandomSpec) -> Instance:
     elements = elements[np.lexsort((elements, owners))]
     lo = spec.weight_lo
     steps = int((spec.weight_hi - lo) * WEIGHT_GRID)
-    # lo + j / WEIGHT_GRID as one Fraction, with no addition to normalize
-    weights = [Fraction(lo.numerator * WEIGHT_GRID + rng.randint(0, steps) * lo.denominator,
-                        lo.denominator * WEIGHT_GRID) if steps > 0 else lo for _ in range(n)]
-    return _parsed(m, _sizes_to_indptr(np.bincount(owners, minlength=n)), elements, weights,
-                   f"rnd_m{spec.m}_n{spec.n}_seed{spec.seed}")
+    # lo + j / WEIGHT_GRID over lo.denominator * WEIGHT_GRID
+    base, denom = lo.numerator * WEIGHT_GRID, lo.denominator * WEIGHT_GRID
+    weights = [base + (rng.randint(0, steps) if steps else 0) * lo.denominator for _ in range(n)]
+    return _parsed(m, _sizes_to_indptr(np.bincount(owners, minlength=n)), elements,
+                   (weights, denom), f"rnd_m{spec.m}_n{spec.n}_seed{spec.seed}")

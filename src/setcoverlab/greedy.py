@@ -7,14 +7,13 @@ the accumulated cover weight: everything the bound machinery needs, as
 exact rationals.
 
 One private kernel picks on integers with a lazy priority queue (Minoux
-1978, "Accelerated greedy algorithms"), over the integer weights that
-validation memoized; Fractions are built only for the chosen sets.
+1978, "Accelerated greedy algorithms"), over the validated integer weights;
+Fractions are built only for the chosen sets.
 """
 
 from __future__ import annotations
 
 import heapq
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -47,23 +46,26 @@ class GreedyTrace:
 def _kernel(masks, weights, uncovered, tie=TIE_LOWEST_INDEX):
     """Greedy picks (indices, new-element counts) until `uncovered` is empty.
 
-    Integer weights; the masks must cover `uncovered`.  The heap key
-    w*K // count, K = uncovered.bit_length()**2, is exact: distinct ratios
-    with counts b, d <= bit_length differ by >= 1/(b*d) >= 1/K.  Counts only
-    fall, so a stored key is a lower bound: a stale top is re-keyed.
+    Integer weights; the masks must cover `uncovered`.  The key w*K // count,
+    K = uncovered.bit_length()**2, is exact: distinct ratios with counts
+    b, d <= bit_length differ by >= 1/(b*d) >= 1/K.  An entry is one int,
+    key * n + i for set i of n, or (key * top + top - count) * n + i under
+    TIE_MAX_RESIDUAL, top = bit_length + 1.  Counts only fall, so a stored
+    key is a lower bound: a stale top is re-keyed.
     """
-    scale = uncovered.bit_length() ** 2
-    by_size = tie == TIE_MAX_RESIDUAL
+    bits, n = uncovered.bit_length(), len(masks)
+    top, spread = (bits + 1, n) if tie == TIE_MAX_RESIDUAL else (1, 0)
+    scaled, stride = [w * bits * bits for w in weights], top * n
     counts = [(mask & uncovered).bit_count() for mask in masks]
-    heap = [(weights[i] * scale // c, -c if by_size else 0, i, c)
-            for i, c in enumerate(counts) if c]
+    heap = [scaled[i] // c * stride + (top - c) * spread + i for i, c in enumerate(counts) if c]
     heapq.heapify(heap)
     chosen, gains = [], []
     while uncovered:
-        i, stored = heap[0][2:]
+        i = heap[0] % n
         c = (masks[i] & uncovered).bit_count()
-        if c and c != stored:  # stale: re-key and look again
-            heapq.heapreplace(heap, (weights[i] * scale // c, -c if by_size else 0, i, c))
+        if c and c != counts[i]:  # stale: re-key and look again
+            counts[i] = c
+            heapq.heapreplace(heap, scaled[i] // c * stride + (top - c) * spread + i)
             continue
         heapq.heappop(heap)
         if c:  # fresh, hence the true minimum
@@ -149,13 +151,9 @@ def replay_check(instance: Instance, trace: GreedyTrace) -> bool:
 
 def trace_to_csv(trace: GreedyTrace) -> str:
     """One row per iteration: iter, set_index, s_k, m_k, ratio, cum_weight."""
-    out = io.StringIO()
-    out.write("iter,set_index,s_k,m_k,ratio,cumulative_weight\n")
+    rows = ["iter,set_index,s_k,m_k,ratio,cumulative_weight\n"]
     cum = Fraction(0)
     for k, idx in enumerate(trace.chosen):
         cum += trace.ratios[k] * trace.s[k]
-        out.write(
-            f"{k},{idx},{trace.s[k]},{trace.residuals[k + 1]},"
-            f"{trace.ratios[k]},{cum}\n"
-        )
-    return out.getvalue()
+        rows.append(f"{k},{idx},{trace.s[k]},{trace.residuals[k + 1]},{trace.ratios[k]},{cum}\n")
+    return "".join(rows)

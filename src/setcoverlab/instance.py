@@ -1,9 +1,9 @@
 """Weighted set-cover instance model, validation and file I/O.
 
 An instance is a universe {1..m} together with an ordered collection of
-weighted subsets whose union is the whole universe.  Weights are exact
-rationals (fractions.Fraction) so that every bound comparison downstream
-is an exact comparison, never a float one.
+weighted subsets whose union is the whole universe.  Weights are integer
+numerators over one (least common) denominator, so that every comparison
+downstream is exact, never a float one; Fractions exist only at the API.
 
 Two file formats are supported:
 
@@ -25,7 +25,7 @@ Each format has one reader, a numpy scan of an ASCII stand-in of the text
 per byte and per token stay block-sized.  It keeps the value of each plain
 token (1 to 18 ASCII digits, read eight at a time) and the spans of the
 others, with p and q of a "p/q" read the same way.  A walk over the count
-tokens places the weights, one Fraction per distinct value, and a mask takes
+tokens places the weights, one p/q per distinct value, and a mask takes
 the elements (OR-Library's transposed by one in-place sort); int() and
 parse_weight read the tokens that are not plain.  The reader raises the
 first fault its checks find in reading order, with its line and column;
@@ -37,9 +37,9 @@ Every instance is read as flat arrays and weights (_arrays): a parsed or
 generated one holds them and builds its SetEntry tuple only when .sets is
 first read; one built from SetEntry tuples flattens them once.  Each view is
 built from the arrays once, on first use, by its owner: validate() only
-checks them and keeps the integer weights, element_masks() builds the
-bitmasks, and element_sets() the holders, in the element-major order
-(_by_element) the LP's sums also use.
+checks them and keeps the weights, element_masks() builds the bitmasks,
+and element_sets() the holders, in the element-major order (_by_element)
+the LP's sums also use.
 """
 
 from __future__ import annotations
@@ -95,10 +95,10 @@ class Instance:
     """A validated-on-demand set-cover instance over the universe {1..m}.
 
     Memos live in __dict__, not in the fields: the flat arrays and weights
-    "_csr", the validated integer weights "_int_weights", the bitmasks
-    "_masks" and the holders "_holders".  A parsed or generated instance
-    holds its sets only as "_csr", and builds the sets field from it on
-    first read; one built from sets adds "_csr" on demand.
+    (numerators, denominator) "_csr", the same weights once valid
+    "_int_weights", the bitmasks "_masks" and the holders "_holders".  A
+    parsed or generated instance holds its sets only as "_csr", and builds
+    the sets field from it on first read; one built from sets adds "_csr".
     """
 
     m: int
@@ -107,7 +107,8 @@ class Instance:
 
     @property
     def n(self) -> int:
-        return len(_arrays(self)[2])
+        csr = self.__dict__.get("_csr")  # so a bad weight fails in validate, not here
+        return len(self.sets) if csr is None else csr[0].size - 1
 
     def __getattr__(self, attr):
         # only a missing attribute gets here: the sets of a parsed instance
@@ -143,7 +144,7 @@ def validate(instance: Instance) -> None:
     range and above the one before, weight sign; then global coverage of the
     universe.  The checks run vectorized over the flat arrays, and the
     ordered per-set scan runs only to name the first violation.  Success is
-    memoized as the weights, integers over their common denominator.
+    memoized as the weights, integers over their least common denominator.
     """
     memo = instance.__dict__
     if "_int_weights" in memo:
@@ -154,9 +155,8 @@ def validate(instance: Instance) -> None:
     if not instance.n:
         raise InvalidInstance("instance has no sets")
     indptr, elements, weights = _arrays(instance)
-    weights, denom = _over_lcm(weights)
     if not (indptr[1:] > indptr[:-1]).all() or int(elements.min()) < 1 \
-            or int(elements.max()) > m or min(weights) < 0 or _falls(indptr, elements).any():
+            or int(elements.max()) > m or min(weights[0]) < 0 or _falls(indptr, elements).any():
         _raise_first_violation(instance)
     # flags for 1..min(m, entries + 1), never m of them: fewer entries
     # than m leave a gap at or below entries + 1
@@ -169,7 +169,7 @@ def validate(instance: Instance) -> None:
         raise UnionNotUniverse(
             f"element {missing} is covered by no set", missing_element=missing
         )
-    memo["_int_weights"] = (tuple(weights), denom)
+    memo["_int_weights"] = weights
 
 
 def _raise_first_violation(instance: Instance) -> None:
@@ -199,12 +199,12 @@ def _raise_first_violation(instance: Instance) -> None:
             )
 
 
-def _arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, list]:
-    """(indptr, elements, weights): a parser's or generator's, or the sets' flattened once."""
+def _arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(indptr, elements, (numerators, denom)): a parser's or generator's, or the sets' once."""
     memo = instance.__dict__
     if "_csr" not in memo:
         sets = instance.sets
-        memo["_csr"] = (*_flatten(sets), [entry.weight for entry in sets])
+        memo["_csr"] = (*_flatten(sets), _over_lcm([entry.weight for entry in sets]))
     return memo["_csr"]
 
 
@@ -335,23 +335,20 @@ def set_sizes(instance: Instance) -> list[int]:
 
 
 def require_positive_weights(instance: Instance) -> tuple[tuple[int, ...], int]:
-    """The validated weights as integers over their common denominator.
-
-    Raises NonPositiveWeight for the first weight <= 0.
-    """
+    """The validated weights, (numerators, least common denominator); raises
+    NonPositiveWeight for the first weight 0."""
     validate(instance)
     weights, denom = instance.__dict__["_int_weights"]
     if 0 in weights:  # validation rejected negative weights
-        i = weights.index(0)
-        raise NonPositiveWeight(f"set {i} has non-positive weight {_arrays(instance)[2][i]}")
+        raise NonPositiveWeight(f"set {weights.index(0)} has non-positive weight 0")
     return weights, denom
 
 
-def _over_lcm(values) -> tuple[list[int], int]:
+def _over_lcm(values) -> tuple[tuple[int, ...], int]:
     """Rationals as integer numerators over their least common denominator."""
     pairs = [v.as_integer_ratio() for v in values]
     denom = math.lcm(*[d for _, d in pairs])
-    return [p * (denom // d) for p, d in pairs], denom
+    return tuple([p * (denom // d) for p, d in pairs]), denom
 
 
 def is_cover(instance: Instance, set_indices) -> bool:
@@ -409,11 +406,11 @@ def parse_weight(token: str) -> Fraction:
     return Fraction(token)
 
 
-def format_weight(w: Fraction) -> str:
-    """Integral weights print bare; everything else prints as "p/q"."""
-    if w.denominator == 1:
-        return str(w.numerator)
-    return f"{w.numerator}/{w.denominator}"
+def format_weight(w: Fraction | int, denom: int = 1) -> str:
+    """w / denom, reduced by one gcd: integral ones print bare, others as "p/q"."""
+    p, q = w.numerator, w.denominator * denom
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def decode_text(data: bytes) -> str:
@@ -543,30 +540,31 @@ def _fold(word: np.ndarray) -> np.ndarray:
     return ((word & 0x0000FFFF0000FFFF) * 42949672960001) >> 32  # 10000 * 2**32 + 1
 
 
-def _weights(text: str, values, odd, at) -> list[Fraction]:
-    """The weights in tokens `at`, up to the first that does not parse: each
-    distinct one worked out once, a plain token or a "p/q" from the integers
-    the scan read, any other by parse_weight on its text."""
+def _weights(text: str, values, odd, at) -> tuple[tuple[int, ...], int]:
+    """The weights in tokens `at`, up to the first that does not parse, over
+    one common denominator: each distinct one read once, a plain token or a
+    "p/q" from the integers the scan read, any other by parse_weight on its
+    text."""
     first, last, num, den = map(memoryview, odd[1:])
     value = {}
-    weights = []
+    keys = []
     # col is the scan's column of a token that is not plain
     for v, col in zip(values[at].tolist(), odd[0].searchsorted(at).tolist()):
         if v >= 0:
             key = v
         else:
             p, q = num[col], den[col]
-            key = (p, q) if p >= 0 <= q else text[first[col]:last[col]]
-        w = value.get(key)
-        if w is None:
+            key = (p, q) if p >= 0 < q else text[first[col]:last[col]]  # p/0 is read as text
+        if key not in value:
             try:
-                w = (Fraction(key) if type(key) is int else Fraction(*key) if type(key) is tuple
-                     else parse_weight(key))
+                value[key] = ((key, 1) if type(key) is int else key if type(key) is tuple
+                              else parse_weight(key).as_integer_ratio())
             except (ValueError, ZeroDivisionError):
                 break
-            value[key] = w
-        weights.append(w)
-    return weights
+        keys.append(key)
+    denom = math.lcm(*[q for _, q in value.values()])
+    scaled = {key: p * (denom // q) for key, (p, q) in value.items()}
+    return tuple(map(scaled.__getitem__, keys)), denom
 
 
 def _sizes_to_indptr(sizes) -> np.ndarray:
@@ -576,17 +574,21 @@ def _sizes_to_indptr(sizes) -> np.ndarray:
 
 
 def _parsed(m, indptr, elements, weights, name) -> Instance:
-    """An instance held as flat arrays (a parser's or a generator's): its
-    sets stay flat arrays until .sets is read."""
+    """An instance held as flat arrays and weights, numerators over one common
+    denominator (or a list of rationals), which it puts over the least one;
+    its sets stay flat arrays until .sets is read."""
+    nums, denom = _over_lcm(weights) if type(weights) is list else weights
+    g = math.gcd(denom, *nums)  # denom / g is the least common denominator
+    weights = (tuple(nums), denom) if g == 1 else (tuple([p // g for p in nums]), denom // g)
     instance = Instance.__new__(Instance)
     vars(instance).update(m=m, name=name, _csr=(indptr, elements, weights))
     return instance
 
 
 def _entries(indptr, elements, weights) -> tuple[SetEntry, ...]:
-    values = iter(elements.tolist())
-    return tuple(SetEntry(tuple(islice(values, k)), w)
-                 for k, w in zip(np.diff(indptr).tolist(), weights))
+    values, denom = iter(elements.tolist()), weights[1]
+    return tuple(SetEntry(tuple(islice(values, k)), Fraction(p, denom))
+                 for k, p in zip(np.diff(indptr).tolist(), weights[0]))
 
 
 class _Scan:
@@ -769,9 +771,9 @@ def parse_native(text: str, name: str | None = None) -> Instance:
         else (f"weight of set {r}", f"cardinality of set {r}")[k],
         lambda r, i: scan.error(f"negative cardinality for set {r}", i))
     weights = _weights(text, scan.values, scan.odd, heads)
-    if len(weights) < len(heads):
-        i = int(heads[len(weights)])
-        faults.append((i, scan.expected(i, f"weight of set {len(weights)}")))
+    if len(weights[0]) < len(heads):
+        i = int(heads[len(weights[0])])
+        faults.append((i, scan.expected(i, f"weight of set {len(weights[0])}")))
     if _falls(indptr, elements).any():  # each set is sorted; a repeated element is a fault
         owner = np.arange(indptr.size - 1).repeat(np.diff(indptr))
         elements = elements[np.lexsort((elements, owner))]
@@ -802,7 +804,7 @@ def write_native(instance: Instance) -> str:
     may span blocks: its line then ends in the next.
     """
     validate(instance)
-    indptr, elements, weights = _arrays(instance)
+    indptr, elements, (nums, denom) = _arrays(instance)
     sizes = np.diff(indptr).tolist()
     firsts, lasts = indptr[:-1], indptr[1:] - 1  # each set's first and last id
     out = [f"{NATIVE_MAGIC} {NATIVE_VERSION}\n{instance.m} {instance.n}\n"]
@@ -813,8 +815,8 @@ def write_native(instance: Instance) -> str:
         a, b = firsts.searchsorted((lo, hi)).tolist()  # the sets that start in the block
         cuts = [*offsets[firsts[a:b] - lo].tolist(), len(text)]
         out.append("".join([text[:cuts[0]], *(
-            f"{format_weight(weight)} {size} {text[x:y]}"
-            for weight, size, x, y in zip(weights[a:b], sizes[a:b], cuts, cuts[1:]))]))
+            f"{format_weight(p, denom)} {size} {text[x:y]}"
+            for p, size, x, y in zip(nums[a:b], sizes[a:b], cuts, cuts[1:]))]))
     return "".join(out)
 
 
@@ -865,8 +867,8 @@ def parse_orlib(text: str, name: str | None = None) -> Instance:
         lambda r, i: UnionNotUniverse(f"element {r + 1} is covered by no column",
                                       missing_element=r + 1))
     costs = _weights(text, scan.values, scan.odd, np.arange(2, first))
-    if len(costs) < n:  # its fault comes before any row's
-        raise scan.expected(2 + len(costs), f"cost of column {len(costs)}")
+    if len(costs[0]) < n:  # its fault comes before any row's
+        raise scan.expected(2 + len(costs[0]), f"cost of column {len(costs[0])}")
     scan.values = scan.odd = None  # the transpose needs the room, not the tokens
     if cols.size and not 1 <= cols.min() <= cols.max() <= n:  # the first out of range
         at = int(((cols < 1) | (cols > n)).argmax())

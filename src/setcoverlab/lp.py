@@ -211,10 +211,10 @@ def _vertex(t, basis, nonbasic):
 
 def _float_weights(instance: Instance) -> list[float]:
     """The weights as floats; NumericalFailure names a set whose weight overflows."""
-    weights = []
-    for i, weight in enumerate(_arrays(instance)[2]):
+    weights, (nums, denom) = [], _arrays(instance)[2]
+    for i, p in enumerate(nums):
         try:
-            weights.append(float(weight))
+            weights.append(p / denom)  # int division rounds correctly, as float(Fraction) does
         except OverflowError:
             raise NumericalFailure(f"set {i} has a weight beyond the float range") from None
     return weights

@@ -4,6 +4,7 @@ the byte-equality tests of the block writer in setcoverlab.instance.
 Do not edit: the tests compare against exactly these bytes.
 """
 
+from fractions import Fraction
 from itertools import pairwise
 
 from setcoverlab.instance import NATIVE_MAGIC, NATIVE_VERSION, Instance, _arrays, validate
@@ -20,7 +21,8 @@ def write_native(instance: Instance) -> str:
     """Emit the native format; inverse of parse_native on valid instances."""
     validate(instance)
     lines = [f"{NATIVE_MAGIC} {NATIVE_VERSION}", f"{instance.m} {instance.n}"]
-    indptr, elements, weights = _arrays(instance)
+    indptr, elements, (nums, denom) = _arrays(instance)
+    weights = [Fraction(p, denom) for p in nums]  # the held weights, as the API's Fractions
     for (a, b), weight in zip(pairwise(indptr.tolist()), weights):  # one set's ints at a time
         ids = map(str, elements[a:b].tolist())
         lines.append(" ".join([format_weight(weight), str(b - a), *ids]))

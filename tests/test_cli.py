@@ -205,6 +205,12 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", *argv)
         assert (code, out, err) == (1, "", f"usage error: {flag} abc: not a decimal or p/q number\n")
 
+    @pytest.mark.parametrize("parts", ["a,1", ",", "", "2,,1", "1.5", "2,0", "2,-1"])
+    def test_malformed_parts_name_their_flag(self, capsys, parts):
+        code, out, err = run_cli(capsys, "gen", "cs", "--s", parts)
+        assert (code, out, err) == (
+            1, "", f"usage error: --s {parts}: not a comma-separated list of positive integers\n")
+
     def test_flag_exponent_past_the_digit_limit_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "gen", "cs", "--s", "2,1", "--eps", "1e-9999")
         assert (code, out) == (1, "")

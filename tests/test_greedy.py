@@ -216,6 +216,13 @@ def tie_heavy_instances(draw):
     return make_instance(m, draw(st.permutations(sets)))
 
 
+BIG_TIES = make_instance(4, [((3,), 2**70), ((1, 2), 2**71), ((4,), 2**70 + 1),
+                             ((1, 2, 3, 4), 2**72 + 1)])
+FALLING_TIES, FALLING_BIG_TIES = (
+    make_instance(6, [((1, 2), 2 * w), ((2, 3, 4), 3 * w), ((4, 5, 6), 3 * w),
+                      ((1, 3, 5, 6), 4 * w), ((6,), w)]) for w in (1, 2**70))
+
+
 class TestKernelEquivalence:
     # gf2(4) and cs(3,2,2,1) tie ratios, which each policy must break its own way
     @settings(max_examples=300, deadline=None)
@@ -224,6 +231,16 @@ class TestKernelEquivalence:
     @example(gen_gf2(4), TIE_MAX_RESIDUAL)
     @example(gen_class_cs(SequenceSpec((3, 2, 2, 1))), TIE_LOWEST_INDEX)
     @example(gen_class_cs(SequenceSpec((3, 2, 2, 1))), TIE_MAX_RESIDUAL)
+    # weights past 2**64, so the packed heap keys pass 64 bits: sets 0 and 1
+    # tie at ratio 2**70 with counts 1 and 2, set 2 is 1 above them
+    @example(BIG_TIES, TIE_LOWEST_INDEX)
+    @example(BIG_TIES, TIE_MAX_RESIDUAL)
+    # ratio 1 at counts 2, 3, 3 and 4 and 1; after the first pick, counts fall and
+    # sets of new counts tie at ratio 1; also with every weight times 2**70
+    @example(FALLING_TIES, TIE_LOWEST_INDEX)
+    @example(FALLING_TIES, TIE_MAX_RESIDUAL)
+    @example(FALLING_BIG_TIES, TIE_LOWEST_INDEX)
+    @example(FALLING_BIG_TIES, TIE_MAX_RESIDUAL)
     def test_matches_oracle_under_both_policies(self, inst, tie):
         chosen, s, total = brute_greedy_sequence(inst, tie=tie)
         trace = greedy(inst, tie=tie)

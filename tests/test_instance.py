@@ -150,6 +150,16 @@ class TestValidate:
             validate(make_instance(2**70, [((1, 2**65), 1)]))
         assert exc.value.missing_element == 2
 
+    @pytest.mark.parametrize("weight, error", [("x", AttributeError), (None, AttributeError),
+                                               (float("nan"), ValueError)])
+    def test_a_weight_that_is_not_rational_fails_in_validate(self, weight, error):
+        # the weights are scaled to integers when the sets are flattened,
+        # which n does not need: the error is the weight's, raised in validate
+        inst = Instance(m=1, sets=(SetEntry((1,), weight),))
+        assert inst.n == 1
+        with pytest.raises(error, match="integer ratio|as_integer_ratio"):
+            validate(inst)
+
 
 class TestSetEntry:
     def test_slots_keep_identity(self):

@@ -34,7 +34,7 @@ from setcoverlab import (
     solve_lp,
     write_lp_format,
 )
-from setcoverlab.errors import LengthMismatch, NonOptimalLp, NonPositiveWeight
+from setcoverlab.errors import LengthMismatch, NonOptimalLp, NonPositiveWeight, NumericalFailure
 from setcoverlab.instance import parse_native, write_native
 from setcoverlab import lp as lp_mod
 from setcoverlab.lp import (
@@ -117,6 +117,24 @@ class TestSolveExamples:
     def test_positive_weights_required(self):
         inst = make_instance(2, [((1,), 2), ((1, 2), 0), ((2,), 0)])
         with pytest.raises(NonPositiveWeight, match="^set 1 has non-positive weight 0$"):
+            solve_lp(inst)
+
+    def test_float_weights_are_those_of_the_fractions(self):
+        # a common denominator of 10**400 over numerators up to 10**700; the
+        # halfway cases round to even, and 1/10**400 underflows to 0.0
+        weights = [Fraction(1, 10**400), Fraction(10**300), Fraction(1, 3),
+                   Fraction(2**53 + 1), Fraction(2**54 + 3, 2), 10**300 + Fraction(1, 7),
+                   Fraction(2**1024 - 2**970 - 1)]
+        for made in (make_instance(1, [((1,), w) for w in weights]),
+                     parse_native(write_native(make_instance(1, [((1,), w) for w in weights])))):
+            floats = lp_mod._float_weights(made)
+            assert [f.hex() for f in floats] == [float(e.weight).hex() for e in made.sets]
+
+    def test_a_weight_past_the_float_range_is_named(self):
+        inst = make_instance(2, [((1,), 1), ((2,), Fraction(1, 10**400)), ((1, 2), 2**1024),
+                                 ((1, 2), 10**400)])
+        with pytest.raises(NumericalFailure,
+                           match="^set 2 has a weight beyond the float range$"):
             solve_lp(inst)
 
 

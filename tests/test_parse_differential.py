@@ -13,13 +13,14 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seed_parsers
 from setcoverlab import instance
 from setcoverlab.errors import ScpError
-from setcoverlab.instance import Instance, format_weight, parse_native, parse_orlib
+from setcoverlab.instance import (Instance, _over_lcm, format_weight, parse_native, parse_orlib,
+                                  require_positive_weights)
 
 SEPARATORS = (" ", " ", " ", "  ", "\t", "\n", "\n\n", " \n\t", "\r\n", "\x0c",
               # the other ASCII bytes str.split() separates at
@@ -386,3 +387,57 @@ def test_any_text_parses_or_raises_a_package_error(parse, text):
         assert isinstance(parse(text), Instance)
     except ScpError:
         pass
+
+
+# weight tokens: unreduced, decimal, exponent and signed spellings, p and q of
+# 18 digits (plain) and of 19 (read by parse_weight), zero, and some that do
+# not parse (a zero denominator among them)
+GOOD_WEIGHTS = ("6/4", "3/2", "1.5", "0.25", "1e3", "25e-1", "+7", "+6/4", "007", "10/10",
+                "999999999999999999", "1234567890123456789", "1/999999999999999999",
+                "123456789012345678/999999999999999998",
+                "1234567890123456789/9999999999999999999", "7/1000000000000000000")
+ODD_WEIGHTS = ("0", "0/5", "-0", "-2", "-6/4", "5/0", "0/0", "1/2/3", "6/-4", "x", "inf", "1e")
+
+
+def _weight_outcome(parse, text):
+    """The held weights of the parsed text, or the error, as _outcome gives it."""
+    try:
+        return "ok", require_positive_weights(parse(text))
+    except Exception as exc:  # compared field by field below
+        return ("error", type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+
+
+def _weight_texts(weights):
+    """A native and an OR-Library text whose sets each hold all of {1, 2}."""
+    n = len(weights)
+    native = "scp 1\n2 %d\n" % n + "".join(f"{w} 2 1 2\n" for w in weights)
+    orlib = f"2 {n}\n" + " ".join(weights) + "\n" + \
+        "".join(f"{n} " + " ".join(map(str, range(1, n + 1))) + "\n" for _ in range(2))
+    return native, orlib
+
+
+class TestHeldWeights:
+    """The parsed weights are numerators over the least common denominator of
+    the weights the frozen parsers read; a weight that does not parse, is
+    negative or is zero fails as it does there."""
+
+    def test_numerators_over_the_least_common_denominator(self):
+        for text, fmt in zip(_weight_texts(GOOD_WEIGHTS), ("native", "orlib")):
+            new, old = ((parse_native, seed_parsers.parse_native) if fmt == "native"
+                        else (parse_orlib, seed_parsers.parse_orlib))
+            new, old = new(text), old(text)
+            nums, denom = _over_lcm([entry.weight for entry in old.sets])
+            assert require_positive_weights(new) == (tuple(nums), denom), fmt
+            assert new.sets == old.sets, fmt
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(GOOD_WEIGHTS + ODD_WEIGHTS), min_size=1, max_size=6))
+    @example(["3/2", "5/0", "x"])
+    @example(["6/4", "-2", "0/0"])
+    @example(["0/5", "25e-1"])
+    def test_same_weights_or_same_error(self, weights):
+        for text, fmt in zip(_weight_texts(weights), ("native", "orlib")):
+            new = parse_native if fmt == "native" else parse_orlib
+            old = seed_parsers.parse_native if fmt == "native" else seed_parsers.parse_orlib
+            assert _weight_outcome(new, text) == _weight_outcome(old, text), (fmt, weights)
