@@ -4,14 +4,14 @@ One depth-first search: it branches on the lowest uncovered element and
 visits the sets containing it cheapest-first.  The child that takes a set
 bans the cheaper holders of that element for its whole subtree, so each
 cover is reached at most once.  The incumbent cut is decided when a child
-is built: a child heavier than the incumbent, or as heavy and not a cover,
-is never pushed.  Every optimal cover is then a leaf.  The two methods
-differ in the tie rule: the exhaustive method keeps, among covers of equal
-weight, the one with the lowest subset bitmask; branch-and-bound keeps the
-first found.  Branch-and-bound can also prune by the root LP's dual, made
-exactly feasible, summed over the uncovered elements, tested before a
-child is pushed and again when it is popped (the incumbent may have
-improved in between).
+is built: it is never pushed when heavier than the incumbent, or when not a
+cover and, with even the lightest set added, as heavy (heavier, for the
+exhaustive method, which keeps the lowest subset bitmask among covers of
+equal weight).  Branch-and-bound keeps the first cover found at a weight,
+so it visits no node the exhaustive method skips.  It can also prune by
+the root LP's dual, made exactly feasible, summed over the uncovered
+elements, tested before a child is pushed and again when it is popped
+(the incumbent may have improved in between).
 
 Weight arithmetic inside the search runs on the integer weights validation
 memoized (over their common denominator), so comparisons stay exact and
@@ -96,11 +96,13 @@ def _search(instance, weights, denom, budget, use_lp_bound, bounded):
     subtree, so every cover is reached at most once: through the first of
     its sets at each branching element.  A node whose holders of e are all
     banned is a dead end.  The incumbent cut is decided when a child is
-    built: it is skipped when heavier than the incumbent, or as heavy and
-    not yet a cover, so every optimal cover is still a leaf.  Unbounded,
-    among equal weights the lowest subset bitmask wins.  Bounded, the first
-    cover found at a weight stays, the root dual prunes when use_lp_bound is
-    set, and the prunes are counted.
+    built: it is skipped when heavier than the incumbent, or when not yet a
+    cover and its weight plus the lightest set's reaches the incumbent's
+    (passes it, unbounded), since every cover below it weighs at least that.
+    Unbounded, every optimal cover is still a leaf, and among equal weights
+    the lowest subset bitmask wins.  Bounded, only a strictly lighter cover
+    replaces the incumbent, the root dual prunes when use_lp_bound is set,
+    and the prunes are counted.
     """
     deadline = time.monotonic() + budget.time_limit
     masks = element_masks(instance)
@@ -111,7 +113,9 @@ def _search(instance, weights, denom, budget, use_lp_bound, bounded):
 
     seed = greedy(instance)
     incumbent_w = sum(weights[i] for i in seed.chosen)
-    incumbent = tuple(sorted(seed.chosen))
+    incumbent = sum(1 << i for i in seed.chosen)
+    # a child that is not a cover needs one more set, at least the lightest
+    reach = min(weights, default=0) - (0 if bounded else 1)
 
     # per element, its holders cheapest first as (set, weight, mask, the
     # holders before it as a bitmask, which the child taking it bans)
@@ -126,24 +130,19 @@ def _search(instance, weights, denom, budget, use_lp_bound, bounded):
     stats = {"lp": 0}
     nodes = 0
     hit_limit = False
-    # (covered, w_so_far, chosen, dual sum of the uncovered elements, banned sets)
-    stack: list[tuple[int, int, tuple[int, ...], int, int]] = [(0, 0, (), sum(ys), 0)]
+    # (covered, w_so_far, chosen sets, dual sum of the uncovered elements, banned sets)
+    stack: list[tuple[int, int, int, int, int]] = [(0, 0, 0, sum(ys), 0)]
 
     while stack:
-        if nodes >= budget.node_limit:
-            hit_limit = True
-            break
-        if nodes % 256 == 0 and time.monotonic() > deadline:
+        if nodes >= budget.node_limit or (nodes % 256 == 0 and time.monotonic() > deadline):
             hit_limit = True
             break
         covered, w_so_far, chosen, y_left, banned = stack.pop()
         nodes += 1
         if covered == full:
             if w_so_far < incumbent_w or (
-                    not bounded and w_so_far == incumbent_w
-                    and sum(1 << i for i in chosen) < sum(1 << i for i in incumbent)):
-                incumbent_w = w_so_far
-                incumbent = tuple(sorted(chosen))
+                    not bounded and w_so_far == incumbent_w and chosen < incumbent):
+                incumbent_w, incumbent = w_so_far, chosen
             continue
         # the incumbent may have improved since the push
         if ys and w_so_far * dy + y_left * denom >= incumbent_w * dy:
@@ -159,19 +158,19 @@ def _search(instance, weights, denom, budget, use_lp_bound, bounded):
             if banned >> i & 1:
                 continue
             child = covered | mask
-            if w == incumbent_w and child != full:
+            if child != full and w + reach >= incumbent_w:
                 continue
             child_y = y_left - _mask_sum(ys, mask & uncovered) if ys else 0
             # the same dual test, before the child is pushed
             if ys and w * dy + child_y * denom >= incumbent_w * dy:
                 stats["lp"] += 1
                 continue
-            children.append((child, w, chosen + (i,), child_y, banned | before))
+            children.append((child, w, chosen | 1 << i, child_y, banned | before))
         stack.extend(reversed(children))  # the cheapest child is popped first
 
     status = STATUS_BUDGET if hit_limit else STATUS_OPTIMAL
-    return (Fraction(incumbent_w, denom), incumbent, nodes, status,
-            stats if bounded else {})
+    indices = tuple(i for i in range(instance.n) if incumbent >> i & 1)
+    return Fraction(incumbent_w, denom), indices, nodes, status, stats if bounded else {}
 
 
 def exact_opt(instance: Instance, budget: SolveBudget | None = None, *,

@@ -409,6 +409,14 @@ class TestLpExact:
         assert [line.split("=")[0] for line in out.splitlines()] == [
             "weight", "status", "nodes", "cover", "prunes_lp"]
 
+    def test_exact_closes_gf2_6(self, capsys, tmp_path):
+        path = tmp_path / "gf2_6.scp"
+        assert main(["gen", "gf2", "--k", "6", "-o", str(path)]) == 0
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "exact", str(path), "--method", "branch-and-bound")
+        assert code == 0
+        assert out.startswith("weight=6\nstatus=proven-optimal\n")
+
     def test_solver_fault_exit_code(self, capsys, cs_file, monkeypatch):
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")

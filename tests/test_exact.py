@@ -195,16 +195,22 @@ class TestBranchAndBound:
 
     def test_gf2_4_node_count(self):
         res = exact_opt(gen_gf2(4), SolveBudget(method=METHOD_BNB))
-        assert (res.weight, res.nodes, res.bound_stats) == (4, 1121, {"lp": 0})
+        assert (res.weight, res.nodes, res.bound_stats) == (4, 57, {"lp": 0})
 
     @pytest.mark.parametrize("make, weight, nodes", [
-        (lambda: gen_gf2(5), 5, 98769),
-        (lambda: weights_1_to_10(40, 40, 0.1, 1), Fraction(52137, 1000), 100604)])
+        (lambda: gen_gf2(5), 5, 2001),
+        (lambda: weights_1_to_10(40, 40, 0.1, 1), Fraction(52137, 1000), 90289)])
     def test_closes_without_the_lp_bound(self, make, weight, nodes):
         inst = make()
         res = exact_opt(inst, SolveBudget(method=METHOD_BNB))
         assert (res.status, res.weight, res.nodes) == (STATUS_OPTIMAL, weight, nodes)
         assert weight == highs_optimum(inst)
+
+    def test_closes_gf2_6(self):
+        # greedy's 6 sets are already optimal; an open child at weight 5 needs
+        # one more set of weight at least 1, so it is never pushed
+        res = exact_opt(gen_gf2(6), SolveBudget(method=METHOD_BNB, node_limit=300_000))
+        assert (res.status, res.weight) == (STATUS_OPTIMAL, 6)
 
 
 class TestRootDualBound:
@@ -218,8 +224,8 @@ class TestRootDualBound:
         assert res.status == STATUS_OPTIMAL
         assert res.weight == optimum == highs_optimum(inst)
 
-    @pytest.mark.parametrize("m, n, seed, nodes, prunes", [(40, 40, 1, 534, 746),
-                                                           (60, 60, 3, 1345, 3785)])
+    @pytest.mark.parametrize("m, n, seed, nodes, prunes", [(40, 40, 1, 534, 717),
+                                                           (60, 60, 3, 1343, 3671)])
     def test_children_the_dual_rules_out_are_never_pushed(self, m, n, seed, nodes, prunes):
         # a child the dual rules out is counted as a prune, not pushed and
         # visited as a node

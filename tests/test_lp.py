@@ -731,6 +731,30 @@ class TestDegeneracy:
         assert (t[2, :3] <= 0).all() and (t[:2, 3] >= 0).all()
         assert lp_mod._dual_pivot(t, basis, nonbasic) is None
 
+    @pytest.mark.parametrize("width", range(3, 13))
+    def test_pivot_matches_an_exact_pivot(self, width):
+        # small integer entries and a pivot of 1, 2 or 4 in magnitude keep
+        # every float step exact, so the float pivot must equal the Fraction
+        # one entry for entry.  The widths include 8, where on numpy 2.4.6
+        # with AVX-512 np.negative(v, out=v) on a column view of the tableau
+        # returned wrong values; the pivot's np.subtract(0.0, v, out=v) did not
+        rng = np.random.default_rng(width)
+        for rows in (2, 3, 5, 9):
+            t = rng.integers(-9, 10, size=(rows, width)).astype(float)
+            leave, enter = int(rng.integers(rows)), int(rng.integers(width))
+            t[leave, enter] = rng.choice([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0])
+            old = [[Fraction(int(v)) for v in row] for row in t]
+            p = old[leave][enter]
+            exact = [[1 / p if (r, j) == (leave, enter) else
+                      old[r][j] / p if r == leave else
+                      -old[r][j] / p if j == enter else
+                      old[r][j] - old[r][enter] * old[leave][j] / p
+                      for j in range(width)] for r in range(rows)]
+            basis, nonbasic = np.arange(rows), np.arange(rows, rows + width)
+            lp_mod._pivot(t, basis, nonbasic, leave, enter)
+            assert t.tolist() == exact
+            assert (basis[leave], nonbasic[enter]) == (rows + enter, leave)
+
     @pytest.mark.parametrize("inst", [
         random_lp(8, 10, 0.3, 13, weight_hi=1),
         random_lp(10, 12, 0.3, 2, weight_hi=1),
