@@ -172,11 +172,8 @@ def enumerate_sequences(m: int, mode: str = DEFAULT_MODE):
 
 
 def _bucket_of(max_part: int, m: int) -> int:
-    """Left-open fifths: smallest b with max_part/m <= (b+1)/5, exactly."""
-    for b in range(5):
-        if 5 * max_part <= (b + 1) * m:
-            return b
-    raise AssertionError("mu cannot exceed 1")
+    """Left-open fifths: smallest b with max_part/m <= (b+1)/5, exactly (1 <= max_part <= m)."""
+    return (5 * max_part - 1) // m
 
 
 def _split(m: int, mode: str) -> int:

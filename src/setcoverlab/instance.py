@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, pairwise
 from numbers import Integral
-from operator import itemgetter, lt
+from operator import itemgetter
 
 import numpy as np
 
@@ -173,30 +173,38 @@ def validate(instance: Instance) -> None:
 
 
 def _raise_first_violation(instance: Instance) -> None:
-    """Scan the sets in order and raise the first per-set violation, if any."""
+    """Scan the sets in order from the first that the vectorized checks flag,
+    and raise the first per-set violation, if any.  A parsed instance's sets
+    are read from its flat arrays, one at a time, from that set on."""
     m = instance.m
-    for i, entry in enumerate(instance.sets):
-        els = entry.elements
-        if not els:
+    indptr, elements, (nums, denom) = _arrays(instance)
+    flagged = (indptr[1:] == indptr[:-1]) | (np.array(nums, object) < 0)
+    bad = (elements < 1) | (elements > m) | _falls(indptr, elements)[:-1]
+    flagged[indptr.searchsorted(np.flatnonzero(bad)[:1], "right") - 1] = True
+    first = int(flagged.argmax())
+    sets = instance.__dict__.get("sets")
+    if sets is None:
+        bounds = indptr[first:].tolist()
+        sets = (SetEntry(tuple(elements[a:b].tolist()), Fraction(p, denom))
+                for a, b, p in zip(bounds, bounds[1:], nums[first:]))
+    else:
+        sets = islice(sets, first, None)
+    for i, entry in enumerate(sets, first):
+        if not entry.elements:
             raise EmptySet(f"set {i} is empty", set_index=i)
-        if not (all(isinstance(e, Integral) for e in els) and 1 <= els[0] and els[-1] <= m
-                and all(map(lt, els, els[1:]))):
-            prev = 0  # find the first violation in reading order
-            for e in els:
-                if not isinstance(e, Integral):
-                    raise InvalidInstance(f"set {i} contains element {e!r}, not an integer",
-                                          set_index=i)
-                if not 1 <= e <= m:
-                    raise ElementOutOfRange(f"set {i} contains element {e} outside 1..{m}",
-                                            set_index=i)
-                if e <= prev:
-                    raise InvalidInstance(f"set {i} elements not sorted/duplicate-free",
-                                          set_index=i)
-                prev = e
+        prev = 0
+        for e in entry.elements:
+            if not isinstance(e, Integral):
+                raise InvalidInstance(f"set {i} contains element {e!r}, not an integer",
+                                      set_index=i)
+            if not 1 <= e <= m:
+                raise ElementOutOfRange(f"set {i} contains element {e} outside 1..{m}",
+                                        set_index=i)
+            if e <= prev:
+                raise InvalidInstance(f"set {i} elements not sorted/duplicate-free", set_index=i)
+            prev = e
         if entry.weight < 0:
-            raise NegativeWeight(
-                f"set {i} has negative weight {entry.weight}", set_index=i
-            )
+            raise NegativeWeight(f"set {i} has negative weight {entry.weight}", set_index=i)
 
 
 def _arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -351,23 +359,30 @@ def _over_lcm(values) -> tuple[tuple[int, ...], int]:
     return tuple([p * (denom // d) for p, d in pairs]), denom
 
 
+def _chosen(instance: Instance, set_indices) -> list:
+    """set_indices as a list, once validated; IndexOutOfRange names the first outside 0..n-1."""
+    validate(instance)
+    chosen, n = list(set_indices), instance.n
+    for i in chosen:
+        if not 0 <= i < n:
+            raise IndexOutOfRange(f"set index {i} outside 0..{n - 1}")
+    return chosen
+
+
 def is_cover(instance: Instance, set_indices) -> bool:
     """True iff the union of the chosen sets equals {1..m}; validates the instance."""
-    validate(instance)
-    masks = element_masks(instance)
-    union = 0
-    for i in set_indices:
-        if not 0 <= i < instance.n:
-            raise IndexOutOfRange(f"set index {i} outside 0..{instance.n - 1}")
+    chosen = _chosen(instance, set_indices)
+    masks, union = element_masks(instance), 0
+    for i in chosen:
         union |= masks[i]
     return union == (1 << instance.m) - 1
 
 
 def cover_weight(instance: Instance, set_indices) -> Fraction:
     """The total weight of the chosen sets; validates the instance."""
-    validate(instance)
+    chosen = _chosen(instance, set_indices)
     weights, denom = instance.__dict__["_int_weights"]
-    return Fraction(sum(weights[i] for i in set_indices), denom)
+    return Fraction(sum(weights[i] for i in chosen), denom)
 
 
 def make_cover(instance: Instance, set_indices) -> Cover:
@@ -575,9 +590,9 @@ def _sizes_to_indptr(sizes) -> np.ndarray:
 
 def _parsed(m, indptr, elements, weights, name) -> Instance:
     """An instance held as flat arrays and weights, numerators over one common
-    denominator (or a list of rationals), which it puts over the least one;
-    its sets stay flat arrays until .sets is read."""
-    nums, denom = _over_lcm(weights) if type(weights) is list else weights
+    denominator, which it puts over the least one; its sets stay flat arrays
+    until .sets is read."""
+    nums, denom = weights
     g = math.gcd(denom, *nums)  # denom / g is the least common denominator
     weights = (tuple(nums), denom) if g == 1 else (tuple([p // g for p in nums]), denom // g)
     instance = Instance.__new__(Instance)

@@ -32,10 +32,10 @@ column) repair any rhs that dropping delta, or drift, left below
 -DEFAULT_TOL, and the check runs again once no column prices in.  So
 optimality is declared on an exact certificate, or on a rebuilt tableau
 with no pivot since; drift and delta never decide it, and every pivot
-before a rebuild is independent of the BLAS thread count.  At an
-iteration limit while delta is in, the tableau is rebuilt once to report
-the true weights' vertex.  Stats count the Bland, repair and
-refactorization steps and name the certificate path.
+before a rebuild is independent of the BLAS thread count.  A failed check
+is the only reason for a rebuild: an iteration limit reports the vertex
+read the same way.  Stats count the Bland, repair and refactorization
+steps and name the certificate path.
 
 A snapped value is limit_denominator's, most often confirmed by an
 integer test on a float continued fraction's convergent instead of
@@ -49,7 +49,6 @@ carries the exact rational objective, solution and dual.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,7 +81,7 @@ class LpStats:
     """What one solve did: its pivot kinds, refactorizations and certificate path."""
     bland_pivots: int = 0  # pivots priced by Bland's rule (the fallback)
     cleanup_pivots: int = 0  # dual pivots that repaired the rhs after a refactorization
-    refactorizations: int = 0  # the drifted vertex failed its check, or a limit came with delta in
+    refactorizations: int = 0  # rebuilds, each after the drifted vertex failed its check
     perturbed: bool = False  # a degeneracy streak perturbed the rhs
     certificate: str | None = None  # "snap", "det" (the basis core solved exactly), or None
 
@@ -225,8 +224,9 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
 
     status is "optimal" when no column prices in within DEFAULT_TOL and
     either the vertex of the true weights certifies exactly or the tableau
-    was just refactorized on them, "iteration-limit" when the pivot budget
-    ran out first.
+    was just refactorized on them, as it is only after that check fails;
+    "iteration-limit" when the pivot budget ran out first, with the vertex
+    read off the tableau as it stands.
     """
     weights, dw = require_positive_weights(instance)
     m, n = instance.m, instance.n
@@ -246,7 +246,7 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
     t[n, m] = -0.0
     iterations = streak = 0
     bland_pivots = cleanup_pivots = refactorizations = 0
-    bland = perturbed = shifted = repair = False
+    bland = perturbed = repair = False
     exact = None
     fresh = True  # no pivot since the tableau was built from the data
     while True:
@@ -269,10 +269,10 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
                 t = _refactorize(d, w, basis, nonbasic)
                 refactorizations += 1
                 fresh = repair = True
-                shifted = False
                 continue
         if iterations >= max_iterations:
             status = STATUS_ITERATION_LIMIT
+            x, y = _vertex(t, basis, nonbasic)
             break
         if not repair:
             col = t[:n, enter]
@@ -303,16 +303,11 @@ def solve_lp(instance: Instance, *, max_iterations: int | None = None) -> LpOutc
             # so the ratio tests on the shifted rhs rarely tie
             t[:n, m:] += (PERTURBATION * w.mean()
                           * (1.0 + np.modf(np.arange(1, n + 1) * GOLDEN)[0]))[:, None]
-            perturbed = shifted = True
+            perturbed = True
             streak = 0
 
     certificate = "snap" if exact is not None else None
-    if status == STATUS_ITERATION_LIMIT:
-        if shifted:  # report the vertex of the true weights
-            t = _refactorize(d, w, basis, nonbasic)
-            refactorizations += 1
-        x, y = _vertex(t, basis, nonbasic)
-    elif exact is None:
+    if status == STATUS_OPTIMAL and exact is None:
         pair = _core_pair(d, basis, nonbasic, weights, dw)
         exact = pair and certify_pair(instance, *pair)
         certificate = "det" if exact is not None else None
@@ -462,24 +457,15 @@ def integrality_gap(opt_weight: Fraction, lp: LpOutcome):
 
 
 def solution_to_csv(lp: LpOutcome) -> str:
-    out = io.StringIO()
-    out.write("set_index,x\n")
-    for i, xi in enumerate(lp.x):
-        out.write(f"{i},{xi}\n")
-    return out.getvalue()
+    return "set_index,x\n" + "".join(f"{i},{xi}\n" for i, xi in enumerate(lp.x))
 
 
 def write_lp_format(instance: Instance) -> str:
     """CPLEX-LP text of the covering program, for external cross-checks."""
-    lines = ["Minimize"]
     terms = " + ".join(f"{wi:.12g} x{i}" for i, wi in enumerate(_float_weights(instance)))
-    lines.append(f" obj: {terms}")
-    lines.append("Subject To")
+    lines = ["Minimize", f" obj: {terms}", "Subject To"]
     for e, holders in enumerate(element_sets(instance), start=1):
         lhs = " + ".join(f"x{i}" for i in holders)
         lines.append(f" e{e}: {lhs} >= 1")
-    lines.append("Bounds")
-    for i in range(instance.n):
-        lines.append(f" 0 <= x{i}")
-    lines.append("End")
+    lines += ["Bounds", *(f" 0 <= x{i}" for i in range(instance.n)), "End"]
     return "\n".join(lines) + "\n"

@@ -89,6 +89,14 @@ class TestBuckets:
         brute = sum(1 for s in compositions_by_gaps(10) if max(s) <= 2)
         assert count_b1 == brute
 
+    def test_bucket_of_is_the_smallest_fifth_holding_mu(self):
+        # the smallest b in 0..4 with p/m <= (b + 1)/5, cross-multiplied
+        for m in range(1, 301):
+            for p in range(1, m + 1):
+                b = experiments_mod._bucket_of(p, m)
+                assert 0 <= b < 5 and 5 * p <= (b + 1) * m, (p, m)
+                assert b == 0 or 5 * p > b * m, (p, m)
+
 
 class TestExactAgainstEnumeration:
     """The counted sweep against plain Fraction enumeration of every sequence."""

@@ -39,6 +39,7 @@ from setcoverlab import instance
 from setcoverlab.generators import RandomSpec, gen_gf2, gen_random
 from setcoverlab.greedy import greedy
 from setcoverlab.instance import (
+    cover_weight,
     detect_format,
     element_masks,
     element_sets,
@@ -159,6 +160,44 @@ class TestValidate:
         assert inst.n == 1
         with pytest.raises(error, match="integer ratio|as_integer_ratio"):
             validate(inst)
+
+
+def _ordered_scan(m, sets):
+    """The first per-set violation, scanning every set from set 0, or None."""
+    for i, entry in enumerate(sets):
+        if not entry.elements:
+            return EmptySet, f"set {i} is empty", i
+        prev = 0
+        for e in entry.elements:
+            if type(e) is not int:
+                return InvalidInstance, f"set {i} contains element {e!r}, not an integer", i
+            if not 1 <= e <= m:
+                return ElementOutOfRange, f"set {i} contains element {e} outside 1..{m}", i
+            if e <= prev:
+                return InvalidInstance, f"set {i} elements not sorted/duplicate-free", i
+            prev = e
+        if entry.weight < 0:
+            return NegativeWeight, f"set {i} has negative weight {entry.weight}", i
+    return None
+
+
+class TestFirstViolation:
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 12), sets=st.lists(st.tuples(
+        st.lists(st.one_of(st.integers(-1, 14), st.sampled_from([2.0, 2**70])), max_size=6),
+        st.integers(-2, 5)), min_size=1, max_size=6))
+    def test_the_walk_from_the_first_flagged_set_finds_the_ordered_scans(self, m, sets):
+        # validate walks from the first set its bulk checks flag, never from set 0
+        inst = Instance(m=m, sets=tuple(SetEntry(tuple(els), Fraction(w)) for els, w in sets))
+        expected = _ordered_scan(m, inst.sets)
+        try:
+            validate(inst)
+            raised = None
+        except UnionNotUniverse:
+            raised = None
+        except InvalidInstance as exc:
+            raised = type(exc), str(exc), exc.set_index
+        assert raised == expected
 
 
 class TestSetEntry:
@@ -330,6 +369,13 @@ class TestIsCover:
         with pytest.raises(IndexOutOfRange):
             is_cover(gf2_k2(), [3])
 
+    @pytest.mark.parametrize("index", [-1, -4, 3])
+    @pytest.mark.parametrize("check", [is_cover, cover_weight, make_cover])
+    def test_every_check_refuses_an_index_outside_the_sets(self, check, index):
+        # cover_weight read weights[-1] as the last set's, and raised a bare IndexError at n
+        with pytest.raises(IndexOutOfRange, match=f"^set index {index} outside 0..2$"):
+            check(gf2_k2(), [0, index])
+
     def test_make_cover_weighs_a_cover(self):
         assert make_cover(gf2_k2(), [0, 1]) == Cover(set_indices=(0, 1), weight=Fraction(2))
 
@@ -414,7 +460,8 @@ def _writer_cases(small=False):
         yield "edges", instance._parsed(
             m, np.array([0, m, m + len(edges), m + len(edges) + 1, m + len(edges) + 2]),
             np.array([*range(1, m + 1), *edges, 1, m]),
-            [Fraction(7, 3), Fraction(5), Fraction(10**20 + 1, 3), Fraction(1, 10**6)], "edges")
+            instance._over_lcm([Fraction(7, 3), Fraction(5), Fraction(10**20 + 1, 3),
+                                Fraction(1, 10**6)]), "edges")
     yield "m1", make_instance(1, [((1,), Fraction(1, 2))])
     yield "m1_twice", make_instance(1, [((1,), 3), ((1,), Fraction(9, 4))])
     # one set per id, then the universe: a line break after every id
@@ -588,6 +635,28 @@ class TestBlockScan:
         # the scan of the whole text ran first: 2 MB of one-letter tokens, five
         # int64 each besides one, peaked at 48x the text
         _assert_frozen_error_in_linear_memory(text, parse)
+
+    @pytest.mark.parametrize("token, value", [(-1, "1024"), (0, "-1")], ids=["id", "weight"])
+    def test_a_late_invalid_set_is_named_in_linear_memory(self, multi_block_texts, token, value):
+        # validate named the fault by building every set's SetEntry from set 0
+        # on: 12.3x the text for an id past m = 1023 in gf2(10)'s last set
+        head, line = multi_block_texts[0][0].rstrip("\n").rsplit("\n", 1)
+        tokens = line.split(" ")
+        tokens[token] = value
+        text = f"{head}\n{' '.join(tokens)}\n"
+        with pytest.raises(InvalidInstance) as expected:
+            seed_parsers.parse_native(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInstance) as raised:
+                parse_native(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * len(text)
+        assert ((type(raised.value), str(raised.value), raised.value.set_index)
+                == (type(expected.value), str(expected.value), expected.value.set_index))
+        assert raised.value.set_index == 1022
 
 
 def _assert_frozen_error_in_linear_memory(text, parse):

@@ -467,6 +467,18 @@ class TestCertifyBeforeRebuild:
         assert len(pairs) == 2  # the drifted pair failed, the rebuilt one passed
 
 
+class TestIterationLimit:
+    def test_a_perturbed_limit_makes_no_rebuild(self, monkeypatch):
+        # the vertex is read net of delta's image, so only a failed check rebuilds
+        def refused(*args):
+            raise AssertionError("np.linalg.solve was called")
+
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        out = solve_lp(gen_gf2(7), max_iterations=120)
+        assert (out.status, out.iterations) == (STATUS_ITERATION_LIMIT, 120)
+        assert out.stats.perturbed and out.stats.refactorizations == 0
+
+
 class TestPivotRules:
     """Outcomes that the pivoting rules decide, pinned where a rule matters."""
 
